@@ -239,13 +239,16 @@ class GibbsEnsemble:
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
     def site_log_weights(self) -> np.ndarray:
-        """log of the mu0 site masses, normalized to a probability vector."""
-        pts = self.site_points()
-        dens = np.array([self.mu0.density_at(p) for p in pts])
+        """log of the mu0 site masses, normalized to a probability vector.
+
+        Site j/k lies in mu0 cell (j * resolution) // k of each axis.
+        """
+        k = self.sites_per_axis
+        cells = (np.arange(k) * self.mu0.resolution) // k
+        dens = self.mu0.density[np.ix_(*[cells] * self.d)].reshape(-1)
         if np.all(dens == 0.0):
             raise ValueError("mu0 vanishes on every site")
-        with np.errstate(divide="ignore"):
-            logs = np.where(dens > 0.0, np.log(dens, where=dens > 0.0), -np.inf)
+        logs = np.log(dens, where=dens > 0.0, out=np.full_like(dens, -np.inf))
         return logs - logsumexp(logs)
 
 

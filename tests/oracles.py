@@ -55,6 +55,53 @@ def theta_kernel_naive(n: int, center: float, x: float,
     )
 
 
+def theta_kernel_naive_nd(n: int, center, x, radius: int = 2) -> float:
+    """d-dim Gaussian periodization summed over every joint shift in
+    {-radius..radius}^d, one term per shift vector, with no factoring."""
+    center = [float(c) for c in center]
+    x = [float(v) for v in x]
+    total = 0.0
+    for shift in itertools.product(range(-radius, radius + 1),
+                                   repeat=len(x)):
+        sq = sum((xa - ca - m) ** 2 for xa, ca, m in zip(x, center, shift))
+        total += math.exp(-n * sq)
+    return total
+
+
+def ent_dual_sup_scan(mu0, nu, rounds: int = 8, span: float = 8.0) -> float:
+    """Refined-lattice supremum of <theta, nu> - log sum exp(theta) mu0,
+    evaluated one candidate at a time.
+
+    Same lattice and strict-improvement rule as the package's duality
+    check: 9 offsets per free coordinate, the last coordinate gauge-fixed
+    at 0, the width divided by 4 each round.
+    """
+    log_mu0 = [math.log(w) for w in mu0]
+    k = len(log_mu0)
+
+    def value(free):
+        theta = list(free) + [0.0]
+        terms = [t + lw for t, lw in zip(theta, log_mu0)]
+        top = max(terms)
+        log_mgf = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        return math.fsum(t * q for t, q in zip(theta, nu)) - log_mgf
+
+    center = [0.0] * (k - 1)
+    width = span
+    best = value(center)
+    for _ in range(rounds):
+        round_best, round_at = -math.inf, None
+        for offset in itertools.product(range(-4, 5), repeat=k - 1):
+            cand = [c + width * (o / 4.0) for c, o in zip(center, offset)]
+            v = value(cand)
+            if v > round_best:
+                round_best, round_at = v, cand
+        if round_best > best:
+            best, center = round_best, round_at
+        width /= 4.0
+    return best
+
+
 def multinomial_type_prob(counts, weights) -> float:
     """Exact probability of a type class from factorials."""
     n = sum(counts)

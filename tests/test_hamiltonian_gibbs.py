@@ -134,6 +134,17 @@ def test_local_rate_extreme_radii():
     assert empty.value == math.inf
 
 
+def test_site_weights_read_the_cell_each_site_starts():
+    # 10 sites per axis on a 10-cell mu0: site j/10 lies in cell j, also
+    # at 3/10, 6/10 and 7/10 where floating division lands one cell low
+    values = 1.0 + np.arange(10.0)
+    mu0 = GridMeasure.from_density_values(values, kind="torus")
+    ens = GibbsEnsemble(beta=1.0, n=5, d=1, mu0=mu0, kind=PERMANENTAL,
+                        backend="mcmc", site_refinement=2)
+    want = np.log(values / values.sum())
+    assert np.allclose(ens.site_log_weights(), want, atol=1e-14)
+
+
 def test_partition_tensor_vs_product_route():
     ens = uniform_ensemble(2.0)  # beta = n: the product formula applies
     tensor = partition_function(ens, quadrature_resolution=2048)

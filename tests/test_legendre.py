@@ -18,7 +18,7 @@ from ldpma.legendre import (
 )
 from ldpma.measures import DiscreteMeasure
 
-from oracles import relative_entropy
+from oracles import ent_dual_sup_scan, relative_entropy
 
 
 def parabola(resolution=64, half_width=2.0):
@@ -138,3 +138,22 @@ def test_ent_dual_boundary_type():
     ent, sup = ent_dual_check(mu0, nu)
     assert ent == pytest.approx(np.log(2.0), abs=1e-13)
     assert sup <= ent + 1e-12
+
+
+def test_ent_dual_sup_matches_per_candidate_scan():
+    rng = np.random.default_rng(36)
+    for k in (2, 3, 4):
+        for _ in range(5):
+            mu0 = DiscreteMeasure.from_alphabet_weights(
+                rng.dirichlet(np.ones(k)) * 0.9 + 0.1 / k)
+            nu = DiscreteMeasure.from_alphabet_weights(
+                rng.dirichlet(np.ones(k)) * 0.9 + 0.1 / k)
+            _, sup = ent_dual_check(mu0, nu)
+            want = ent_dual_sup_scan(mu0.weights, nu.weights)
+            assert abs(sup - want) <= 1e-15
+
+
+def test_ent_dual_refuses_alphabets_past_the_candidate_cap():
+    mu0 = DiscreteMeasure.from_alphabet_weights(np.full(8, 1.0 / 8.0))
+    with pytest.raises(ValueError, match="4782969 candidates"):
+        ent_dual_check(mu0, mu0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from ldpma.torus_theta import (
     ThetaParams,
@@ -14,7 +15,7 @@ from ldpma.torus_theta import (
 )
 from ldpma.measures import EmpiricalConfig
 
-from oracles import theta_kernel_naive
+from oracles import theta_kernel_naive, theta_kernel_naive_nd
 
 
 def test_lattice_points_row_major():
@@ -40,6 +41,41 @@ def test_kernel_matches_direct_periodization():
             got = np.exp(logs[i, j])
             # truncation at radius 2 loses at most the tail bound
             assert got == pytest.approx(want, abs=2.0 * params.tail_bound)
+
+
+def test_kernel_2d_matches_joint_shift_sum():
+    rng = np.random.default_rng(31)
+    # off-grid cases, then lattice centres on a grid, whose coordinates
+    # repeat along each axis
+    mesh = np.meshgrid(np.arange(6) / 6.0, np.arange(6) / 6.0, indexing="ij")
+    grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    cases = [(n, radius, rng.random((7, 2)), rng.random((9, 2)))
+             for n, radius in ((3, 1), (6, 2), (11, 3))]
+    cases.append((4, 2, TorusLattice(n=4, d=2).points, grid))
+    for n, radius, centers, xs in cases:
+        params = ThetaParams(n=n, truncation_radius=radius)
+        logs = log_theta_grid(params, centers, xs)
+        for i, c in enumerate(centers):
+            for j, x in enumerate(xs):
+                want = np.log(theta_kernel_naive_nd(n, c, x, radius=radius))
+                assert abs(logs[i, j] - want) <= 1e-13
+
+
+def test_kernel_1d_bit_identical_to_joint_exponent_array():
+    rng = np.random.default_rng(32)
+    params = ThetaParams(n=16, truncation_radius=2)
+    lattice = TorusLattice(n=16, d=1)
+    for points in (np.arange(128)[:, None] / 128.0, rng.random((40, 1))):
+        # the joint (shifts, centers, points) exponent array, reduced once
+        diff = points[None, :, :] - lattice.points[:, None, :]
+        offsets = np.arange(-2, 3, dtype=float)[:, None]
+        exps = np.empty((len(offsets), lattice.size, len(points)))
+        for o, m in enumerate(offsets):
+            shifted = diff - m[None, None, :]
+            exps[o] = -params.n * np.sum(shifted * shifted, axis=2)
+        want = logsumexp(exps, axis=0)
+        assert np.array_equal(log_theta_grid(params, lattice.points, points),
+                              want)
 
 
 @given(st.integers(min_value=2, max_value=24),
