@@ -285,9 +285,8 @@ def _theta_defect_extremes(tparams: ThetaParams, lattice: TorusLattice,
     distance; it should never be positive beyond rounding, and its
     magnitude is the bracket the sweep certifies.
     """
-    budget = (resolution ** lattice.d) * lattice.size
-    budget *= (2 * tparams.truncation_radius + 1) ** lattice.d
-    if budget > 2 ** 25:
+    # the largest array built below is the (centres, points, d) difference
+    if (resolution ** lattice.d) * lattice.size * lattice.d > 2 ** 25:
         raise ValueError(
             "defect grid too large; lower grid resolution or the lattice n"
         )

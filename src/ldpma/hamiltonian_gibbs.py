@@ -29,11 +29,14 @@ from scipy.special import gammaln, logsumexp
 from .legendre import GridFunction, conjugate_at, interpolate_at
 from .measures import (DiscreteMeasure, EmpiricalConfig, GridMeasure,
                        empirical, entropy)
-from .torus_theta import ThetaParams, TorusLattice, log_theta_grid
-from .transport import hungarian, w2_empirical
+from .torus_theta import (ThetaParams, TorusLattice, log_phi_matrix,
+                          log_theta_grid)
+from .transport import (BRUTE_FORCE_MAX, _all_permutations, hungarian,
+                        w2_empirical)
 
 PERMANENT_MAX = 24
 PERMANENT_CHUNK = 1 << 16
+TUPLE_CHUNK = 1 << 14
 W2_GAP_PERMANENTAL_MAX = 9
 W2_GAP_TROPICAL_MAX = 64
 EXACT_TABLE_MAX = 1 << 22
@@ -47,20 +50,35 @@ SANOV_N_MAX = 500
 # ---------------------------------------------------------------------------
 
 
-def permanent(matrix: np.ndarray) -> float:
-    """Exact permanent by Ryser's inclusion-exclusion formula.
+def _ryser(b: np.ndarray) -> np.ndarray:
+    """Ryser's formula on a (T, N, N) stack, subsets in chunks of their index."""
+    n = b.shape[1]
+    if n > PERMANENT_MAX:
+        raise ValueError(f"permanent supports N <= {PERMANENT_MAX}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("permanent needs finite entries")
+    total = np.zeros(b.shape[0])
+    subsets = np.arange(1, 1 << n, dtype=np.int64)
+    for lo in range(0, len(subsets), PERMANENT_CHUNK):
+        ks = subsets[lo:lo + PERMANENT_CHUNK]
+        mask = ((ks[:, None] >> np.arange(n)) & 1).astype(float)
+        rowsums = mask @ b.swapaxes(1, 2)  # [t, s, i] = sum_{j in S} b[t, i, j]
+        sign = np.where((n - mask.sum(axis=1).astype(int)) % 2 == 0, 1.0, -1.0)
+        total += np.sum(sign * np.prod(rowsums, axis=2), axis=1)
+    return total
 
-    Subsets are enumerated in chunks of their binary index; rows are scaled
-    by their largest entry first so the products stay in range. Matches the
-    naive permutation sum to relative 1e-10 wherever that sum is feasible.
-    Hard cap N <= 24; above ~16 expect runtimes in minutes.
+
+def permanent(matrix: np.ndarray) -> float:
+    """Exact permanent by Ryser's formula, the one-matrix case of `_ryser`.
+
+    Rows are scaled by their largest entry first so the products stay in
+    range. Matches the naive permutation sum to relative 1e-10 wherever that
+    sum is feasible. Hard cap N <= 24; above ~16 expect minutes.
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     if a.ndim != 2 or a.shape != (n, n):
         raise ValueError("permanent needs a square matrix")
-    if n > PERMANENT_MAX:
-        raise ValueError(f"permanent supports N <= {PERMANENT_MAX}")
     if not np.all(np.isfinite(a)):
         raise ValueError("permanent needs finite entries")
     if n == 0:
@@ -68,17 +86,7 @@ def permanent(matrix: np.ndarray) -> float:
     scale = np.max(np.abs(a), axis=1)
     if np.any(scale == 0.0):
         return 0.0  # a zero row kills every product
-    b = a / scale[:, None]
-
-    total = 0.0
-    subsets = np.arange(1, 1 << n, dtype=np.int64)
-    for lo in range(0, len(subsets), PERMANENT_CHUNK):
-        ks = subsets[lo:lo + PERMANENT_CHUNK]
-        mask = ((ks[:, None] >> np.arange(n)) & 1).astype(float)
-        rowsums = mask @ b.T  # rowsums[s, i] = sum_{j in S} b[i, j]
-        sign = np.where((n - mask.sum(axis=1).astype(int)) % 2 == 0, 1.0, -1.0)
-        total += float(np.sum(sign * np.prod(rowsums, axis=1)))
-    return total * float(np.prod(scale))
+    return float(_ryser((a / scale[:, None])[None])[0]) * float(np.prod(scale))
 
 
 def tropical_permanent(matrix: np.ndarray) -> float:
@@ -93,14 +101,21 @@ def tropical_permanent(matrix: np.ndarray) -> float:
     return float(np.exp(-hungarian(-np.log(a)).cost))
 
 
+def _log_permanents(logs: np.ndarray) -> np.ndarray:
+    """log per(exp(L)) for a (T, N, N) stack; rows are shifted by their
+    maximum, and a zero or negative Ryser total gives -inf."""
+    shifts = np.max(logs, axis=2)
+    value = _ryser(np.exp(logs - shifts[..., None]))
+    return np.sum(shifts, axis=1) + np.log(
+        value, where=value > 0.0, out=np.full_like(value, -np.inf))
+
+
 def log_permanent(log_matrix: np.ndarray) -> float:
     """log per(exp(L)) with per-row shifts, for matrices given in log form."""
     logs = np.asarray(log_matrix, dtype=float)
-    shifts = np.max(logs, axis=1)
-    value = permanent(np.exp(logs - shifts[:, None]))
-    if value <= 0.0:
-        return -math.inf
-    return float(np.sum(shifts) + math.log(value))
+    if logs.ndim != 2 or logs.shape[0] != logs.shape[1]:
+        raise ValueError("permanent needs a square matrix")
+    return float(_log_permanents(logs[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +138,6 @@ PERMANENTAL = HamiltonianKind("permanental")
 TROPICAL = HamiltonianKind("tropical")
 
 
-def _hamiltonian_from_logs(kind: HamiltonianKind, log_phi: np.ndarray,
-                           n: int) -> float:
-    # tropical: (1/n) min_sigma sum of -log phi, entirely in log space
-    if kind.tag == "tropical":
-        return hungarian(-log_phi).cost / n
-    return -log_permanent(log_phi) / n
-
-
 def hamiltonian(kind: HamiltonianKind, lattice: TorusLattice,
                 params: ThetaParams, config: EmpiricalConfig) -> float:
     """H_n of a configuration of N = n^d torus points.
@@ -138,10 +145,11 @@ def hamiltonian(kind: HamiltonianKind, lattice: TorusLattice,
     Permutation symmetric in the particles; the permanental and tropical
     values differ by at most (1/n) log N!.
     """
-    from .torus_theta import log_phi_matrix
-
-    return _hamiltonian_from_logs(kind, log_phi_matrix(lattice, params, config),
-                                  lattice.n)
+    log_phi = log_phi_matrix(lattice, params, config)
+    # tropical: (1/n) min_sigma sum of -log phi, entirely in log space
+    if kind.tag == "tropical":
+        return hungarian(-log_phi).cost / lattice.n
+    return -log_permanent(log_phi) / lattice.n
 
 
 def hamiltonian_w2_gap(kind: HamiltonianKind, n: int, d: int, trials: int,
@@ -260,27 +268,36 @@ def _tuple_hamiltonians(ensemble: GibbsEnsemble,
                         log_phi: np.ndarray) -> np.ndarray:
     """H for every site tuple, flattened row-major over (M,)*N.
 
-    N = 1 and N = 2 are closed-form in the matrix entries and fully
-    vectorized; larger N walks the tuples one by one, which is only
-    sensible for small site counts.
+    N = 2 is closed-form in the matrix entries. Other N evaluate stacks of
+    the tuples' log matrices at once: Ryser when permanental, the maximum
+    over all N! permutations of the summed logs when tropical (so N <=
+    BRUTE_FORCE_MAX). A stack holds TUPLE_CHUNK // 2^N (// N!) tuples.
     """
-    nn = ensemble.particle_count
+    nn, m = log_phi.shape
     n = ensemble.n
-    m = log_phi.shape[1]
-    if nn == 1:
-        return -log_phi[0] / n
+    tropical = ensemble.kind.tag == "tropical"
     if nn == 2:
         straight = log_phi[0][:, None] + log_phi[1][None, :]
         crossed = log_phi[0][None, :] + log_phi[1][:, None]
-        if ensemble.kind.tag == "tropical":
+        if tropical:
             h = -np.maximum(straight, crossed) / n
         else:
             h = -np.logaddexp(straight, crossed) / n
         return h.reshape(-1)
+    if tropical and nn > BRUTE_FORCE_MAX:
+        raise ValueError(f"tropical tables support N <= {BRUTE_FORCE_MAX}")
+    perms = _all_permutations(nn) if tropical else None
+    chunk = max(1, TUPLE_CHUNK // (len(perms) if tropical else 1 << nn))
+    rows = np.arange(nn)
     out = np.empty(m ** nn)
-    for flat, idx in enumerate(np.ndindex(*([m] * nn))):
-        out[flat] = _hamiltonian_from_logs(
-            ensemble.kind, log_phi[:, list(idx)], n)
+    for lo in range(0, out.size, chunk):
+        flat = np.arange(lo, min(lo + chunk, out.size))
+        cols = np.stack(np.unravel_index(flat, (m,) * nn), axis=1)
+        stack = log_phi[rows[None, :, None], cols[:, None, :]]  # [t, i, j]
+        if tropical:
+            out[flat] = -stack[:, rows, perms].sum(axis=2).max(axis=1) / n
+        else:
+            out[flat] = -_log_permanents(stack) / n
     return out
 
 
@@ -304,14 +321,15 @@ class GibbsTable:
         return float(np.exp(self.log_probs[flat]))
 
     def grouped(self) -> list:
-        """(sorted site tuple, total probability) per unordered configuration."""
+        """(sorted site tuple, total probability) per unordered configuration,
+        each total added up in row-major tuple order."""
         nn = self.ensemble.particle_count
         m = self.ensemble.site_count
-        groups: dict = {}
-        for flat, idx in enumerate(np.ndindex(*([m] * nn))):
-            key = tuple(sorted(idx))
-            groups[key] = groups.get(key, 0.0) + float(np.exp(self.log_probs[flat]))
-        return sorted(groups.items())
+        tuples = np.sort(np.indices((m,) * nn).reshape(nn, -1).T, axis=1)
+        keys, inverse = np.unique(tuples, axis=0, return_inverse=True)
+        masses = np.bincount(inverse.reshape(-1), weights=self.probs,
+                             minlength=len(keys))
+        return list(zip(map(tuple, keys.tolist()), masses.tolist()))
 
     def config_points(self, idx: tuple) -> np.ndarray:
         return self.sites[list(idx)]
@@ -421,7 +439,9 @@ def _quadrature(mu0: GridMeasure, resolution: int):
     axes = [(np.arange(resolution) + 0.5) / resolution] * mu0.dim
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    dens = np.array([mu0.density_at(p) for p in pts])
+    # center (2j + 1) / 2k lies in mu0 cell ((2j + 1) R) // 2k, R cells per axis
+    cells = ((2 * np.arange(resolution) + 1) * mu0.resolution) // (2 * resolution)
+    dens = mu0.density[np.ix_(*[cells] * mu0.dim)].reshape(-1)
     weights = dens / resolution ** mu0.dim
     total = weights.sum()
     if total <= 0.0:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from ldpma import hamiltonian_gibbs
 from ldpma.hamiltonian_gibbs import (
     PERMANENTAL,
     TROPICAL,
@@ -32,7 +34,8 @@ from ldpma.measures import (
     GridMeasure,
     torus_domain,
 )
-from ldpma.torus_theta import ThetaParams, TorusLattice
+from ldpma.torus_theta import ThetaParams, TorusLattice, log_theta_grid
+from ldpma.transport import hungarian
 
 from oracles import (
     multinomial_type_prob,
@@ -132,6 +135,85 @@ def test_local_rate_extreme_radii():
     empty = local_rate(ens, center, radius=1e-9)
     assert empty.prob == 0.0
     assert empty.value == math.inf
+
+
+def table_ensemble(kind, n, d, refine, beta=2.0):
+    k = n * refine
+    values = 1.0 + np.add.outer(np.arange(k), 0.5 * np.arange(k)) % 7.0
+    mu0 = GridMeasure.from_density_values(values if d == 2 else values[0],
+                                          kind="torus")
+    return GibbsEnsemble(beta=beta, n=n, d=d, mu0=mu0, kind=kind,
+                         site_refinement=refine)
+
+
+def site_log_phi(ens):
+    return log_theta_grid(ens.params, ens.lattice.points, ens.site_points())
+
+
+@pytest.mark.parametrize("n, refine", [(3, 4), (4, 2)])
+@pytest.mark.parametrize("kind", [PERMANENTAL, TROPICAL],
+                         ids=["permanental", "tropical"])
+def test_table_hamiltonians_equal_the_per_tuple_loop(kind, n, refine,
+                                                     monkeypatch):
+    ens = table_ensemble(kind, n, 1, refine)
+    log_phi = site_log_phi(ens)
+    m = ens.site_count
+    want = np.empty(m ** n)
+    for flat, idx in enumerate(np.ndindex(*([m] * n))):
+        logs = log_phi[:, list(idx)]
+        want[flat] = (hungarian(-logs).cost / n if kind is TROPICAL
+                      else -log_permanent(logs) / n)
+    assert np.array_equal(gibbs_exact(ens).hamiltonians, want)
+    # a budget of 88 puts 3 to 14 tuples in a chunk, none dividing the count
+    monkeypatch.setattr(hamiltonian_gibbs, "TUPLE_CHUNK", 88)
+    assert np.array_equal(gibbs_exact(ens).hamiltonians, want)
+
+
+@pytest.mark.parametrize("kind", [PERMANENTAL, TROPICAL],
+                         ids=["permanental", "tropical"])
+def test_table_hamiltonians_match_permutation_sums(kind):
+    naive = tropical_naive if kind is TROPICAL else permanent_naive
+    rng = np.random.default_rng(7)
+    for n, refine in ((3, 4), (4, 2)):
+        ens = table_ensemble(kind, n, 1, refine)
+        log_phi = site_log_phi(ens)
+        hams = gibbs_exact(ens).hamiltonians
+        for flat in rng.integers(len(hams), size=8):
+            idx = np.unravel_index(flat, (ens.site_count,) * n)
+            want = -math.log(naive(np.exp(log_phi[:, list(idx)]))) / n
+            assert hams[flat] == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_tropical_tables_refuse_past_the_exhaustive_cap():
+    ens = GibbsEnsemble(beta=1.0, n=10, d=1,
+                        mu0=GridMeasure.uniform(dim=1, resolution=10),
+                        kind=TROPICAL, backend="mcmc")
+    with pytest.raises(ValueError, match="tropical tables"):
+        partition_function(ens, quadrature_resolution=1)
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (5, 1)])
+def test_zero_temperature_table_matches_product_formula(n, d):
+    # 16^4 = 65,536 and 10^5 = 100,000 tuples, non-uniform mu0
+    ens = table_ensemble(PERMANENTAL, n, d, 2, beta=float(n))
+    log_w = ens.site_log_weights()
+    want = math.lgamma(ens.particle_count + 1) + float(
+        np.sum(logsumexp(site_log_phi(ens) + log_w[None, :], axis=1)))
+    assert gibbs_exact(ens).log_partition == pytest.approx(want, abs=1e-12)
+
+
+def test_quadrature_reads_the_cell_each_center_lies_in():
+    # 5 nodes on a 10-cell mu0: center (2j + 1) / 10 lies in cell 2j + 1,
+    # also at 0.3 and 0.7 where floating division lands one cell low
+    values = 1.0 + np.arange(10.0)
+    mu0 = GridMeasure.from_density_values(values, kind="torus")
+    ens = GibbsEnsemble(beta=1.0, n=1, d=1, mu0=mu0, kind=PERMANENTAL,
+                        backend="mcmc")
+    nodes = (np.arange(5) + 0.5) / 5
+    log_w = np.log(values[1::2] / values[1::2].sum())
+    log_phi = log_theta_grid(ens.params, ens.lattice.points, nodes[:, None])
+    want = float(logsumexp(log_phi[0] + log_w))
+    assert log_partition_product(ens, 5) == pytest.approx(want, abs=1e-14)
 
 
 def test_site_weights_read_the_cell_each_site_starts():

@@ -130,3 +130,17 @@ def test_bracket_width_scales_with_dimension():
     params = ThetaParams(n=10, truncation_radius=2)
     assert params.bracket_width(2) == pytest.approx(
         2.0 * params.bracket_width(1), abs=1e-15)
+
+
+def test_defect_sweep_budget_counts_the_arrays_it_builds():
+    from ldpma.experiments import _theta_defect_extremes
+
+    # n = 32, d = 2 on a 40-grid: 1600 x 1024 x 2 differences, which the
+    # old count of (2R+1)^d shift copies put past the cap
+    params, lattice = ThetaParams(n=32), TorusLattice(n=32, d=2)
+    signed, sup = _theta_defect_extremes(params, lattice, 40)
+    assert signed <= 1e-12
+    assert sup == pytest.approx(theta_rate_error(params, lattice, 40),
+                                abs=1e-13)
+    with pytest.raises(ValueError, match="defect grid too large"):
+        _theta_defect_extremes(params, lattice, 160)
