@@ -461,6 +461,10 @@ def _run_gibbs_ldp(params: dict, seed: int) -> ExperimentResult:
     mu0 = _load_torus_grid(params["mu0"], dim, n * refine)
     betas = sorted(set(params["betas"]))
     radius = params["radius"]
+    if params["center_res"] < 1:
+        raise ValueError("center_res must be >= 1")
+    if not radius > 0.0:
+        raise ValueError("radius must be > 0")
 
     # The rate minimizer for uniform mu0 = nu is the uniform density; a
     # two-atom empirical sits about 0.1443 from it in transport distance,

@@ -35,6 +35,7 @@ import numpy as np
 from .legendre import GridFunction, conjugate_at, legendre_transform
 from .measures import (DiscreteMeasure, GridMeasure, entropy, log_mgf,
                        pushforward)
+from .transport import w2_circle_atoms
 
 NORMALIZATION_TOL = 1e-10
 W2_ALPHA_ITERS = 200
@@ -197,12 +198,18 @@ def w2_circle(mu, nu) -> float:
     """Squared Wasserstein distance of two probability measures on the circle.
 
     Quantile formulation: min over a cut offset alpha of
-    integral over t of (Q_mu(t) - Q_nu(t + alpha))^2, the offset found by
-    ternary reduction of a convex objective. On each piece between
-    quantile knots the integrand is quadratic, so a three-sample interior
-    rule integrates it exactly (interior samples avoid the ambiguous
-    values at step-quantile jumps).
+    integral over t of (Q_mu(t) - Q_nu(t + alpha))^2. Two discrete measures
+    go to the exact breakpoint kernel `w2_circle_atoms`. Otherwise the
+    offset is found by ternary reduction of a convex objective. On each
+    piece between quantile knots the integrand is quadratic, so a
+    three-sample interior rule integrates it exactly (interior samples
+    avoid the ambiguous values at step-quantile jumps).
     """
+    if not isinstance(mu, GridMeasure) and not isinstance(nu, GridMeasure):
+        order = np.argsort(mu.points.reshape(-1), kind="stable")
+        return float(w2_circle_atoms(mu.points.reshape(-1)[order],
+                                     mu.weights[order], nu.points.reshape(-1),
+                                     nu.weights)[0])
     qm = _quantile_knots(mu)
     qn = _quantile_knots(nu)
 

@@ -174,3 +174,46 @@ def w2_circle_atoms_brute(points_a, weights_a, points_b, weights_b,
         return total
 
     return min(unrolled_cost(c / cuts) for c in range(cuts))
+
+
+def torus_w2_lp(points_a, weights_a, points_b, weights_b) -> float:
+    """Squared torus W2 of two discrete measures as a dense Kantorovich LP."""
+    from scipy.optimize import linprog
+
+    a = np.atleast_2d(np.asarray(points_a, dtype=float))
+    b = np.atleast_2d(np.asarray(points_b, dtype=float))
+    delta = np.abs(a[:, None, :] - b[None, :, :])
+    cost = np.sum(np.minimum(delta, 1.0 - delta) ** 2, axis=2)
+    n, m = cost.shape
+    rows = np.kron(np.eye(n), np.ones((1, m)))
+    cols = np.kron(np.ones((1, n)), np.eye(m))
+    result = linprog(cost.reshape(-1), A_eq=np.vstack([rows, cols]),
+                     b_eq=np.concatenate([weights_a, weights_b]),
+                     bounds=(0, None), method="highs",
+                     options={"primal_feasibility_tolerance": 1e-10,
+                              "dual_feasibility_tolerance": 1e-10})
+    assert result.success, result.message
+    return float(np.sum(result.x * cost.reshape(-1)))
+
+
+def class_w2_lp(table, center_points, center_weights):
+    """W2^2 from each configuration class of a Gibbs table (its groups, in
+    order, read through `grouped()` and `sites`) to a center measure, one
+    LP per class with uniform weight on the class's atoms."""
+    out = []
+    for key, _ in table.grouped():
+        pts = table.sites[list(key)]
+        out.append(torus_w2_lp(pts, np.full(len(key), 1.0 / len(key)),
+                               center_points, center_weights))
+    return out
+
+
+def local_rate_lp(table, w2sq, radius):
+    """(ball mass, memberships) of the per-class loop: a class is inside
+    when sqrt(W2^2) < radius, and member masses are added left to right."""
+    prob, inside = 0.0, []
+    for (_, mass), value in zip(table.grouped(), w2sq):
+        inside.append(math.sqrt(max(value, 0.0)) < radius)
+        if inside[-1]:
+            prob += mass
+    return prob, inside

@@ -125,6 +125,17 @@ def test_ot_positional_fixtures(tmp_path):
     assert header.split(",")[-1] == "provenance"
 
 
+@pytest.mark.parametrize("arg, message", [
+    ("center_res=0", "center_res must be >= 1"),
+    ("radius=-1", "radius must be > 0"),
+    ("radius=0", "radius must be > 0"),
+])
+def test_gibbs_ldp_refuses_bad_ball(tmp_path, capsys, arg, message):
+    assert main(["run", "gibbs-ldp", arg, f"out={tmp_path / 'g'}"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 def test_ot_requires_both_measures(capsys):
     assert main(["ot"]) == 2
     assert "mu" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from ldpma import hamiltonian_gibbs
+from ldpma import hamiltonian_gibbs, transport
 from ldpma.hamiltonian_gibbs import (
     PERMANENTAL,
     TROPICAL,
@@ -38,6 +38,8 @@ from ldpma.torus_theta import ThetaParams, TorusLattice, log_theta_grid
 from ldpma.transport import hungarian
 
 from oracles import (
+    class_w2_lp,
+    local_rate_lp,
     multinomial_type_prob,
     permanent_naive,
     relative_entropy,
@@ -57,6 +59,14 @@ def test_permanent_matches_naive():
 def test_permanent_known_values():
     assert permanent(np.ones((3, 3))) == pytest.approx(6.0, abs=1e-12)
     assert permanent(np.eye(4)) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_permanent_all_ones_accuracy():
+    # Ryser's signed subset sum cancels: exact at N = 9 and 12, not at 16
+    for n in (9, 12):
+        assert permanent(np.ones((n, n))) == math.factorial(n)
+    assert permanent(np.ones((16, 16))) == pytest.approx(math.factorial(16),
+                                                         rel=1e-8)
 
 
 def test_tropical_permanent_matches_naive():
@@ -296,3 +306,57 @@ def test_zero_temp_gap_shrinks():
         p, target = zero_temp_mgf(theta, n, 1, mu0, 256)
         gaps.append(abs(p - target))
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def count_lps(monkeypatch):
+    calls = []
+    solve = transport.kantorovich_lp
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(transport, "kantorovich_lp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, refine", [(2, 4), (3, 2), (4, 2)])
+def test_local_rate_1d_equals_the_per_class_lp(n, refine, monkeypatch):
+    rng = np.random.default_rng(n)
+    y = rng.random(16)
+    w = rng.random(16) + 0.2
+    w /= w.sum()
+    center = DiscreteMeasure(points=y[:, None], weights=w,
+                             domain=torus_domain(1))
+    ens = table_ensemble(PERMANENTAL, n, 1, refine, beta=1e3)
+    table = gibbs_exact(ens)
+    w2sq = class_w2_lp(table, y[:, None], w)
+    edge = math.sqrt(sorted(w2sq)[len(w2sq) // 2])  # a class's distance
+    calls = count_lps(monkeypatch)
+    for radius in (0.15, edge - 5e-7, edge + 5e-7):
+        want, _ = local_rate_lp(table, w2sq, radius)
+        assert local_rate(ens, center, radius).prob == min(want, 1.0)
+    assert calls == []
+
+
+def test_local_rate_2d_brackets_before_solving(monkeypatch):
+    # n = 2, d = 2, refinement 1: 35 classes of 4 atoms against 8 x 8 atoms
+    ens = table_ensemble(PERMANENTAL, 2, 2, 1)
+    axis = np.arange(8) / 8
+    pts = np.stack([m.reshape(-1) for m in np.meshgrid(axis, axis,
+                                                       indexing="ij")], -1)
+    center = DiscreteMeasure(points=pts, weights=np.full(64, 1 / 64),
+                             domain=torus_domain(2))
+    table = gibbs_exact(ens)
+    w2sq = class_w2_lp(table, pts, center.weights)
+    calls = count_lps(monkeypatch)
+    solved = []
+    for radius in (0.15, 0.27, 0.3, 0.5):
+        want, _ = local_rate_lp(table, w2sq, radius)
+        del calls[:]
+        assert local_rate(ens, center, radius).prob == min(want, 1.0)
+        solved.append(len(calls))
+    # every lower bound is at least 0.2165 > 0.15, and the product coupling
+    # costs 0.4146^2 for every class, so only the middle radii solve LPs
+    assert solved[0] == solved[3] == 0
+    assert 0 < solved[1] < 35 and 0 < solved[2] < 35

@@ -12,6 +12,7 @@ from ldpma.measures import (
     empirical,
     torus_domain,
 )
+from ldpma import transport
 from ldpma.transport import (
     TransportPlan,
     brute_force_assignment,
@@ -21,6 +22,7 @@ from ldpma.transport import (
     hungarian,
     kantorovich_lp,
     rockafellar_potential,
+    w2_circle_atoms,
     w2_empirical,
     w2_semidiscrete,
 )
@@ -128,6 +130,40 @@ def test_w2_empirical_matches_circle_brute():
         # the brute cut grid only brackets the optimum from above
         assert got <= want + 1e-9
         assert got >= want - 5e-4
+
+
+def random_atom_stack(rng, count, n):
+    """Sorted rows of n atoms drawn from 8 sites, so atoms often coincide."""
+    return np.sort(rng.integers(0, 8, (count, n)) / 8.0, axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_w2_circle_atoms_match_the_lp(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(4):
+        rows = random_atom_stack(rng, 6, n)
+        weights = rng.random(n) + 0.2
+        weights /= weights.sum()
+        m = int(rng.integers(1, 9))
+        y, w = rng.random(m), rng.random(m) + 0.2
+        w /= w.sum()
+        got = w2_circle_atoms(rows, weights, y, w)
+        want = [w2_empirical(atoms(row, weights), atoms(y, w)) for row in rows]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_w2_circle_atoms_chunks_agree_and_rows_must_be_sorted(monkeypatch):
+    rng = np.random.default_rng(9)
+    rows = random_atom_stack(rng, 50, 3)
+    y = rng.random(5)
+    w = np.full(5, 0.2)
+    whole = w2_circle_atoms(rows, np.full(3, 1 / 3), y, w)
+    # 33 distinct offsets: a budget of 100 puts 3 rows in a chunk, 2 in the last
+    monkeypatch.setattr(transport, "CIRCLE_CHUNK", 100)
+    assert np.array_equal(w2_circle_atoms(rows, np.full(3, 1 / 3), y, w),
+                          whole)
+    with pytest.raises(ValueError, match="sorted"):
+        w2_circle_atoms(rows[:, ::-1], np.full(3, 1 / 3), y, w)
 
 
 def test_w2_semidiscrete_uniform_vs_own_atoms():
