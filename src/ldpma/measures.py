@@ -357,22 +357,32 @@ class GridMeasure:
     def total_mass(self) -> float:
         return float(np.sum(self.masses()))
 
+    def cell_indices(self, points: np.ndarray) -> np.ndarray:
+        """(n, dim) cell multi-indices of n points; torus wraps.
+
+        Each axis is searched against the float cell edges, so a point on a
+        left edge (j / resolution on the torus) lands in cell j; flooring
+        x / step can land one cell low.
+        """
+        points = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        k = self.resolution
+        idx = np.empty(points.shape, dtype=np.int64)
+        for a, (lo, hi) in enumerate(self.bounds):
+            edges = lo + (hi - lo) * (np.arange(k + 1) / k)
+            coords = points[:, a]
+            if self.kind == "torus":
+                cells = np.searchsorted(edges, coords % 1.0, side="right") - 1
+                idx[:, a] = cells % k
+            else:
+                if np.any((coords < lo) | (coords > hi)):
+                    raise ValueError(f"points outside box axis {a}")
+                cells = np.searchsorted(edges, coords, side="right") - 1
+                idx[:, a] = np.minimum(cells, k - 1)
+        return idx
+
     def cell_index(self, point: np.ndarray) -> tuple:
         """Multi-index of the cell containing a point; torus wraps."""
-        point = np.asarray(point, dtype=float)
-        idx = []
-        for a in range(self.dim):
-            lo, hi = self.bounds[a]
-            step = (hi - lo) / self.resolution
-            if self.kind == "torus":
-                coordinate = point[a] % 1.0
-                i = int(coordinate / step) % self.resolution
-            else:
-                if point[a] < lo or point[a] > hi:
-                    raise ValueError(f"point {point} outside box axis {a}")
-                i = min(int((point[a] - lo) / step), self.resolution - 1)
-            idx.append(i)
-        return tuple(idx)
+        return tuple(int(i) for i in self.cell_indices(point)[0])
 
     def density_at(self, point: np.ndarray) -> float:
         return float(self.density[self.cell_index(point)])

@@ -35,10 +35,9 @@ import numpy as np
 from .legendre import GridFunction, conjugate_at, legendre_transform
 from .measures import (DiscreteMeasure, GridMeasure, entropy, log_mgf,
                        pushforward)
-from .transport import w2_circle_atoms
+from .transport import circle_primitives, w2_circle_atoms
 
 NORMALIZATION_TOL = 1e-10
-W2_ALPHA_ITERS = 200
 # d >= 2 torus quadrature: subpoints per nu-cell axis for the transport
 # assignment (mass quantum = cell mass / D2_SUBSAMPLE^d)
 D2_SUBSAMPLE = 3
@@ -114,9 +113,8 @@ def _power_cells_1d(values: np.ndarray):
     k = len(values)
     h = 1.0 / k
     nodes = (np.arange(k) + 0.5) * h
-    positions = np.concatenate([nodes - 1.0, nodes, nodes + 1.0])
-    weights = np.tile(values, 3)
-    owners = np.tile(np.arange(k), 3)
+    positions = np.concatenate([nodes - 1.0, nodes, nodes + 1.0]).tolist()
+    weights = np.tile(values, 3).tolist()
 
     def boundary(i, j):
         # equal-cost point of sites i (left) and j (right)
@@ -133,16 +131,16 @@ def _power_cells_1d(values: np.ndarray):
                 lefts.pop()
             else:
                 break
-        lefts.append(boundary(stack[-1], s) if stack else -np.inf)
+        lefts.append(boundary(stack[-1], s) if stack else -math.inf)
         stack.append(s)
 
     node_idx, sites, lows, highs = [], [], [], []
     for pos_in_stack, site in enumerate(stack):
         lo = lefts[pos_in_stack]
-        hi = lefts[pos_in_stack + 1] if pos_in_stack + 1 < len(stack) else np.inf
+        hi = lefts[pos_in_stack + 1] if pos_in_stack + 1 < len(stack) else 1.0
         lo, hi = max(lo, 0.0), min(hi, 1.0)
         if hi > lo:
-            node_idx.append(int(owners[site]))
+            node_idx.append(site % k)
             sites.append(positions[site])
             lows.append(lo)
             highs.append(hi)
@@ -161,86 +159,83 @@ def _cdf_eval(nu: GridMeasure, points: np.ndarray) -> np.ndarray:
     return cum[cell] + frac * masses[cell]
 
 
-def _quantile_knots(measure) -> tuple:
-    """(cumulative knots, position knots, is_step) of a 1-d quantile.
-
-    Grid measures give a piecewise-linear quantile with knots at the cell
-    edges; discrete measures give a step quantile over their sorted atoms.
-    """
-    if isinstance(measure, GridMeasure):
-        if measure.dim != 1 or measure.kind != "torus":
-            raise ValueError("quantiles need 1-d torus measures")
-        k = measure.resolution
-        cum = np.concatenate([[0.0], np.cumsum(measure.masses())])
-        cum[-1] = measure.total_mass()
-        return cum, np.arange(k + 1) / k, False
-    pts = measure.points.reshape(-1)
-    order = np.argsort(pts, kind="stable")
-    w = measure.weights[order]
-    return np.concatenate([[0.0], np.cumsum(w)]), pts[order], True
-
-
-def _quantile_eval(knots_t, knots_x, is_step, t: np.ndarray) -> np.ndarray:
-    wraps = np.floor(t)
-    frac = t - wraps
-    total = knots_t[-1]
-    s = np.clip(frac * total, 0.0, total)
-    if is_step:
-        idx = np.clip(np.searchsorted(knots_t, s, side="left") - 1,
-                      0, len(knots_x) - 1)
-        base = knots_x[idx]
-    else:
-        base = np.interp(s, knots_t, knots_x)
-    return base + wraps
-
-
 def w2_circle(mu, nu) -> float:
     """Squared Wasserstein distance of two probability measures on the circle.
 
-    Quantile formulation: min over a cut offset alpha of
-    integral over t of (Q_mu(t) - Q_nu(t + alpha))^2. Two discrete measures
-    go to the exact breakpoint kernel `w2_circle_atoms`. Otherwise the
-    offset is found by ternary reduction of a convex objective. On each
-    piece between quantile knots the integrand is quadratic, so a
-    three-sample interior rule integrates it exactly (interior samples
-    avoid the ambiguous values at step-quantile jumps).
-    """
-    if not isinstance(mu, GridMeasure) and not isinstance(nu, GridMeasure):
-        order = np.argsort(mu.points.reshape(-1), kind="stable")
-        return float(w2_circle_atoms(mu.points.reshape(-1)[order],
-                                     mu.weights[order], nu.points.reshape(-1),
-                                     nu.weights)[0])
-    qm = _quantile_knots(mu)
-    qn = _quantile_knots(nu)
+    Takes two discrete measures, or one discrete measure and one 1-d torus
+    grid measure in either order (grid pairs are refused). W2^2 is the
+    minimum over the cut offset alpha in [-1, 1] of the integral over t of
+    (Q_mu(t) - Q_nu(t + alpha))^2, Q_nu gaining 1 per wrap (Delon, Salomon
+    & Sobolevski 2010). Two discrete measures go to `w2_circle_atoms`.
 
-    def cost(alpha: float) -> float:
-        cuts = np.concatenate([
-            qm[0] / max(qm[0][-1], 1e-300),
-            (qn[0] / max(qn[0][-1], 1e-300) - alpha) % 1.0,
-            [0.0, 1.0],
-        ])
-        cuts = np.unique(np.clip(cuts, 0.0, 1.0))
-        a, b = cuts[:-1], cuts[1:]
-        keep = b - a > 1e-300
-        a, b = a[keep], b[keep]
-        mid = 0.5 * (a + b)
-        quarter = 0.25 * (b - a)
-        ts = np.concatenate([mid - quarter, mid, mid + quarter])
-        gap = _quantile_eval(*qm, ts) - _quantile_eval(*qn, ts + alpha)
-        g = (gap * gap).reshape(3, -1)
-        # exact for quadratics: (b-a) [g(mid) + (2/3)(g- + g+ - 2 g(mid))]
-        pieces = (b - a) * (g[1] + (2.0 / 3.0) * (g[0] + g[2] - 2.0 * g[1]))
-        return float(np.sum(pieces))
+    Against a grid nu the quantile is piecewise linear, so the cost is
+    convex and piecewise quadratic in alpha, with breaks where T_mu(i) +
+    alpha meets a knot T_nu(j) + n of nu's cumulative weights. Its slope
+    D(alpha) = 1 + 2 Q(alpha) - 2 sum_i x_i [Q(T_i + alpha) - Q(T_{i-1} +
+    alpha)] is nondecreasing and linear on each piece. Bisection jumps to
+    the ends of the piece holding its midpoint until a piece holds the zero
+    of D (or D changes sign at a break); the cost there comes from the
+    wrap-extended primitives of Q and Q^2. Cells with zero density are
+    skipped, which makes Q jump over them.
+    """
+    if isinstance(mu, GridMeasure):
+        mu, nu = nu, mu
+    if isinstance(mu, GridMeasure):
+        raise ValueError("w2_circle takes two discrete measures, or one "
+                         "discrete and one grid measure, not two grids")
+    pts = mu.points.reshape(-1)
+    order = np.argsort(pts, kind="stable")
+    x, weights = pts[order], mu.weights[order]
+    if not isinstance(nu, GridMeasure):
+        return float(w2_circle_atoms(x, weights, nu.points.reshape(-1),
+                                     nu.weights)[0])
+    if nu.dim != 1 or nu.kind != "torus":
+        raise ValueError("w2_circle needs a 1-d torus grid measure")
+    k = nu.resolution
+    masses = nu.masses() / nu.total_mass()
+    keep = masses > 0.0
+    edges = np.arange(k + 1) / k
+    mass, left, right = masses[keep], edges[:-1][keep], edges[1:][keep]
+    rho = mass * k
+    t_mu = np.concatenate([[0.0], np.cumsum(weights / weights.sum())])
+    t_nu = np.concatenate([[0.0], np.cumsum(mass)])
+    t_mu[-1] = t_nu[-1] = 1.0
+    m1 = np.concatenate([[0.0], np.cumsum(mass * (left + right) / 2)])
+    m2 = np.concatenate([[0.0], np.cumsum(
+        mass * (left * left + left * right + right * right) / 3)])
+
+    def locate(u):  # charged cell, offset into it and Q at u in [0, 1]
+        j = np.minimum(np.searchsorted(t_nu, u, side="right") - 1, len(mass) - 1)
+        delta = u - t_nu[j]
+        return j, delta, left[j] + delta / rho[j]
+
+    def inner(u):  # integrals of Q and Q^2 over [0, u]
+        j, delta, y = locate(u)
+        a = left[j]
+        return (m1[j] + delta * (a + y) / 2,
+                m2[j] + delta * (a * a + a * y + y * y) / 3)
 
     lo, hi = -1.0, 1.0
-    for _ in range(W2_ALPHA_ITERS):
-        third = (hi - lo) / 3.0
-        m1, m2 = lo + third, hi - third
-        if cost(m1) <= cost(m2):
-            hi = m2
-        else:
-            lo = m1
-    return float(min(cost(0.5 * (lo + hi)), cost(0.0)))
+    while True:
+        mid = 0.5 * (lo + hi)
+        wraps = np.floor(t_mu + mid)
+        u = t_mu + mid - wraps
+        j, delta, y = locate(u)
+        q, dq = y + wraps, 1.0 / rho[j]
+        slope = 2.0 * dq[0] - 2.0 * x @ np.diff(dq)
+        alpha = mid - (1.0 + 2.0 * q[0] - 2.0 * x @ np.diff(q)) / slope
+        lower = max(mid - np.min(delta), lo)
+        upper = min(mid + np.min(t_nu[j + 1] - u), hi)
+        if lower <= alpha <= upper:
+            break
+        bracket = (upper, hi) if alpha > upper else (lo, lower)
+        if bracket == (lo, hi) or bracket[0] >= bracket[1]:
+            alpha = min(max(alpha, lo), hi)
+            break
+        lo, hi = bracket
+    p1, p2 = circle_primitives(t_mu + alpha, inner)
+    cost = (x * x) @ np.diff(t_mu) - 2.0 * x @ np.diff(p1) + p2[-1] - p2[0]
+    return max(float(cost), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +543,17 @@ def _invert_cells_1d(masses: np.ndarray, nu: GridMeasure) -> np.ndarray:
     mids = (np.arange(k) + 1.0) * h  # boundary targets: node_i + h/2
     target_sum = float(np.sum(mids))
     cum = np.cumsum(masses)
-    knots_t, knots_x, is_step = _quantile_knots(nu)
+    total = nu.total_mass()
+    knots_t = np.concatenate([[0.0], np.cumsum(nu.masses())])
+    knots_t[-1] = total
+    knots_x = np.arange(nu.resolution + 1) / nu.resolution
 
     def boundaries(s: float) -> np.ndarray:
-        return _quantile_eval(knots_t, knots_x, is_step, s + cum)
+        # nu's piecewise-linear quantile at s + cum, gaining 1 per wrap
+        t = s + cum
+        wraps = np.floor(t)
+        frac = np.clip((t - wraps) * total, 0.0, total)
+        return np.interp(frac, knots_t, knots_x) + wraps
 
     lo, hi = -1.0, 1.0
     # g(s) = sum b_i(s) - target is nondecreasing with g(s+1) = g(s) + k
@@ -561,10 +563,10 @@ def _invert_cells_1d(masses: np.ndarray, nu: GridMeasure) -> np.ndarray:
         hi += 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if np.sum(boundaries(mid)) < target_sum:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if np.sum(boundaries(mid)) < target_sum else (lo, mid)
+        if bracket == (lo, hi):
+            break  # each step depends only on (lo, hi): a fixed point
+        lo, hi = bracket
     b = boundaries(0.5 * (lo + hi))
     increments = 2.0 * h * (b - mids)
     values = np.concatenate([[0.0], np.cumsum(increments[:-1])])
@@ -725,13 +727,10 @@ def _as_grid_measure(mu, like: GridMeasure) -> GridMeasure:
     """Cell histogram of a discrete measure on a reference grid."""
     if isinstance(mu, GridMeasure):
         return mu
-    masses = np.zeros(like.resolution ** like.dim)
-    for point, weight in zip(mu.points, mu.weights):
-        idx = like.cell_index(point)
-        flat = 0
-        for a in range(like.dim):
-            flat = flat * like.resolution + idx[a]
-        masses[flat] += weight
+    flat = np.ravel_multi_index(like.cell_indices(mu.points).T,
+                                (like.resolution,) * like.dim)
+    masses = np.bincount(flat, weights=mu.weights,
+                         minlength=like.resolution ** like.dim)
     density = masses.reshape(like.density.shape) / like.cell_volume()
     return GridMeasure(dim=like.dim, resolution=like.resolution,
                        density=density, kind=like.kind,

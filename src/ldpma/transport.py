@@ -220,6 +220,19 @@ def w2_empirical(mu: DiscreteMeasure, nu: DiscreteMeasure,
     return plan.objective(costs)
 
 
+def circle_primitives(s, inner):
+    """Integrals of Q and Q^2 over [0, s] for a quantile Q on [0, 1] that
+    gains 1 per wrap, Q(t + 1) = Q(t) + 1. ``inner(u)`` gives the two
+    integrals over [0, u] for u in [0, 1]."""
+    k = np.floor(s)
+    u = s - k
+    p1, p2 = inner(u)
+    g1, g2 = inner(1.0)
+    return (k * g1 + k * (k - 1) / 2 + p1 + k * u,
+            k * g2 + k * (k - 1) * g1 + (k - 1) * k * (2 * k - 1) / 6
+            + p2 + 2 * k * p1 + k * k * u)
+
+
 def w2_circle_atoms(points: np.ndarray, weights: np.ndarray,
                     y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Exact squared circle W2 from each row of a (C, N) stack of atom sets,
@@ -246,19 +259,16 @@ def w2_circle_atoms(points: np.ndarray, weights: np.ndarray,
     g1 = np.concatenate([[0.0], np.cumsum(nu * y)])
     g2 = np.concatenate([[0.0], np.cumsum(nu * y * y)])
 
-    def primitives(s):  # integrals of Q_nu and Q_nu^2 over [0, s]
-        k = np.floor(s)
-        u = s - k
-        p1, p2 = np.interp(u, t_nu, g1), np.interp(u, t_nu, g2)
-        return (k * g1[-1] + k * (k - 1) / 2 + p1 + k * u,
-                k * g2[-1] + k * (k - 1) * g1[-1] + (k - 1) * k * (2 * k - 1) / 6
-                + p2 + 2 * k * p1 + k * k * u)
+    def inner(u):  # integrals of Q_nu and Q_nu^2 over [0, u]
+        return np.interp(u, t_nu, g1), np.interp(u, t_nu, g2)
 
     alphas = np.unique(np.clip(
         (t_nu[None, :] - t_mu[:, None]).reshape(-1, 1) + [-1.0, 0.0, 1.0],
         -1.0, 1.0))
-    b = np.diff(primitives(t_mu[None, :] + alphas[:, None])[0], axis=1)
-    c = primitives(alphas + 1.0)[1] - primitives(alphas)[1]
+    b = np.diff(circle_primitives(t_mu[None, :] + alphas[:, None], inner)[0],
+                axis=1)
+    c = (circle_primitives(alphas + 1.0, inner)[1]
+         - circle_primitives(alphas, inner)[1])
     step = max(1, CIRCLE_CHUNK // len(alphas))
     best = [np.min(((rows * rows) @ mu)[:, None] - 2.0 * (rows @ b.T) + c, axis=1)
             for rows in (x[lo:lo + step] for lo in range(0, len(x), step))]

@@ -217,3 +217,153 @@ def local_rate_lp(table, w2sq, radius):
         if inside[-1]:
             prob += mass
     return prob, inside
+
+
+def _quantile_knots(points=None, weights=None, grid_masses=None):
+    """(cumulative knots, position knots, is_step) of a 1-d circle quantile:
+    a step quantile over sorted atoms, or the piecewise-linear quantile of a
+    grid measure with knots at the cell edges."""
+    if grid_masses is not None:
+        k = len(grid_masses)
+        cum = np.concatenate([[0.0], np.cumsum(grid_masses)])
+        cum[-1] = float(np.sum(grid_masses))
+        return cum, np.arange(k + 1) / k, False
+    pts = np.asarray(points, dtype=float).reshape(-1)
+    order = np.argsort(pts, kind="stable")
+    w = np.asarray(weights, dtype=float)[order]
+    return np.concatenate([[0.0], np.cumsum(w)]), pts[order], True
+
+
+def _quantile_eval(knots_t, knots_x, is_step, t):
+    wraps = np.floor(t)
+    frac = t - wraps
+    total = knots_t[-1]
+    s = np.clip(frac * total, 0.0, total)
+    if is_step:
+        idx = np.clip(np.searchsorted(knots_t, s, side="left") - 1,
+                      0, len(knots_x) - 1)
+        base = knots_x[idx]
+    else:
+        base = np.interp(s, knots_t, knots_x)
+    return base + wraps
+
+
+def w2_circle_ternary(points, weights, grid_masses, iters: int = 200):
+    """Squared circle W2 from atoms to a grid measure by ternary search over
+    the cut offset alpha in [-1, 1].
+
+    For each alpha the integral of (Q_mu(t) - Q_nu(t + alpha))^2 is split at
+    every quantile knot; on each piece the integrand is quadratic, so a
+    three-sample interior rule integrates it exactly.
+    """
+    qm = _quantile_knots(points, weights)
+    qn = _quantile_knots(grid_masses=np.asarray(grid_masses, dtype=float))
+
+    def cost(alpha):
+        cuts = np.concatenate([qm[0] / qm[0][-1],
+                               (qn[0] / qn[0][-1] - alpha) % 1.0, [0.0, 1.0]])
+        cuts = np.unique(np.clip(cuts, 0.0, 1.0))
+        a, b = cuts[:-1], cuts[1:]
+        keep = b - a > 1e-300
+        a, b = a[keep], b[keep]
+        mid = 0.5 * (a + b)
+        quarter = 0.25 * (b - a)
+        ts = np.concatenate([mid - quarter, mid, mid + quarter])
+        gap = _quantile_eval(*qm, ts) - _quantile_eval(*qn, ts + alpha)
+        g = (gap * gap).reshape(3, -1)
+        return float(np.sum((b - a) * (g[1] + (2.0 / 3.0)
+                                       * (g[0] + g[2] - 2.0 * g[1]))))
+
+    lo, hi = -1.0, 1.0
+    for _ in range(iters):
+        third = (hi - lo) / 3.0
+        m1, m2 = lo + third, hi - third
+        if cost(m1) <= cost(m2):
+            hi = m2
+        else:
+            lo = m1
+    return min(cost(0.5 * (lo + hi)), cost(0.0))
+
+
+def w2_single_atom(x: float, grid_masses) -> float:
+    """Squared circle W2 from one atom at x to a grid measure: the plan is
+    forced, so it is the integral of d(x, y)^2 against the grid density,
+    cell by cell, each cell split where y - x crosses a half-integer."""
+    k = len(grid_masses)
+    total = 0.0
+    for j, mass in enumerate(grid_masses):
+        a, b = j / k, (j + 1) / k
+        cuts = [a] + [x + 0.5 + n for n in (-2, -1, 0, 1)
+                      if a < x + 0.5 + n < b] + [b]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            c = x + round(0.5 * (lo + hi) - x)  # nearest image of x
+            total += mass * k * ((hi - c) ** 3 - (lo - c) ** 3) / 3.0
+    return total
+
+
+def power_cells_numpy(values):
+    """(node index, site, low, high) of the 1-d torus power cells by the
+    lifted stack scan, every quantity a numpy scalar."""
+    k = len(values)
+    h = 1.0 / k
+    nodes = (np.arange(k) + 0.5) * h
+    positions = np.concatenate([nodes - 1.0, nodes, nodes + 1.0])
+    weights = np.tile(values, 3)
+    owners = np.tile(np.arange(k), 3)
+
+    def boundary(i, j):
+        return 0.5 * (positions[i] + positions[j]) + \
+            (weights[j] - weights[i]) / (2.0 * (positions[j] - positions[i]))
+
+    stack, lefts = [], []
+    for s in range(len(positions)):
+        while stack:
+            if boundary(stack[-1], s) <= lefts[-1]:
+                stack.pop()
+                lefts.pop()
+            else:
+                break
+        lefts.append(boundary(stack[-1], s) if stack else -np.inf)
+        stack.append(s)
+
+    node_idx, sites, lows, highs = [], [], [], []
+    for pos, site in enumerate(stack):
+        lo = lefts[pos]
+        hi = lefts[pos + 1] if pos + 1 < len(stack) else np.inf
+        lo, hi = max(lo, 0.0), min(hi, 1.0)
+        if hi > lo:
+            node_idx.append(int(owners[site]))
+            sites.append(positions[site])
+            lows.append(lo)
+            highs.append(hi)
+    return (np.array(node_idx), np.array(sites),
+            np.array(lows), np.array(highs))
+
+
+def invert_cells_bisect(masses, nu_masses, steps: int = 200):
+    """Potential whose 1-d power cells carry the given nu-masses: a fixed
+    count of bisection steps on the quantile anchor."""
+    k = len(masses)
+    h = 1.0 / k
+    mids = (np.arange(k) + 1.0) * h
+    target_sum = float(np.sum(mids))
+    cum = np.cumsum(masses)
+    knots = _quantile_knots(grid_masses=np.asarray(nu_masses, dtype=float))
+
+    def boundaries(s):
+        return _quantile_eval(*knots, s + cum)
+
+    lo, hi = -1.0, 1.0
+    while np.sum(boundaries(lo)) > target_sum:
+        lo -= 1.0
+    while np.sum(boundaries(hi)) < target_sum:
+        hi += 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if np.sum(boundaries(mid)) < target_sum:
+            lo = mid
+        else:
+            hi = mid
+    b = boundaries(0.5 * (lo + hi))
+    increments = 2.0 * h * (b - mids)
+    return np.concatenate([[0.0], np.cumsum(increments[:-1])])

@@ -36,7 +36,7 @@ GOLDEN = {
     "ot/results.csv":
         "e04eaf5da5ca6f42df4c58ae3ec9f41ca8426637d492dcb5950782021d47d5c8",
     "report.csv":
-        "c951bac6dfcb33c600f994763ae2624e14d92801553ae8165fa0555abadbeebb",
+        "47aff76ee6a8ab084532d30f9022fa072ea0441aa07d6dcf3c801b5e9e539669",
     "sanov-demo/results.csv":
         "9b8c1dd573e71de34a2a8fa49aad45d860641d94af0167c1b44aa566d6fb39f0",
     "solve-ma/potential.csv":
@@ -46,7 +46,7 @@ GOLDEN = {
     "solve-ma/residuals.csv":
         "bfbb4a9c804a43102fddb94bb7b2d8e2fcb7d50d5eec1308835d143724917186",
     "solve-ma/results.csv":
-        "fbd7fcfdde003dc7c22a12b7546afb89ef64f0ce6e017b33229a59626b3f6e09",
+        "160acf7858d6acd8f9d3d1c7e6334dc65c9288a9b95ce4b748dbcd4150748c72",
     "verify-hamiltonian/results.csv":
         "97b44b72ab7412eb0eb96f6428396d12e5efed71886cff2003de8b0ea65219f6",
     "verify-theta/results.csv":

@@ -38,6 +38,27 @@ def test_uniform_grid_is_probability():
     assert g.masses().shape == (64,)
 
 
+def test_cell_index_puts_left_edges_in_their_cell():
+    # flooring j/k / (1/k) lands one cell low on 3,615 of these points
+    for k in range(1, 257):
+        grid = GridMeasure.uniform(dim=1, resolution=k)
+        for j in range(k):
+            assert grid.cell_index(np.array([j / k])) == (j,), (j, k)
+    assert GridMeasure.uniform(dim=1, resolution=10).cell_index(0.3) == (3,)
+
+
+def test_cell_index_wraps_the_torus_and_clips_the_box():
+    torus = GridMeasure.uniform(dim=2, resolution=10)
+    assert torus.cell_index(np.array([1.3, -0.25])) == (3, 7)
+    assert torus.cell_index(np.array([-1e-18, 1.0])) == (0, 0)
+    box = GridMeasure.uniform(dim=1, resolution=4, kind="box",
+                              bounds=((-1.0, 1.0),))
+    assert [box.cell_index(np.array([x]))[0]
+            for x in (-1.0, -0.5, 0.0, 0.5, 1.0)] == [0, 1, 2, 3, 3]
+    with pytest.raises(ValueError):
+        box.cell_index(np.array([1.5]))
+
+
 def test_grid_centers_match_lattice():
     g = GridMeasure.uniform(dim=1, resolution=4)
     assert np.allclose(g.centers().reshape(-1), [0.125, 0.375, 0.625, 0.875])

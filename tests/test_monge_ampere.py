@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ldpma.legendre import GridFunction
+from ldpma import monge_ampere
 from ldpma.measures import DiscreteMeasure, GridMeasure, torus_domain
 from ldpma.monge_ampere import (
     MasterParams,
@@ -26,7 +27,9 @@ from ldpma.monge_ampere import (
     w2_to_reference,
 )
 
-from oracles import torus_cell_masses_1d, w2_circle_atoms_brute
+from oracles import (invert_cells_bisect, power_cells_numpy,
+                     torus_cell_masses_1d, w2_circle_atoms_brute,
+                     w2_circle_ternary, w2_single_atom)
 
 
 def torus_grid_function(values):
@@ -170,6 +173,107 @@ def test_w2_circle_matches_brute_cut_enumeration():
         want = w2_circle_atoms_brute(pa, wa, pb, wb, cuts=2000)
         assert got <= want + 1e-9
         assert got >= want - 5e-4
+
+
+def atoms_1d(points, weights):
+    return DiscreteMeasure(points=np.asarray(points, dtype=float)[:, None],
+                           weights=np.asarray(weights, dtype=float),
+                           domain=torus_domain(1))
+
+
+def seeded_grid(rng, k, zero_share=0.0):
+    dens = rng.random(k) + 0.1
+    dens[rng.random(k) < zero_share] = 0.0
+    dens[rng.integers(k)] = 1.0  # never all zero
+    return GridMeasure.from_density_values(dens, kind="torus")
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64, 128, 256])
+def test_w2_circle_to_a_grid_matches_the_ternary_search(k):
+    rng = np.random.default_rng(k)
+    cases = [
+        (seeded_grid(rng, k), rng.random(k // 2 + 1)),
+        (seeded_grid(rng, k, zero_share=0.3), rng.random(k)),
+        (bump_measure(k), (np.arange(k) + 0.5) / k),  # the grid's own nodes
+    ]
+    for nu, points in cases:
+        weights = rng.random(len(points)) + 0.05
+        weights /= weights.sum()
+        got = w2_circle(atoms_1d(points, weights), nu)
+        want = w2_circle_ternary(points, weights, nu.masses())
+        assert abs(got - want) <= 1e-14, (got, want)
+
+
+def test_w2_circle_single_atom_is_the_forced_plan():
+    rng = np.random.default_rng(9)
+    for k in (1, 5, 16, 64):
+        nu = seeded_grid(rng, k, zero_share=0.2)
+        for x in (0.0, 0.5, rng.random(), 1.0 - 1e-9):
+            got = w2_circle(atoms_1d([x], [1.0]), nu)
+            assert got == pytest.approx(w2_single_atom(x, nu.masses()),
+                                        abs=1e-15)
+
+
+def test_w2_circle_is_symmetric_and_refuses_two_grids():
+    rng = np.random.default_rng(4)
+    nu = seeded_grid(rng, 32, zero_share=0.2)
+    mu = atoms_1d(rng.random(7), np.full(7, 1 / 7))
+    assert w2_circle(mu, nu) == w2_circle(nu, mu)
+    with pytest.raises(ValueError, match="two discrete measures, or one "
+                                         "discrete and one grid measure"):
+        w2_circle(nu, nu)
+
+
+@pytest.mark.parametrize("beta", [-0.5, 2.0])
+@pytest.mark.parametrize("uniform_nu", [True, False])
+def test_solver_cells_bit_identical_to_the_scalar_kernels(beta, uniform_nu,
+                                                          monkeypatch):
+    # every power-cell scan and cell inversion of a solve, against the
+    # numpy-scalar scan and the fixed 200-step bisection
+    k = 32
+    xs = np.arange(k) / k
+    nu = (GridMeasure.uniform(dim=1, resolution=k) if uniform_nu else
+          GridMeasure.from_density_values(1.0 + 0.3 * np.sin(2 * np.pi * xs),
+                                          kind="torus"))
+    cells, invert = monge_ampere._power_cells_1d, monge_ampere._invert_cells_1d
+    calls = []
+
+    def checked_cells(values):
+        out = cells(values)
+        want = power_cells_numpy(values)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(out, want))
+        calls.append("cells")
+        return out
+
+    def checked_invert(masses, measure):
+        out = invert(masses, measure)
+        assert np.array_equal(out, invert_cells_bisect(masses,
+                                                       measure.masses()))
+        calls.append("invert")
+        return out
+
+    monkeypatch.setattr(monge_ampere, "_power_cells_1d", checked_cells)
+    monkeypatch.setattr(monge_ampere, "_invert_cells_1d", checked_invert)
+    solve_master(MasterParams(beta=beta, mu0=bump_measure(k), nu=nu))
+    assert calls.count("cells") > 20 and calls.count("invert") > 5
+
+
+def test_histogram_puts_edge_atoms_in_their_cell():
+    k = 10
+    like = GridMeasure.uniform(dim=1, resolution=k)
+    weights = np.arange(1.0, k + 1) / np.sum(np.arange(1.0, k + 1))
+    hist = monge_ampere._as_grid_measure(atoms_1d(np.arange(k) / k, weights),
+                                         like)
+    assert np.allclose(hist.masses(), weights, rtol=0, atol=1e-15)
+    like2 = GridMeasure.uniform(dim=2, resolution=5)
+    pts = np.array([[0.2, 0.6], [0.6, 0.2], [0.6, 0.2], [0.0, 0.8]])
+    hist2 = monge_ampere._as_grid_measure(
+        DiscreteMeasure(points=pts, weights=np.full(4, 0.25),
+                        domain=torus_domain(2)), like2)
+    want = np.zeros((5, 5))
+    want[1, 3], want[3, 1], want[0, 4] = 0.25, 0.5, 0.25
+    assert np.allclose(hist2.masses().reshape(5, 5), want, rtol=0, atol=1e-15)
 
 
 def test_master_params_validation():
