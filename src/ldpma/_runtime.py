@@ -1,25 +1,8 @@
-"""Shared runtime helpers: worker counts and deterministic CSV formatting."""
+"""Shared runtime helpers: deterministic CSV formatting."""
 
 from __future__ import annotations
 
-import os
 from typing import Iterable
-
-
-def worker_count() -> int:
-    """Number of workers for parallel sweeps.
-
-    Controlled by the ``LDPMA_THREADS`` environment variable; defaults to the
-    CPU count. Always at least 1.
-    """
-    raw = os.environ.get("LDPMA_THREADS", "").strip()
-    if raw:
-        try:
-            requested = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"LDPMA_THREADS must be an integer, got {raw!r}") from exc
-        return max(1, requested)
-    return max(1, os.cpu_count() or 1)
 
 
 def format_cell(value) -> str:

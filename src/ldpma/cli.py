@@ -17,8 +17,8 @@ errors, including unknown experiment names.
 
 Parameter precedence, lowest to highest: registry defaults, [global]
 and [<experiment>] sections of --config, key=value tokens, then any
-named flags the subcommand declares (--n, --beta, ...). LDPMA_THREADS
-caps worker threads in trial sweeps.
+named flags the subcommand declares (--n, --beta, ...). Runs read no
+parameters from the environment.
 """
 
 import argparse

@@ -10,26 +10,25 @@ function of (params, seed).
 Randomness policy: an experiment receives a single integer seed and
 derives every generator it needs from ``np.random.SeedSequence(seed)``,
 so equal configurations reproduce their outputs byte for byte. Trial
-sweeps run on up to ``worker_count()`` threads with position-ordered
-gathering, which keeps the row order independent of scheduling.
+sweeps run in one process, one row after another; each row evaluates its
+random configurations as one stack.
 """
 
 import dataclasses
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from ._runtime import format_row, worker_count
+from ._runtime import format_row
 from .hamiltonian_gibbs import (
     PERMANENTAL,
     TROPICAL,
     GibbsEnsemble,
     gibbs_exact,
-    hamiltonian,
     hamiltonian_w2_gap,
+    hamiltonians,
     local_rate,
     sanov_exact,
     sanov_gap_bound,
@@ -56,7 +55,7 @@ from .monge_ampere import (
     solve_master,
     w2_to_reference,
 )
-from .torus_theta import ThetaParams, TorusLattice, log_theta_grid, theta_rate_error
+from .torus_theta import ThetaParams, TorusLattice, theta_rate_error
 from .transport import (
     cost_matrix,
     cyclical_monotonicity_check,
@@ -229,6 +228,13 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
 def _parse_float(text: str) -> float:
     value = float(text)
     if value != value:
@@ -243,6 +249,13 @@ def _parse_int_list(text: str) -> Tuple[int, ...]:
     return items
 
 
+def _parse_count_list(text: str) -> Tuple[int, ...]:
+    items = _parse_int_list(text)
+    if min(items) < 1:
+        raise ValueError("every entry must be >= 1")
+    return items
+
+
 def _parse_float_list(text: str) -> Tuple[float, ...]:
     items = tuple(float(t) for t in text.split(",") if t.strip() != "")
     if not items:
@@ -252,15 +265,6 @@ def _parse_float_list(text: str) -> Tuple[float, ...]:
 
 def _parse_str(text: str) -> str:
     return text
-
-
-def _parallel_map(fn, items):
-    """Map preserving input order, on up to worker_count() threads."""
-    items = list(items)
-    if worker_count() == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(fn, items))
 
 
 def _spawn_seeds(seed: int, count: int):
@@ -277,30 +281,6 @@ def _fmt(value: float) -> str:
 # verify-theta
 
 
-def _theta_defect_extremes(tparams: ThetaParams, lattice: TorusLattice,
-                           resolution: int) -> Tuple[float, float]:
-    """(max signed defect, max absolute defect) over a grid of arguments.
-
-    The signed defect is -(1/n) log phi_i(x) minus the squared torus
-    distance; it should never be positive beyond rounding, and its
-    magnitude is the bracket the sweep certifies.
-    """
-    # the largest array built below is the (centres, points, d) difference
-    if (resolution ** lattice.d) * lattice.size * lattice.d > 2 ** 25:
-        raise ValueError(
-            "defect grid too large; lower grid resolution or the lattice n"
-        )
-    axes = [np.arange(resolution) / resolution] * lattice.d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    logs = log_theta_grid(tparams, lattice.points, grid)
-    diff = grid[None, :, :] - lattice.points[:, None, :]
-    diff = diff - np.round(diff)
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    defect = -logs / tparams.n - sq
-    return float(defect.max()), float(np.abs(defect).max())
-
-
 def _run_verify_theta(params: dict, seed: int) -> ExperimentResult:
     del seed  # deterministic sweep, kept for the uniform runner signature
     dim = params["d"]
@@ -311,11 +291,7 @@ def _run_verify_theta(params: dict, seed: int) -> ExperimentResult:
     for n in sorted(set(params["n"])):
         tparams = ThetaParams(n=n, truncation_radius=params["r"])
         lattice = TorusLattice(n=n, d=dim)
-        sup = theta_rate_error(tparams, lattice, params["grid"])
-        signed_max, sup_direct = _theta_defect_extremes(
-            tparams, lattice, params["grid"])
-        if abs(sup - sup_direct) > 1e-13:
-            raise RuntimeError("defect sweep disagrees with its recount")
+        signed_max, sup = theta_rate_error(tparams, lattice, params["grid"])
         one_sided_worst = max(one_sided_worst, signed_max)
         bound = float(tparams.bracket_width(dim))
         rows.append((n, sup, bound, "theta-rate-bracket"))
@@ -351,17 +327,13 @@ def _run_verify_theta(params: dict, seed: int) -> ExperimentResult:
 # verify-hamiltonian
 
 
-def _sandwich_row(args):
-    n, trials, seed = args
+def _sandwich_row(n: int, trials: int, seed: int):
     tparams = ThetaParams(n=n)
     lattice = TorusLattice(n=n, d=1)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        config = EmpiricalConfig(points=rng.random((n, 1)))
-        h_perm = hamiltonian(PERMANENTAL, lattice, tparams, config)
-        h_trop = hamiltonian(TROPICAL, lattice, tparams, config)
-        worst = max(worst, abs(h_perm - h_trop))
+    configs = np.random.default_rng(seed).random((trials, n, 1))
+    h_perm = hamiltonians(PERMANENTAL, lattice, tparams, configs)
+    h_trop = hamiltonians(TROPICAL, lattice, tparams, configs)
+    worst = float(np.max(np.abs(h_perm - h_trop)))
     bound = math.log(math.factorial(n)) / n
     return ("sandwich", n, n, trials, worst, bound,
             "permanent-tropical-sandwich")
@@ -377,14 +349,10 @@ def _run_verify_hamiltonian(params: dict, seed: int) -> ExperimentResult:
     s_trop = seeds[len(sandwich_ns): len(sandwich_ns) + len(ns)]
     s_perm = seeds[len(sandwich_ns) + len(ns):]
 
-    rows = _parallel_map(
-        _sandwich_row,
-        [(n, params["sandwich_trials"], s)
-         for n, s in zip(sandwich_ns, s_sand)],
-    )
+    rows = [_sandwich_row(n, params["sandwich_trials"], s)
+            for n, s in zip(sandwich_ns, s_sand)]
 
-    def w2_row(args):
-        kind, n, s = args
+    def w2_row(kind, n, s):
         gap = hamiltonian_w2_gap(kind, n, 1, trials, s)
         tparams = ThetaParams(n=n)
         bound = float(tparams.bracket_width(1)) + float(tparams.tail_bound)
@@ -393,11 +361,8 @@ def _run_verify_hamiltonian(params: dict, seed: int) -> ExperimentResult:
             bound += math.log(math.factorial(n)) / (n * n)
         return (family, n, n, trials, gap, bound, "hamiltonian-w2-bracket")
 
-    rows += _parallel_map(
-        w2_row,
-        [(TROPICAL, n, s) for n, s in zip(ns, s_trop)]
-        + [(PERMANENTAL, n, s) for n, s in zip(perm_ns, s_perm)],
-    )
+    rows += [w2_row(TROPICAL, n, s) for n, s in zip(ns, s_trop)]
+    rows += [w2_row(PERMANENTAL, n, s) for n, s in zip(perm_ns, s_perm)]
 
     reference = GridMeasure.uniform(dim=1, resolution=params["quad"])
     previous = math.inf
@@ -610,7 +575,7 @@ def _run_sanov_demo(params: dict, seed: int) -> ExperimentResult:
         return ("sweep", k, n_s, worst[0], worst[1], worst[2], worst[3],
                 float(sanov_gap_bound(k, n_s)), "sanov-gap-bound")
 
-    rows += _parallel_map(sweep_row, sorted(set(params["sweep"])))
+    rows += [sweep_row(n_s) for n_s in sorted(set(params["sweep"]))]
     table = ResultTable(
         columns=("family", "alphabet", "n", "prob", "rate", "entropy",
                  "gap", "bound", "provenance"),
@@ -711,18 +676,13 @@ def _run_cramer_demo(params: dict, seed: int) -> ExperimentResult:
 # zero-temp-mgf
 
 
-def _torus_sqdist_to(center: float, xs: np.ndarray) -> np.ndarray:
-    diff = xs - center
-    diff = diff - np.round(diff)
-    return diff * diff
-
-
 def _test_functions(resolution: int) -> Tuple[Tuple[str, GridFunction], ...]:
     xs = np.arange(resolution) / resolution
     specs = (
         ("zero", np.zeros(resolution)),
         ("cosine", 0.2 * np.cos(2.0 * np.pi * xs)),
-        ("well", -0.8 * _torus_sqdist_to(0.5, xs)),
+        ("well", -0.8 * cost_matrix(xs[:, None], [[0.5]],
+                                    "sqdist_torus")[:, 0]),
     )
     return tuple(
         (name, GridFunction(dim=1, resolution=resolution, values=vals,
@@ -923,30 +883,6 @@ def _load_measure_csv(path: str) -> DiscreteMeasure:
     )
 
 
-def _support_cycles_ok(costs: np.ndarray, rows, cols,
-                       tol: float = 1e-9) -> bool:
-    """Sub-plan optimality on the heaviest support pairs, any cost.
-
-    Checks that no cyclic reassignment of up to four support pairs lowers
-    the summed cost; on inner-product costs this is the classical
-    cyclical monotonicity inequality.
-    """
-    m = len(rows)
-    for size in range(2, min(4, m) + 1):
-        for subset in itertools.combinations(range(m), size):
-            base = sum(costs[rows[i], cols[i]] for i in subset)
-            anchor, rest = subset[0], subset[1:]
-            for order in itertools.permutations(rest):
-                cycle = (anchor,) + order
-                shifted = sum(
-                    costs[rows[cycle[i]], cols[cycle[(i + 1) % size]]]
-                    for i in range(size)
-                )
-                if shifted < base - tol:
-                    return False
-    return True
-
-
 def _run_ot(params: dict, seed: int) -> ExperimentResult:
     del seed
     if not params["mu"] or not params["nu"]:
@@ -968,13 +904,8 @@ def _run_ot(params: dict, seed: int) -> ExperimentResult:
                if flat[i] > 1e-12]
     rows_idx = [int(i) // plan.coupling.shape[1] for i in support]
     cols_idx = [int(i) % plan.coupling.shape[1] for i in support]
-    if name == "sqdist_torus":
-        monotone = _support_cycles_ok(costs, rows_idx, cols_idx)
-    else:
-        pairs = [(mu.points[i], nu.points[j])
-                 for i, j in zip(rows_idx, cols_idx)]
-        monotone, _ = cyclical_monotonicity_check(pairs, max_cycle=4,
-                                                  tol=1e-9)
+    monotone, _ = cyclical_monotonicity_check(costs, rows_idx, cols_idx,
+                                              max_cycle=4, tol=1e-9)
 
     row = (name, len(mu.weights), len(nu.weights), objective, mu_gap,
            nu_gap, len(support), int(monotone), "transport-plan-optimal")
@@ -1026,10 +957,10 @@ _register(ExperimentSpec(
     name="verify-theta",
     summary="kernel exponent vs squared torus distance over a lattice sweep",
     params=(
-        ParamSpec("n", "8,16,32,64", _parse_int_list,
+        ParamSpec("n", "8,16,32,64", _parse_count_list,
                   "comma list of lattice sharpness values"),
         ParamSpec("d", "1", _parse_int, "torus dimension, 1 or 2"),
-        ParamSpec("grid", "256", _parse_int,
+        ParamSpec("grid", "256", _parse_count,
                   "argument grid resolution per axis"),
         ParamSpec("r", "2", _parse_int, "kernel truncation radius"),
     ),
@@ -1046,13 +977,13 @@ _register(ExperimentSpec(
     name="verify-hamiltonian",
     summary="energy sandwich and transport bracket on random configurations",
     params=(
-        ParamSpec("n", "2,4,8", _parse_int_list,
+        ParamSpec("n", "2,4,8", _parse_count_list,
                   "comma list of per-axis particle counts"),
-        ParamSpec("trials", "100", _parse_int,
+        ParamSpec("trials", "100", _parse_count,
                   "random configurations per bracket row"),
-        ParamSpec("sandwich_trials", "25", _parse_int,
+        ParamSpec("sandwich_trials", "25", _parse_count,
                   "random configurations per sandwich row"),
-        ParamSpec("quad", "256", _parse_int,
+        ParamSpec("quad", "256", _parse_count,
                   "uniform reference resolution for the refinement rows"),
     ),
     claims=("permanent-tropical-sandwich", "hamiltonian-w2-bracket",
@@ -1099,13 +1030,13 @@ _register(ExperimentSpec(
     name="sanov-demo",
     summary="exact type probabilities against the entropy rate",
     params=(
-        ParamSpec("k", "2", _parse_int, "alphabet size"),
-        ParamSpec("n", "4", _parse_int, "sample count for the demo row"),
+        ParamSpec("k", "2", _parse_count, "alphabet size"),
+        ParamSpec("n", "4", _parse_count, "sample count for the demo row"),
         ParamSpec("nu", "0.75,0.25", _parse_float_list,
                   "demo type, must be realizable at n"),
         ParamSpec("mu0", "uniform", _parse_str,
                   "base weights: uniform or a comma list"),
-        ParamSpec("sweep", "10,50,200", _parse_int_list,
+        ParamSpec("sweep", "10,50,200", _parse_count_list,
                   "sample counts for the all-types gap sweep"),
     ),
     claims=("sanov-exact-binomial", "sanov-gap-bound"),

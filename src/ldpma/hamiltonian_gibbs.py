@@ -29,8 +29,7 @@ from scipy.special import gammaln, logsumexp
 from .legendre import GridFunction, conjugate_at, interpolate_at
 from .measures import (DiscreteMeasure, EmpiricalConfig, GridMeasure,
                        empirical, entropy)
-from .torus_theta import (ThetaParams, TorusLattice, log_phi_matrix,
-                          log_theta_grid)
+from .torus_theta import ThetaParams, TorusLattice, log_theta_grid
 from .transport import (BRUTE_FORCE_MAX, _all_permutations, cost_matrix,
                         hungarian, w2_circle_atoms, w2_empirical)
 
@@ -141,18 +140,38 @@ PERMANENTAL = HamiltonianKind("permanental")
 TROPICAL = HamiltonianKind("tropical")
 
 
-def hamiltonian(kind: HamiltonianKind, lattice: TorusLattice,
-                params: ThetaParams, config: EmpiricalConfig) -> float:
-    """H_n of a configuration of N = n^d torus points.
+def hamiltonians(kind: HamiltonianKind, lattice: TorusLattice,
+                 params: ThetaParams, configs: np.ndarray) -> np.ndarray:
+    """H_n of each configuration in a (T, N, d) stack of N = n^d torus points.
 
     Permutation symmetric in the particles; the permanental and tropical
-    values differ by at most (1/n) log N!.
+    values differ by at most (1/n) log N!. One kernel evaluation covers the
+    whole stack. The permanental kind runs Ryser on TUPLE_CHUNK // 2^N
+    matrices at a time; the tropical kind is (1/n) min_sigma sum of
+    -log phi, one assignment per matrix.
     """
-    log_phi = log_phi_matrix(lattice, params, config)
-    # tropical: (1/n) min_sigma sum of -log phi, entirely in log space
+    configs = np.asarray(configs, dtype=float)
+    if configs.ndim != 3 or configs.shape[1:] != (lattice.size, lattice.d):
+        raise ValueError(
+            f"configurations have shape {configs.shape[1:]}, lattice needs "
+            f"{(lattice.size, lattice.d)}")
+    if np.any(configs < 0.0) or np.any(configs >= 1.0):
+        raise ValueError("configuration points must lie in [0,1)^d")
+    trials, nn, n = len(configs), lattice.size, lattice.n
+    log_phi = log_theta_grid(params, lattice.points,
+                             configs.reshape(-1, lattice.d))
+    stack = log_phi.reshape(nn, trials, nn).swapaxes(0, 1)  # [t, i, j]
     if kind.tag == "tropical":
-        return hungarian(-log_phi).cost / lattice.n
-    return -log_permanent(log_phi) / lattice.n
+        return np.array([hungarian(-m).cost / n for m in stack])
+    chunk = max(1, TUPLE_CHUNK // (1 << nn))
+    return np.concatenate([-_log_permanents(stack[lo:lo + chunk]) / n
+                           for lo in range(0, trials, chunk)])
+
+
+def hamiltonian(kind: HamiltonianKind, lattice: TorusLattice,
+                params: ThetaParams, config: EmpiricalConfig) -> float:
+    """H_n of one configuration, the T = 1 case of `hamiltonians`."""
+    return float(hamiltonians(kind, lattice, params, config.points[None])[0])
 
 
 def hamiltonian_w2_gap(kind: HamiltonianKind, n: int, d: int, trials: int,
@@ -167,18 +186,15 @@ def hamiltonian_w2_gap(kind: HamiltonianKind, n: int, d: int, trials: int,
     cap = W2_GAP_PERMANENTAL_MAX if kind.tag == "permanental" else W2_GAP_TROPICAL_MAX
     if nn > cap:
         raise ValueError(f"{kind.tag} gap sweep supports N <= {cap}")
+    if trials < 1:
+        raise ValueError("gap sweep needs trials >= 1")
     lattice = TorusLattice(n=n, d=d)
-    params = ThetaParams(n=n)
-    lattice_mu = empirical(EmpiricalConfig(points=lattice.points))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        pts = rng.random((nn, d))
-        config = EmpiricalConfig(points=pts)
-        h = hamiltonian(kind, lattice, params, config)
-        ref = w2_empirical(lattice_mu, empirical(config), metric="torus")
-        worst = max(worst, abs(h / nn - ref))
-    return worst
+    configs = np.random.default_rng(seed).random((trials, nn, d))
+    h = hamiltonians(kind, lattice, ThetaParams(n=n), configs)
+    costs = cost_matrix(lattice.points, configs.reshape(-1, d), "sqdist_torus")
+    ref = np.array([hungarian(c).cost / nn
+                    for c in costs.reshape(nn, trials, nn).swapaxes(0, 1)])
+    return float(np.max(np.abs(h / nn - ref)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,11 @@ This module provides:
 - ``DiscreteMeasure``: weighted atoms; carries empirical measures and
   Gibbs marginals.
 - ``GridMeasure``: a density sampled on a regular grid of cells; carries
-  reference densities and pushforward images.
+  reference densities and transport-operator images.
 - ``EmpiricalConfig``: an ordered particle configuration.
 - ``empirical``: the configuration -> uniform-atom measure map.
 - ``entropy``: relative entropy of one measure against a reference.
 - ``log_mgf``: log of the exponential integral of a potential.
-- ``pushforward``: mass transport of a grid measure under a cell map.
 
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
@@ -22,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.special import logsumexp
@@ -468,58 +467,6 @@ def log_mgf(mu: MeasureLike, theta) -> float:
     if not np.all(np.isfinite(values[carrying])):
         raise ValueError("potential must be finite on the support")
     return float(logsumexp(values[carrying], b=masses[carrying]))
-
-
-def pushforward(mu: GridMeasure,
-                mapping: Union[np.ndarray, Callable[[np.ndarray], np.ndarray]],
-                target: GridMeasure = None) -> GridMeasure:
-    """Transport a grid measure under a cellwise map.
-
-    Each source cell's mass is deposited into the target cell containing the
-    image of the source cell's center. The target grid defaults to the source
-    grid. Torus images wrap; box images outside the target bounds raise.
-
-    Parameters
-    ----------
-    mu : GridMeasure
-    mapping : array or callable
-        Either an array of image points with shape (cells, dim) in row-major
-        cell order, or a callable applied to the (cells, dim) center array.
-    target : GridMeasure, optional
-        Only the grid geometry of ``target`` is used.
-    """
-    geometry = target if target is not None else mu
-    centers = mu.centers()
-    if callable(mapping):
-        images = np.asarray(mapping(centers), dtype=float)
-    else:
-        images = np.asarray(mapping, dtype=float)
-    images = images.reshape(centers.shape)
-
-    k = geometry.resolution
-    if geometry.kind == "torus":
-        wrapped = np.mod(images, 1.0)
-        idx = np.floor(wrapped * k).astype(np.int64)
-        idx = np.clip(idx, 0, k - 1)
-    else:
-        lows = np.array([b[0] for b in geometry.bounds])
-        highs = np.array([b[1] for b in geometry.bounds])
-        if np.any(images < lows) or np.any(images > highs):
-            raise ValueError("image point outside the target box")
-        steps = (highs - lows) / k
-        idx = np.minimum(((images - lows) / steps).astype(np.int64), k - 1)
-
-    flat_idx = np.zeros(len(idx), dtype=np.int64)
-    for a in range(geometry.dim):
-        flat_idx = flat_idx * k + idx[:, a]
-
-    out_mass = np.zeros(k ** geometry.dim)
-    np.add.at(out_mass, flat_idx, mu.masses())
-    density = (out_mass / geometry.cell_volume()).reshape((k,) * geometry.dim)
-    return GridMeasure(dim=geometry.dim, resolution=k, density=density,
-                       kind=geometry.kind,
-                       bounds=geometry.bounds if geometry.kind == "box" else (),
-                       is_probability=mu.is_probability)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Transport operator, master equation, and the transport-entropy rate function.
 
-Everything here lives on the flat torus chart [0,1)^d (with a classical box
-route kept for conjugate sanity checks). The central object is the operator
+Everything here lives on the flat torus chart [0,1)^d. The central object
+is the operator
 
     MA_nu f = (T_f)_# nu,    T_f(y) = argmin_x [ d(x,y)^2 + f(x) ],
 
@@ -32,9 +32,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .legendre import GridFunction, conjugate_at, legendre_transform
-from .measures import (DiscreteMeasure, GridMeasure, entropy, log_mgf,
-                       pushforward)
+from .legendre import GridFunction
+from .measures import DiscreteMeasure, GridMeasure, entropy, log_mgf
 from .transport import circle_primitives, w2_circle_atoms
 
 NORMALIZATION_TOL = 1e-10
@@ -289,6 +288,17 @@ def _torus_subsample(nu: GridMeasure, r: int):
     return pts, weights
 
 
+def _torus_pair(theta: Union[Potential, GridFunction],
+                nu: GridMeasure) -> GridFunction:
+    """The potential's grid function, once both it and nu are on the torus."""
+    f = _as_grid_function(theta)
+    if f.kind != "torus":
+        raise ValueError("the potential must live on the torus")
+    if nu.kind != "torus" or nu.dim != f.dim:
+        raise ValueError("nu must be a torus measure of matching dimension")
+    return f
+
+
 def ma_operator(theta: Union[Potential, GridFunction],
                 nu: GridMeasure) -> GridMeasure:
     """Pushforward of nu under the transport map of the potential.
@@ -298,61 +308,24 @@ def ma_operator(theta: Union[Potential, GridFunction],
     subsampled at 3^d symmetric points each, every subpoint assigned to
     its argmin node (mass quantum cellmass/3^d; the subsampling keeps the
     assignment responsive to sub-cell boundary moves, which the descent
-    solver needs). Box: the classical route — conjugate on nu's grid,
-    central-difference gradient, histogram pushforward.
+    solver needs).
 
     The output lives on the potential's grid and carries total mass 1.
     """
-    f = _as_grid_function(theta)
-    if f.kind == "torus":
-        if nu.kind != "torus" or nu.dim != f.dim:
-            raise ValueError("nu must be a torus measure of matching dimension")
-        k = f.resolution
-        if f.dim == 1:
-            node_idx, _, lows, highs = _power_cells_1d(f.values.reshape(-1))
-            cell_mass = _cdf_eval(nu, highs) - _cdf_eval(nu, lows)
-            masses = np.zeros(k)
-            np.add.at(masses, node_idx, cell_mass)
-        else:
-            pts, weights = _torus_subsample(nu, D2_SUBSAMPLE)
-            _, owners = _lifted_conjugate_scan(f, pts)
-            masses = np.zeros(k ** f.dim)
-            np.add.at(masses, owners, weights)
-        density = masses.reshape((k,) * f.dim) * (k ** f.dim)
-        return GridMeasure(dim=f.dim, resolution=k, density=density,
-                           kind="torus")
-
-    # box route: conjugate on nu's grid, then a central-difference gradient
-    if nu.kind != "box" or nu.dim != f.dim:
-        raise ValueError("nu must be a box measure of matching dimension")
-    fstar = legendre_transform(f, dual_bounds=nu.bounds,
-                               dual_resolution=nu.resolution)
-    grad = _central_gradient(fstar)
-    lows = np.array([b[0] for b in f.bounds])
-    highs = np.array([b[1] for b in f.bounds])
-    if np.any(grad < lows - 1e-9) or np.any(grad > highs + 1e-9):
-        raise ValueError(
-            "gradient leaves the potential's box; enlarge the dual box")
-    grad = np.clip(grad, lows, highs)
-    target = GridMeasure.uniform(dim=f.dim, resolution=f.resolution,
-                                 kind="box", bounds=f.bounds)
-    return pushforward(nu, grad, target=target)
-
-
-def _central_gradient(fstar: GridFunction) -> np.ndarray:
-    """Per-axis central differences, shape (cells, d).
-
-    Box edges use the second-order one-sided stencil: the conjugate is
-    piecewise linear with linearly spaced slopes, and the first-order
-    stencil misplaces the boundary cell by half a slope gap.
-    """
-    vals = fstar.values
-    grads = []
-    for axis in range(fstar.dim):
-        step = fstar.step(axis)
-        g = np.gradient(vals, step, axis=axis, edge_order=2)
-        grads.append(g.reshape(-1))
-    return np.stack(grads, axis=-1)
+    f = _torus_pair(theta, nu)
+    k = f.resolution
+    if f.dim == 1:
+        node_idx, _, lows, highs = _power_cells_1d(f.values.reshape(-1))
+        cell_mass = _cdf_eval(nu, highs) - _cdf_eval(nu, lows)
+        masses = np.zeros(k)
+        np.add.at(masses, node_idx, cell_mass)
+    else:
+        pts, weights = _torus_subsample(nu, D2_SUBSAMPLE)
+        _, owners = _lifted_conjugate_scan(f, pts)
+        masses = np.zeros(k ** f.dim)
+        np.add.at(masses, owners, weights)
+    density = masses.reshape((k,) * f.dim) * (k ** f.dim)
+    return GridMeasure(dim=f.dim, resolution=k, density=density, kind="torus")
 
 
 def transport_map_1d(theta: Union[Potential, GridFunction],
@@ -375,25 +348,19 @@ def j_functional(theta: Union[Potential, GridFunction],
                  nu: GridMeasure) -> float:
     """Dual-side potential energy.
 
-    Torus: the integral of g_f(y) = -min_x [d(x,y)^2 + f(x)] against nu —
-    exact in d = 1 (piecewise-quadratic integrand over power cells, cubic
+    The integral of g_f(y) = -min_x [d(x,y)^2 + f(x)] against nu: exact in
+    d = 1 (piecewise-quadratic integrand over power cells, cubic
     antiderivative per nu cell), the same subsampled cell quadrature as
     ma_operator in d = 2 (so dJ/dtheta_i = -mass_i holds at quadrature
-    level). Box: the classical conjugate integrated on nu's grid. Adding
-    a constant c to the potential lowers the value by exactly c.
+    level). Adding a constant c to the potential lowers the value by
+    exactly c.
     """
-    f = _as_grid_function(theta)
-    if f.kind == "torus":
-        if nu.kind != "torus" or nu.dim != f.dim:
-            raise ValueError("nu must be a torus measure of matching dimension")
-        if f.dim == 1:
-            return _j_exact_1d(f, nu)
-        pts, weights = _torus_subsample(nu, D2_SUBSAMPLE)
-        vals, _ = _lifted_conjugate_scan(f, pts)
-        return float(np.sum(-vals * weights))
-    if nu.kind != "box" or nu.dim != f.dim:
-        raise ValueError("nu must be a box measure of matching dimension")
-    return float(np.sum(conjugate_at(f, nu.centers()) * nu.masses()))
+    f = _torus_pair(theta, nu)
+    if f.dim == 1:
+        return _j_exact_1d(f, nu)
+    pts, weights = _torus_subsample(nu, D2_SUBSAMPLE)
+    vals, _ = _lifted_conjugate_scan(f, pts)
+    return float(np.sum(-vals * weights))
 
 
 def _j_exact_1d(f: GridFunction, nu: GridMeasure) -> float:
@@ -766,7 +733,11 @@ def rate_function_g(mu, params: MasterParams, phi_min: Potential) -> RateValue:
     directly; their entropy term reads from the cell histogram on mu0's
     grid. Measures charging a cell where mu0 vanishes get +inf.
     """
-    constant = params.beta * f_functional(phi_min, params)
+    return _rate_value(mu, params, params.beta * f_functional(phi_min, params))
+
+
+def _rate_value(mu, params: MasterParams, constant: float) -> RateValue:
+    """`rate_function_g` with its constant beta F(phi_min) already known."""
     w2 = w2_to_reference(mu, params.nu)
     ent = entropy(params.mu0, _as_grid_measure(mu, params.mu0))
     return RateValue(beta_w2=params.beta * w2, ent=ent, constant=constant)
@@ -803,7 +774,8 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
     bracket W2^2 + J + <f, mu> at the fixed point (zero exactly at the
     minimizer); the entropy duality gap Ent - (beta <phi, mu> - I(beta
     phi)); and a probe sweep showing the rate function is strictly larger
-    at perturbed measures.
+    at perturbed measures. The rate function's constant beta F(phi_min) is
+    computed once for the minimiser and every probe.
     """
     if phi_min is None:
         phi_min = solve_master(params)
@@ -823,7 +795,8 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
         i_term = log_mgf(params.mu0, params.beta * phi_min.values.reshape(-1))
     entropy_gap = ent - (params.beta * pairing - i_term)
 
-    rate_min = rate_function_g(mu_min, params, phi_min).value
+    constant = params.beta * f_functional(phi_min, params)
+    rate_min = _rate_value(mu_min, params, constant).value
 
     rng = np.random.default_rng(seed)
     k = params.resolution
@@ -835,7 +808,7 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
         probe = GridMeasure(dim=params.dim, resolution=k,
                             density=masses.reshape((k,) * params.dim)
                             * (k ** params.dim), kind="torus")
-        best = min(best, rate_function_g(probe, params, phi_min).value)
+        best = min(best, _rate_value(probe, params, constant).value)
     return ConsistencyReport(beta=params.beta, residual_tv=residual_tv,
                              bracket_gap=bracket_gap, entropy_gap=entropy_gap,
                              rate_at_minimizer=rate_min,

@@ -17,12 +17,14 @@ work for n lattice and g grid coordinates per axis, not O((2R+1)^d d n^d g^d).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .measures import EmpiricalConfig
 from .transport import cost_matrix
+
+DEFECT_MAX = 1 << 23  # (centers, grid points) entries per defect array
 
 
 @dataclass(frozen=True)
@@ -97,31 +99,36 @@ def log_theta_grid(params: ThetaParams, centers: np.ndarray,
     return out
 
 
-def log_phi_matrix(lattice: TorusLattice, params: ThetaParams,
-                   config: EmpiricalConfig) -> np.ndarray:
-    if config.size != lattice.size:
-        raise ValueError(
-            f"configuration has {config.size} points, lattice needs {lattice.size}"
-        )
-    if config.dim != lattice.d:
-        raise ValueError("configuration dimension does not match the lattice")
-    return log_theta_grid(params, lattice.points, config.points)
-
-
 def theta_rate_error(params: ThetaParams, lattice: TorusLattice,
-                     grid_resolution: int) -> float:
-    """sup over a grid of x and all centers of the normalized-log defect.
+                     grid_resolution: int) -> Tuple[float, float]:
+    """(max signed, max absolute) defect over a grid of x and all centers.
 
-    The defect is |-(1/n) log phi_i(x) - d(p_i, x)^2|; it is a nonnegative
-    shift (the log never exceeds the squared distance) bounded by
-    (1/n) log((2R+1)^d) plus the truncation tail.
+    The defect is -(1/n) log phi_i(x) - d(p_i, x)^2. It never exceeds
+    rounding above zero (the log never exceeds the squared distance), and
+    its magnitude is bounded by (1/n) log((2R+1)^d) plus the truncation
+    tail. The squared distance adds per-axis ``cost_matrix`` tables over
+    the distinct coordinates, as ``log_theta_grid`` adds per-axis log
+    tables, so only (centers, grid points) arrays are built, at most
+    DEFECT_MAX entries.
     """
     if lattice.d > 2:
         raise ValueError("rate sweep supports dimensions 1 and 2")
+    if lattice.size * grid_resolution ** lattice.d > DEFECT_MAX:
+        raise ValueError(
+            "defect grid too large; lower grid resolution or the lattice n")
     axes = [np.arange(grid_resolution) / grid_resolution] * lattice.d
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    logs = log_theta_grid(params, lattice.points, grid)
-    rates = -logs / params.n
-    sq = cost_matrix(lattice.points, grid, "sqdist_torus")
-    return float(np.max(np.abs(rates - sq)))
+    centers = lattice.points
+    defect = log_theta_grid(params, centers, grid)
+    np.negative(defect, out=defect)
+    defect /= params.n
+    sq = np.zeros_like(defect)
+    for axis in range(lattice.d):
+        cu, ci = np.unique(centers[:, axis], return_inverse=True)
+        gu, gi = np.unique(grid[:, axis], return_inverse=True)
+        table = cost_matrix(cu[:, None], gu[:, None], "sqdist_torus")
+        sq += table[ci[:, None], gi[None, :]]
+    defect -= sq
+    top, bottom = float(defect.max()), float(defect.min())
+    return top, max(top, -bottom)

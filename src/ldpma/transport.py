@@ -309,18 +309,25 @@ def _grid_domain(nu: GridMeasure):
 
 
 def cyclical_monotonicity_check(
-    pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
+    costs: np.ndarray,
+    rows: Sequence[int],
+    cols: Sequence[int],
     max_cycle: int = 4,
     tol: float = 1e-12,
 ) -> Tuple[bool, Optional[List[int]]]:
-    """Verify the permutation inequality on all cycles up to ``max_cycle``.
+    """Verify that no cyclic reassignment of support pairs lowers the cost.
 
-    For every subset of pairs of size up to max_cycle and every cyclic order,
-    the paired inner-product sum must dominate the shifted sum. Returns
-    (True, None) or (False, witness) with the witness as the index cycle,
-    found in deterministic enumeration order.
+    The support pairs are (rows[p], cols[p]) in a cost matrix. For every
+    subset of up to ``max_cycle`` pairs and every cyclic order, giving
+    each pair's row the next pair's column must not lower the summed cost
+    by more than tol; on inner-product costs this is the classical
+    cyclical monotonicity inequality. Returns (True, None) or (False,
+    witness) with the witness as the cycle of pair indices, found in
+    deterministic enumeration order.
     """
-    n = len(pairs)
+    n = len(rows)
+    if len(cols) != n:
+        raise ValueError("rows and cols must pair up")
     if max_cycle > 6 and n > 10:
         needed = sum(math.comb(n, s) * math.factorial(s - 1)
                      for s in range(2, max_cycle + 1))
@@ -328,21 +335,16 @@ def cyclical_monotonicity_check(
             f"enumeration budget exceeded (needs {needed} cycles); "
             "lower max_cycle to 6 or pass at most 10 pairs"
         )
-    xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in pairs]
-    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for _, y in pairs]
-    paired = np.array([float(np.dot(xs[i], ys[i])) for i in range(n)])
-
+    sub = np.asarray(costs, dtype=float)[np.ix_(rows, cols)]
     for size in range(2, min(max_cycle, n) + 1):
         for subset in itertools.combinations(range(n), size):
-            base = paired[list(subset)].sum()
+            base = sum(sub[p, p] for p in subset)
             anchor, rest = subset[0], subset[1:]
             for order in itertools.permutations(rest):
                 cycle = (anchor,) + order
-                shifted = sum(
-                    float(np.dot(xs[cycle[i]], ys[cycle[(i + 1) % size]]))
-                    for i in range(size)
-                )
-                if shifted > base + tol:
+                shifted = sum(sub[cycle[i], cycle[(i + 1) % size]]
+                              for i in range(size))
+                if shifted < base - tol:
                     return False, list(cycle)
     return True, None
 

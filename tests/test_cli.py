@@ -136,6 +136,24 @@ def test_gibbs_ldp_refuses_bad_ball(tmp_path, capsys, arg, message):
     assert not (tmp_path / "g").exists()
 
 
+@pytest.mark.parametrize("args, name", [
+    (["verify-hamiltonian", "trials=0", "sandwich_trials=-3"], "trials"),
+    (["verify-hamiltonian", "sandwich_trials=-3"], "sandwich_trials"),
+    (["verify-hamiltonian", "n=2,0"], "n"),
+    (["verify-hamiltonian", "quad=0"], "quad"),
+    (["sanov-demo", "n=0"], "n"),
+    (["sanov-demo", "sweep=0"], "sweep"),
+    (["sanov-demo", "k=-1"], "k"),
+    (["verify-theta", "grid=0"], "grid"),
+])
+def test_non_positive_counts_are_usage_errors(tmp_path, capsys, args, name):
+    assert main(["run", *args, f"out={tmp_path / 'r'}"]) == 2
+    err = capsys.readouterr().err
+    assert f"for {name}: " in err and "must be >= 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_ot_requires_both_measures(capsys):
     assert main(["ot"]) == 2
     assert "mu" in capsys.readouterr().err
@@ -198,14 +216,3 @@ def test_run_report_spelling(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "anchor,experiment,seed,point"
     assert len(out.splitlines()) == 3
-
-
-def test_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
-    args = ["run", "verify-hamiltonian", "n=2", "trials=4",
-            "sandwich_trials=2", "quad=64", "seed=9"]
-    a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("LDPMA_THREADS", "1")
-    assert main(args + [f"out={a}"]) == 0
-    monkeypatch.setenv("LDPMA_THREADS", "4")
-    assert main(args + [f"out={b}"]) == 0
-    assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()

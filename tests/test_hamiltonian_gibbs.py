@@ -17,6 +17,7 @@ from ldpma.hamiltonian_gibbs import (
     gibbs_mcmc,
     hamiltonian,
     hamiltonian_w2_gap,
+    hamiltonians,
     local_rate,
     log_partition_product,
     log_permanent,
@@ -104,6 +105,60 @@ def test_hamiltonian_w2_gap_within_bracket():
         gap = hamiltonian_w2_gap(TROPICAL, n, 1, 25, seed=0)
         params = ThetaParams(n=n)
         assert gap <= params.bracket_width(1) + params.tail_bound
+
+
+def _looped_hamiltonians(kind, n, configs):
+    lattice, params = TorusLattice(n=n, d=1), ThetaParams(n=n)
+    out = []
+    for pts in configs:
+        log_phi = log_theta_grid(params, lattice.points, pts)
+        if kind is TROPICAL:
+            out.append(hungarian(-log_phi).cost / n)
+        else:
+            out.append(-log_permanent(log_phi) / n)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind, n", [(PERMANENTAL, n) for n in range(2, 9)]
+                         + [(TROPICAL, n) for n in (*range(2, 9), 16)])
+def test_stacked_hamiltonians_match_one_at_a_time(kind, n):
+    configs = np.random.default_rng(n).random((7, n, 1))
+    got = hamiltonians(kind, TorusLattice(n=n, d=1), ThetaParams(n=n),
+                       configs)
+    assert np.array_equal(got, _looped_hamiltonians(kind, n, configs))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_hamiltonians_with_a_partial_last_stack(monkeypatch, n):
+    # stacks of 3 matrices: 3 + 3 + 1 over seven configurations
+    monkeypatch.setattr(hamiltonian_gibbs, "TUPLE_CHUNK", 3 << n)
+    configs = np.random.default_rng(n).random((7, n, 1))
+    got = hamiltonians(PERMANENTAL, TorusLattice(n=n, d=1),
+                       ThetaParams(n=n), configs)
+    assert np.array_equal(got,
+                          _looped_hamiltonians(PERMANENTAL, n, configs))
+
+
+def test_hamiltonians_shape_and_translation():
+    params, lattice = ThetaParams(n=4), TorusLattice(n=4, d=1)
+    pts = np.array([[0.1], [0.35], [0.6], [0.85]])
+    # one lattice step permutes the kernel centres, a relabelling the
+    # particles; neither changes H
+    stack = np.stack([pts, (pts + 0.25) % 1.0, pts[::-1]])
+    for kind in (PERMANENTAL, TROPICAL):
+        h = hamiltonians(kind, lattice, params, stack)
+        assert h.shape == (3,)
+        assert h[1:] == pytest.approx([h[0], h[0]], abs=1e-12)
+        assert h[0] == hamiltonian(kind, lattice, params,
+                                   EmpiricalConfig(points=pts))
+    with pytest.raises(ValueError, match="lattice needs"):
+        hamiltonians(PERMANENTAL, lattice, params, stack[:, :3])
+    with pytest.raises(ValueError, match="lattice needs"):
+        hamiltonians(PERMANENTAL, lattice, params, pts)
+    with pytest.raises(ValueError, match="lattice needs"):
+        hamiltonians(PERMANENTAL, lattice, params, np.zeros((2, 4, 2)))
+    with pytest.raises(ValueError, match=r"\[0,1\)\^d"):
+        hamiltonians(PERMANENTAL, lattice, params, stack + 0.2)
 
 
 def uniform_ensemble(beta, n=2, refine=4):

@@ -80,21 +80,14 @@ def test_ma_operator_density_refines_to_continuum():
     assert errors[2] <= 1e-3
 
 
-def test_ma_operator_box_shift_is_exact():
-    # f = x^2/2 + cx has transport map y -> y - c; c is an exact multiple
-    # of the cell width so the histogram shift is a clean index offset
-    k, c = 128, 0.3125
-    bounds = ((-0.75, 1.25),)
-    lo, hi = bounds[0]
-    xs = lo + (np.arange(k) + 0.5) * (hi - lo) / k
-    f = GridFunction(dim=1, resolution=k, values=0.5 * xs * xs + c * xs,
-                     kind="box", bounds=bounds)
-    nu = GridMeasure.uniform(dim=1, resolution=64, kind="box",
-                             bounds=((0.0, 1.0),))
-    masses = ma_operator(f, nu).masses()
-    want = np.zeros(k)
-    want[28:92] = 1.0 / 64.0
-    assert np.abs(masses - want).max() <= 1e-12
+def test_operator_refuses_box_potentials():
+    f = GridFunction(dim=1, resolution=8, values=np.zeros(8), kind="box",
+                     bounds=((0.0, 1.0),))
+    nu = GridMeasure.uniform(dim=1, resolution=8)
+    with pytest.raises(ValueError, match="torus"):
+        ma_operator(f, nu)
+    with pytest.raises(ValueError, match="torus"):
+        j_functional(f, nu)
 
 
 def test_transport_map_zero_potential_snaps_to_nodes():
@@ -368,3 +361,32 @@ def test_gprop_consistency_across_betas(beta):
     report = gprop_consistency(params, probes=12, seed=0)
     assert report.passed, (report.residual_tv, report.bracket_gap,
                            report.entropy_gap, report.rate_at_minimizer)
+
+
+def test_gprop_consistency_computes_the_constant_once(monkeypatch):
+    params = MasterParams(beta=1.0, mu0=bump_measure(32))
+    phi = solve_master(params)
+    mu_min = ma_operator(phi, params.nu)
+    # the certificate's rate values, each from rate_function_g on its own
+    rng = np.random.default_rng(5)
+    probes = []
+    for _ in range(8):
+        masses = mu_min.masses() * np.exp(rng.normal(0.0, 0.35, size=32))
+        probes.append(GridMeasure(dim=1, resolution=32, kind="torus",
+                                  density=masses / masses.sum() * 32))
+    want_min = rate_function_g(mu_min, params, phi).value
+    want_best = min(rate_function_g(p, params, phi).value for p in probes)
+
+    calls = []
+    real = monge_ampere.f_functional
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(monge_ampere, "f_functional", counted)
+    report = gprop_consistency(params, probes=8, seed=5, phi_min=phi)
+    assert len(calls) == 1
+    assert report.rate_at_minimizer == want_min
+    assert report.min_probe_value == want_best
+    assert report.passed

@@ -9,11 +9,10 @@ from scipy.special import logsumexp
 from ldpma.torus_theta import (
     ThetaParams,
     TorusLattice,
-    log_phi_matrix,
     log_theta_grid,
     theta_rate_error,
 )
-from ldpma.measures import EmpiricalConfig
+from ldpma.transport import cost_matrix
 
 from oracles import theta_kernel_naive, theta_kernel_naive_nd
 
@@ -94,7 +93,8 @@ def test_rate_error_within_bracket_and_shrinks():
     for n in (4, 8, 16):
         params = ThetaParams(n=n, truncation_radius=2)
         lattice = TorusLattice(n=n, d=1)
-        err = theta_rate_error(params, lattice, 128)
+        signed, err = theta_rate_error(params, lattice, 128)
+        assert signed <= 1e-12
         assert err <= params.bracket_width(1) + 1e-9
         errors.append(err)
     assert errors[0] > errors[1] > errors[2]
@@ -103,20 +103,8 @@ def test_rate_error_within_bracket_and_shrinks():
 def test_rate_error_two_dimensional():
     params = ThetaParams(n=4, truncation_radius=2)
     lattice = TorusLattice(n=4, d=2)
-    err = theta_rate_error(params, lattice, 24)
+    _, err = theta_rate_error(params, lattice, 24)
     assert 0.0 <= err <= params.bracket_width(2) + 1e-9
-
-
-def test_log_phi_matrix_shape_and_translation():
-    params = ThetaParams(n=4)
-    lattice = TorusLattice(n=4, d=1)
-    pts = np.array([[0.1], [0.35], [0.6], [0.85]])
-    logs = log_phi_matrix(lattice, params, EmpiricalConfig(points=pts))
-    assert logs.shape == (4, 4)
-    # shifting particles by one lattice step permutes the center axis
-    shifted = log_phi_matrix(
-        lattice, params, EmpiricalConfig(points=(pts + 0.25) % 1.0))
-    assert np.allclose(np.roll(logs, 1, axis=0), shifted, atol=1e-12)
 
 
 def test_theta_params_validation():
@@ -133,14 +121,17 @@ def test_bracket_width_scales_with_dimension():
 
 
 def test_defect_sweep_budget_counts_the_arrays_it_builds():
-    from ldpma.experiments import _theta_defect_extremes
-
-    # n = 32, d = 2 on a 40-grid: 1600 x 1024 x 2 differences, which the
-    # old count of (2R+1)^d shift copies put past the cap
+    # n = 32, d = 2 on a 40-grid: (1024, 1600) defect arrays, under the cap;
+    # the one-pass extremes equal those of the directly built defect
     params, lattice = ThetaParams(n=32), TorusLattice(n=32, d=2)
-    signed, sup = _theta_defect_extremes(params, lattice, 40)
+    signed, sup = theta_rate_error(params, lattice, 40)
     assert signed <= 1e-12
-    assert sup == pytest.approx(theta_rate_error(params, lattice, 40),
-                                abs=1e-13)
+    axis = np.arange(40) / 40
+    grid = np.stack([m.reshape(-1) for m in np.meshgrid(axis, axis,
+                                                        indexing="ij")],
+                    axis=-1)
+    defect = (-log_theta_grid(params, lattice.points, grid) / params.n
+              - cost_matrix(lattice.points, grid, "sqdist_torus"))
+    assert (signed, sup) == (defect.max(), np.abs(defect).max())
     with pytest.raises(ValueError, match="defect grid too large"):
-        _theta_defect_extremes(params, lattice, 160)
+        theta_rate_error(params, lattice, 160)

@@ -188,23 +188,23 @@ def test_w2_semidiscrete_refinement_decreases():
 
 
 def test_cyclical_monotonicity_detects_crossing():
-    good = [(np.array([0.0]), np.array([0.0])),
-            (np.array([1.0]), np.array([1.0]))]
-    ok, witness = cyclical_monotonicity_check(good)
-    assert ok and witness is None
-    crossed = [(np.array([0.0]), np.array([1.0])),
-               (np.array([1.0]), np.array([0.0]))]
-    ok, witness = cyclical_monotonicity_check(crossed)
-    assert not ok and witness is not None
+    xs = np.array([[0.0], [1.0]])
+    for cost in ("neg_inner", "sqdist_euclid"):
+        costs = cost_matrix(xs, xs, cost)
+        ok, witness = cyclical_monotonicity_check(costs, [0, 1], [0, 1])
+        assert ok and witness is None
+        ok, witness = cyclical_monotonicity_check(costs, [0, 1], [1, 0])
+        assert not ok and witness == [0, 1]
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0),
                 min_size=3, max_size=6, unique=True))
 @settings(max_examples=40, deadline=None)
 def test_monotone_pairs_always_pass(xs):
-    xs = sorted(xs)
-    pairs = [(np.array([x]), np.array([x + 0.5])) for x in xs]
-    ok, _ = cyclical_monotonicity_check(pairs)
+    xs = np.sort(np.array(xs))[:, None]
+    costs = cost_matrix(xs, xs + 0.5, "neg_inner")
+    index = list(range(len(xs)))
+    ok, _ = cyclical_monotonicity_check(costs, index, index)
     assert ok
 
 
