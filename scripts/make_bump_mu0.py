@@ -29,7 +29,7 @@ def main() -> int:
     xs = np.arange(args.k) / args.k
     density = (1.0 + args.a * np.cos(2.0 * np.pi * xs)
                + args.b * np.sin(4.0 * np.pi * xs))
-    measure = GridMeasure.from_density_values(density, kind="torus")
+    measure = GridMeasure.from_density_values(density)
     save_csv(measure, args.out)
     print(f"wrote k={args.k} torus density to {args.out}")
     return 0

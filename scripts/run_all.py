@@ -31,7 +31,7 @@ def write_fixtures(root: Path, seed: int) -> dict:
     xs = np.arange(k) / k
     density = 1.0 + 0.4 * np.cos(2.0 * np.pi * xs) + 0.15 * np.sin(4.0 * np.pi * xs)
     bump_path = root / "bump_mu0.csv"
-    save_csv(GridMeasure.from_density_values(density, kind="torus"), bump_path)
+    save_csv(GridMeasure.from_density_values(density), bump_path)
     return {
         "ot": {"mu": str(mu_path), "nu": str(nu_path)},
         "solve-ma": {"beta": "1.0", "mu0": str(bump_path), "k": str(k)},

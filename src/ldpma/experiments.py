@@ -49,11 +49,9 @@ from .monge_ampere import (
     MasterParams,
     SolverError,
     f_functional,
-    f_gradient_residual,
-    j_functional,
+    gprop_consistency,
     ma_operator,
     solve_master,
-    w2_to_reference,
 )
 from .torus_theta import ThetaParams, TorusLattice, theta_rate_error
 from .transport import (
@@ -417,7 +415,7 @@ def _run_verify_hamiltonian(params: dict, seed: int) -> ExperimentResult:
 def _load_torus_grid(spec: str, dim: int, resolution: int) -> GridMeasure:
     if spec == "uniform":
         return GridMeasure.uniform(dim=dim, resolution=resolution)
-    return load_grid_csv(spec, kind="torus")
+    return load_grid_csv(spec)
 
 
 def _run_gibbs_ldp(params: dict, seed: int) -> ExperimentResult:
@@ -426,8 +424,6 @@ def _run_gibbs_ldp(params: dict, seed: int) -> ExperimentResult:
     mu0 = _load_torus_grid(params["mu0"], dim, n * refine)
     betas = sorted(set(params["betas"]))
     radius = params["radius"]
-    if params["center_res"] < 1:
-        raise ValueError("center_res must be >= 1")
     if not radius > 0.0:
         raise ValueError("radius must be > 0")
 
@@ -448,7 +444,7 @@ def _run_gibbs_ldp(params: dict, seed: int) -> ExperimentResult:
     rows = []
     for beta in betas:
         ens = GibbsEnsemble(beta=beta, n=n, d=dim, mu0=mu0,
-                            kind=PERMANENTAL, backend="exact",
+                            kind=PERMANENTAL,
                             site_refinement=refine)
         est = local_rate(ens, center, radius)
         rows.append((beta, n, ens.site_count, radius, est.prob, est.value,
@@ -466,7 +462,7 @@ def _run_gibbs_ldp(params: dict, seed: int) -> ExperimentResult:
             ens = GibbsEnsemble(beta=beta, n=pn, d=dim,
                                 mu0=_load_torus_grid(params["mu0"], dim,
                                                      pn * refine),
-                                kind=PERMANENTAL, backend="exact",
+                                kind=PERMANENTAL,
                                 site_refinement=refine)
             value = gibbs_exact(ens).log_partition / pn ** dim
             scaled.append((pn, value))
@@ -757,12 +753,12 @@ def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
     if params["mu0"] == "uniform":
         mu0 = GridMeasure.uniform(dim=dim, resolution=params["k"])
     else:
-        mu0 = load_grid_csv(params["mu0"], kind="torus")
+        mu0 = load_grid_csv(params["mu0"])
         if params["k"] != mu0.resolution:
             raise ValueError("k must match the mu0 grid resolution")
     nu = None
     if params["nu"] != "uniform":
-        nu = load_grid_csv(params["nu"], kind="torus")
+        nu = load_grid_csv(params["nu"])
     mp = MasterParams(beta=params["beta"], mu0=mu0, nu=nu,
                       damping=params["damping"],
                       max_iter=params["max_iter"],
@@ -801,13 +797,11 @@ def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
         return ExperimentResult(table=table, checks=tuple(checks),
                                 artifacts=tuple(artifacts))
 
-    residual = f_gradient_residual(phi, mp)
+    report = gprop_consistency(mp, probes=0, phi_min=phi)
+    residual, bracket = report.residual_tv, abs(report.bracket_gap)
     free_energy = f_functional(phi, mp)
     constant = mp.beta * free_energy
     push = ma_operator(phi, mp.nu)
-    pairing = float(np.sum(phi.f.values.reshape(-1) * push.masses()))
-    bracket = abs(w2_to_reference(push, mp.nu)
-                  + j_functional(phi, mp.nu) + pairing)
 
     nodes = phi.f.nodes()
     flat = phi.f.values.reshape(-1)
@@ -873,7 +867,7 @@ def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
 def _load_measure_csv(path: str) -> DiscreteMeasure:
     """Load a measure file as atoms; torus grids are read at their nodes."""
     try:
-        grid = load_grid_csv(path, kind="torus")
+        grid = load_grid_csv(path)
     except (ValueError, KeyError):
         return load_discrete_csv(path)
     return DiscreteMeasure(
@@ -1000,21 +994,21 @@ _register(ExperimentSpec(
     name="gibbs-ldp",
     summary="exact Gibbs concentration around the rate minimizer",
     params=(
-        ParamSpec("n", "2", _parse_int, "per-axis particle count"),
+        ParamSpec("n", "2", _parse_count, "per-axis particle count"),
         ParamSpec("d", "1", _parse_int, "torus dimension"),
-        ParamSpec("refine", "4", _parse_int, "sites per lattice cell axis"),
+        ParamSpec("refine", "4", _parse_count, "sites per lattice cell axis"),
         ParamSpec("betas", "0,1000,10000,100000,300000", _parse_float_list,
                   "inverse temperatures; the n=2 energy spread is about "
                   "2e-4, so concentration needs beta near 1e5"),
         ParamSpec("radius", "0.15", _parse_float,
                   "transport-distance ball radius"),
-        ParamSpec("center_res", "64", _parse_int,
+        ParamSpec("center_res", "64", _parse_count,
                   "atoms per axis for the uniform ball center"),
         ParamSpec("mu0", "uniform", _parse_str,
                   "base measure: uniform or a torus grid CSV path"),
         ParamSpec("partition_betas", "1,2", _parse_float_list,
                   "inverse temperatures for the partition sweep"),
-        ParamSpec("partition_n", "2,4", _parse_int_list,
+        ParamSpec("partition_n", "2,4", _parse_count_list,
                   "per-axis counts for the partition sweep"),
     ),
     claims=("gibbs-concentration", "partition-growth-bound"),
@@ -1057,10 +1051,10 @@ _register(ExperimentSpec(
                   "atom weights, normalized internally"),
         ParamSpec("t_lo", "-4.05", _parse_float, "lower end of the t window"),
         ParamSpec("t_hi", "3.95", _parse_float, "upper end of the t window"),
-        ParamSpec("t_res", "80", _parse_int, "t nodes (0 must be a node)"),
+        ParamSpec("t_res", "80", _parse_count, "t nodes (0 must be a node)"),
         ParamSpec("pad", "0.5", _parse_float,
                   "dual window margin beyond the atom range"),
-        ParamSpec("x_res", "161", _parse_int, "dual grid resolution"),
+        ParamSpec("x_res", "161", _parse_count, "dual grid resolution"),
     ),
     claims=("cramer-rate-nonneg", "cramer-zero-at-mean"),
     tolerances={
@@ -1074,10 +1068,10 @@ _register(ExperimentSpec(
     name="zero-temp-mgf",
     summary="scaled log moment functional against its conjugate target",
     params=(
-        ParamSpec("n", "8,16,32", _parse_int_list,
+        ParamSpec("n", "8,16,32", _parse_count_list,
                   "lattice sharpness sweep"),
-        ParamSpec("k", "64", _parse_int, "test-function grid resolution"),
-        ParamSpec("quad", "512", _parse_int, "quadrature resolution"),
+        ParamSpec("k", "64", _parse_count, "test-function grid resolution"),
+        ParamSpec("quad", "512", _parse_count, "quadrature resolution"),
         ParamSpec("d", "1", _parse_int, "torus dimension (1 only)"),
         ParamSpec("mu0", "uniform", _parse_str,
                   "base measure: uniform or a torus grid CSV path"),
@@ -1099,7 +1093,7 @@ _register(ExperimentSpec(
         ParamSpec("beta", "0.0", _parse_float, "inverse temperature"),
         ParamSpec("mu0", "uniform", _parse_str,
                   "base measure: uniform or a torus grid CSV path"),
-        ParamSpec("k", "64", _parse_int, "torus grid resolution"),
+        ParamSpec("k", "64", _parse_count, "torus grid resolution"),
         ParamSpec("nu", "uniform", _parse_str,
                   "reference measure: uniform or a torus grid CSV path"),
         ParamSpec("d", "1", _parse_int, "torus dimension"),

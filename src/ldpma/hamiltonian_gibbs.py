@@ -11,10 +11,11 @@ by at most (1/n) log N!. Normalized by the particle count, H_n/N tracks
 the squared Wasserstein distance from the lattice to the configuration.
 
 The Gibbs ensemble at inverse temperature beta weights configurations by
-e^{-beta H} against mu0^(x)N. Two backends realize it: exact enumeration
-over a site discretization (the n-lattice refined by an integer factor, so
-every lattice point is a representable site) and a Metropolis chain. Rate
-estimates read off -(1/r_n) log(ball probability) with r_n = n^d.
+e^{-beta H} against mu0^(x)N. `gibbs_exact` enumerates it over a site
+discretization (the n-lattice refined by an integer factor, so every
+lattice point is a representable site), up to EXACT_TABLE_MAX site tuples;
+`gibbs_mcmc` samples it with a Metropolis chain. Rate estimates read off
+-(1/r_n) log(ball probability) with r_n = n^d.
 """
 
 from __future__ import annotations
@@ -207,9 +208,10 @@ class GibbsEnsemble:
     """Configuration law e^{-beta H} mu0^(x)N / Z on the torus.
 
     beta = n is the zero-temperature regime where the partition function
-    collapses to a product formula. The exact backend enumerates site
-    tuples on the refined lattice (refinement s keeps the lattice points
-    representable); the mcmc backend runs a Metropolis chain.
+    collapses to a product formula. The sites are the n-lattice refined by
+    site_refinement per axis (so the lattice points are representable);
+    `gibbs_exact` and `local_rate` enumerate tuples of them, and refuse
+    ensembles whose table exceeds EXACT_TABLE_MAX tuples.
     """
 
     beta: float
@@ -217,27 +219,17 @@ class GibbsEnsemble:
     d: int
     mu0: GridMeasure
     kind: HamiltonianKind
-    backend: str = "exact"
     site_refinement: int = 4
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1 or self.d > 2:
             raise ValueError("need n >= 1 and d in {1, 2}")
-        if self.backend not in ("exact", "mcmc"):
-            raise ValueError("backend must be 'exact' or 'mcmc'")
         if self.mu0.dim != self.d:
             raise ValueError("mu0 dimension does not match the ensemble")
-        if self.mu0.kind != "torus":
-            raise ValueError("ensembles live on the torus")
         if not self.mu0.is_probability:
             raise ValueError("mu0 must be a probability measure")
         if self.site_refinement < 1:
             raise ValueError("site refinement must be >= 1")
-        if self.backend == "exact":
-            if self.site_count ** self.particle_count > EXACT_TABLE_MAX:
-                raise ValueError(
-                    "exact table too large; use the mcmc backend"
-                )
 
     @property
     def particle_count(self) -> int:
@@ -351,9 +343,12 @@ def gibbs_exact(ensemble: GibbsEnsemble) -> GibbsTable:
 
     Each tuple carries e^{-beta H} times the product of its site masses;
     the table is normalized and its total checked against 1 to 1e-12.
+    Tables of more than EXACT_TABLE_MAX tuples are refused.
     """
-    if ensemble.backend != "exact":
-        raise ValueError("exact table needs the exact backend; use gibbs_mcmc")
+    tuples = ensemble.site_count ** ensemble.particle_count
+    if tuples > EXACT_TABLE_MAX:
+        raise ValueError(f"exact table of {tuples} site tuples exceeds "
+                         f"EXACT_TABLE_MAX = {EXACT_TABLE_MAX}")
     sites = ensemble.site_points()
     log_w = ensemble.site_log_weights()
     log_phi = _site_log_phi(ensemble, sites)
@@ -553,10 +548,8 @@ def local_rate(ensemble: GibbsEnsemble, center: DiscreteMeasure,
     sum_j nu_j min_i c(x_i, y_j) exceeds r^2 + 1e-9, and certain when the
     product coupling costs below r^2 - 1e-9; only groups in between solve
     the LP. Member masses are added in group order. Zero mass reports
-    value +inf.
+    value +inf. The table comes from `gibbs_exact`, whose cap applies.
     """
-    if ensemble.backend != "exact":
-        raise ValueError("local rates need the exact backend")
     table = gibbs_exact(ensemble)
     nn = ensemble.particle_count
     keys, masses = map(np.array, zip(*table.grouped()))
@@ -649,8 +642,8 @@ def zero_temp_mgf(theta: GridFunction, n: int, d: int, mu0: GridMeasure,
         raise ValueError("theta must live on the d-torus chart")
     if theta.finite_count() != theta.values.size:
         raise ValueError("theta must be finite everywhere")
-    if mu0.dim != d or mu0.kind != "torus":
-        raise ValueError("mu0 must be a torus grid measure of dimension d")
+    if mu0.dim != d:
+        raise ValueError("mu0 must be a grid measure of dimension d")
     lattice = TorusLattice(n=n, d=d)
     params = ThetaParams(n=n)
 

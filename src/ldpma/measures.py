@@ -5,8 +5,8 @@ This module provides:
 - ``Domain``: where a measure lives (unit torus, box, or finite alphabet).
 - ``DiscreteMeasure``: weighted atoms; carries empirical measures and
   Gibbs marginals.
-- ``GridMeasure``: a density sampled on a regular grid of cells; carries
-  reference densities and transport-operator images.
+- ``GridMeasure``: a density on the regular grid of cells that tiles the
+  unit torus; carries reference densities and transport-operator images.
 - ``EmpiricalConfig``: an ordered particle configuration.
 - ``empirical``: the configuration -> uniform-atom measure map.
 - ``entropy``: relative entropy of one measure against a reference.
@@ -89,11 +89,6 @@ class Domain:
 
 def torus_domain(dim: int) -> Domain:
     return Domain(kind="torus", dim=dim)
-
-
-def box_domain(bounds: Sequence[Sequence[float]]) -> Domain:
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    return Domain(kind="box", dim=len(bounds), bounds=bounds)
 
 
 def alphabet_domain(size: int) -> Domain:
@@ -243,7 +238,7 @@ def empirical(config: EmpiricalConfig) -> DiscreteMeasure:
 
 @dataclass(frozen=True, eq=False)
 class GridMeasure:
-    """A density sampled on a regular grid of cells.
+    """A density on the regular grid of cells tiling the torus [0,1)^dim.
 
     The mass of a cell is density * cell volume; quadrature is the cell
     midpoint rule throughout.
@@ -255,10 +250,6 @@ class GridMeasure:
         Cells per axis.
     density : np.ndarray
         Shape (resolution,) * dim, nonnegative.
-    kind : str
-        ``"torus"`` (cells tile [0,1)^d) or ``"box"``.
-    bounds : tuple of (float, float), optional
-        Per-axis intervals for boxes; the torus fixes ((0,1),)*dim.
     is_probability : bool
         When True the total mass must be 1 within 1e-10.
     """
@@ -266,13 +257,9 @@ class GridMeasure:
     dim: int
     resolution: int
     density: np.ndarray
-    kind: str = "torus"
-    bounds: tuple = ()
     is_probability: bool = True
 
     def __post_init__(self):
-        if self.kind not in ("torus", "box"):
-            raise ValueError("grid measures live on a torus or a box")
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
         density = np.asarray(self.density, dtype=float)
@@ -281,15 +268,7 @@ class GridMeasure:
             raise ValueError(f"density shape {density.shape} != {expected}")
         if np.any(density < 0):
             raise ValueError("density must be nonnegative")
-        bounds = self.bounds
-        if self.kind == "torus":
-            bounds = tuple((0.0, 1.0) for _ in range(self.dim))
-        else:
-            bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-            if len(bounds) != self.dim:
-                raise ValueError("box grid needs one (lo, hi) pair per axis")
         object.__setattr__(self, "density", density)
-        object.__setattr__(self, "bounds", bounds)
         if self.is_probability:
             total = self.total_mass()
             if abs(total - 1.0) > PROBABILITY_TOL_GRID:
@@ -298,53 +277,36 @@ class GridMeasure:
     # ---- constructors ----
 
     @staticmethod
-    def uniform(dim: int, resolution: int, kind: str = "torus",
-                bounds: tuple = ()) -> "GridMeasure":
-        if kind == "torus":
-            volume = 1.0
-        else:
-            volume = 1.0
-            for lo, hi in bounds:
-                volume *= hi - lo
-        density = np.full((resolution,) * dim, 1.0 / volume)
-        return GridMeasure(dim=dim, resolution=resolution, density=density,
-                           kind=kind, bounds=bounds)
+    def uniform(dim: int, resolution: int) -> "GridMeasure":
+        return GridMeasure(dim=dim, resolution=resolution,
+                           density=np.full((resolution,) * dim, 1.0))
 
     @staticmethod
-    def from_density_values(values: np.ndarray, kind: str = "torus",
-                            bounds: tuple = (),
+    def from_density_values(values: np.ndarray,
                             normalize: bool = True) -> "GridMeasure":
         """Build a probability grid measure from raw nonnegative values."""
         values = np.asarray(values, dtype=float)
         dim = values.ndim
         resolution = values.shape[0]
         measure = GridMeasure(dim=dim, resolution=resolution, density=values,
-                              kind=kind, bounds=bounds, is_probability=False)
+                              is_probability=False)
         if not normalize:
             return measure
         total = measure.total_mass()
         if total <= 0:
             raise ValueError("cannot normalize a zero measure")
         return GridMeasure(dim=dim, resolution=resolution,
-                           density=values / total, kind=kind, bounds=bounds)
+                           density=values / total)
 
     # ---- geometry ----
 
-    def steps(self) -> np.ndarray:
-        return np.array([(hi - lo) / self.resolution for lo, hi in self.bounds])
-
     def cell_volume(self) -> float:
-        return float(np.prod(self.steps()))
-
-    def axis_centers(self, axis: int) -> np.ndarray:
-        lo, hi = self.bounds[axis]
-        step = (hi - lo) / self.resolution
-        return lo + (np.arange(self.resolution) + 0.5) * step
+        return float(np.prod(np.full(self.dim, 1.0 / self.resolution)))
 
     def centers(self) -> np.ndarray:
         """All cell centers, shape (resolution**dim, dim), row-major order."""
-        axes = [self.axis_centers(a) for a in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        axis = (np.arange(self.resolution) + 0.5) * (1.0 / self.resolution)
+        mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
     # ---- mass ----
@@ -357,30 +319,19 @@ class GridMeasure:
         return float(np.sum(self.masses()))
 
     def cell_indices(self, points: np.ndarray) -> np.ndarray:
-        """(n, dim) cell multi-indices of n points; torus wraps.
+        """(n, dim) cell multi-indices of n points, wrapped onto the torus.
 
-        Each axis is searched against the float cell edges, so a point on a
-        left edge (j / resolution on the torus) lands in cell j; flooring
-        x / step can land one cell low.
+        Coordinates are searched against the float cell edges, so a point
+        on a left edge j / resolution lands in cell j; flooring x / step
+        can land one cell low.
         """
         points = np.asarray(points, dtype=float).reshape(-1, self.dim)
         k = self.resolution
-        idx = np.empty(points.shape, dtype=np.int64)
-        for a, (lo, hi) in enumerate(self.bounds):
-            edges = lo + (hi - lo) * (np.arange(k + 1) / k)
-            coords = points[:, a]
-            if self.kind == "torus":
-                cells = np.searchsorted(edges, coords % 1.0, side="right") - 1
-                idx[:, a] = cells % k
-            else:
-                if np.any((coords < lo) | (coords > hi)):
-                    raise ValueError(f"points outside box axis {a}")
-                cells = np.searchsorted(edges, coords, side="right") - 1
-                idx[:, a] = np.minimum(cells, k - 1)
-        return idx
+        edges = np.arange(k + 1) / k
+        return (np.searchsorted(edges, points % 1.0, side="right") - 1) % k
 
     def cell_index(self, point: np.ndarray) -> tuple:
-        """Multi-index of the cell containing a point; torus wraps."""
+        """Multi-index of the cell containing a point; the torus wraps."""
         return tuple(int(i) for i in self.cell_indices(point)[0])
 
     def density_at(self, point: np.ndarray) -> float:
@@ -398,8 +349,7 @@ MeasureLike = Union[DiscreteMeasure, GridMeasure]
 def _paired_masses(mu0: MeasureLike, nu: MeasureLike):
     """Aligned (reference, argument) mass vectors for entropy and friends."""
     if isinstance(mu0, GridMeasure) and isinstance(nu, GridMeasure):
-        if (mu0.dim, mu0.resolution, mu0.kind, mu0.bounds) != \
-           (nu.dim, nu.resolution, nu.kind, nu.bounds):
+        if (mu0.dim, mu0.resolution) != (nu.dim, nu.resolution):
             raise ValueError("grid measures live on different grids")
         return mu0.masses(), nu.masses()
     if isinstance(mu0, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
@@ -512,10 +462,10 @@ def load_discrete_csv(path, domain: Domain = None) -> DiscreteMeasure:
                            is_probability=abs(total - 1.0) <= PROBABILITY_TOL_DISCRETE)
 
 
-def load_grid_csv(path, kind: str = "torus", bounds: tuple = ()) -> GridMeasure:
+def load_grid_csv(path) -> GridMeasure:
     """Read cells written by :func:`save_csv` back as a GridMeasure.
 
-    The rows must cover a full regular grid in row-major order.
+    The rows must cover a full regular torus grid in row-major order.
     """
     coords, weights = _read_rows(path)
     dim = coords.shape[1]
@@ -523,13 +473,12 @@ def load_grid_csv(path, kind: str = "torus", bounds: tuple = ()) -> GridMeasure:
     resolution = round(cells ** (1.0 / dim))
     if resolution ** dim != cells:
         raise ValueError(f"{cells} rows do not form a cubic grid")
-    probe = GridMeasure.uniform(dim, resolution, kind=kind, bounds=bounds)
+    probe = GridMeasure.uniform(dim, resolution)
     if not np.allclose(probe.centers(), coords, atol=1e-9):
         raise ValueError("rows are not the cell centers of a regular grid")
     density = (weights / probe.cell_volume()).reshape((resolution,) * dim)
     total = float(np.sum(weights))
     return GridMeasure(dim=dim, resolution=resolution, density=density,
-                       kind=kind, bounds=bounds,
                        is_probability=abs(total - 1.0) <= PROBABILITY_TOL_GRID)
 
 

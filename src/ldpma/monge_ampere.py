@@ -12,6 +12,12 @@ wrap), each cell an interval whose nu-mass has a closed form. That keeps
 the master-equation residual at solver precision instead of at histogram
 granularity.
 
+The same scan gives the dual energy J_nu(f), the nu-integral of
+-min_x [d(x,y)^2 + f(x)], and its envelope identity dJ/df_i = -(MA_nu f)_i
+ties the two together; `_transport` returns both at once. The solver and
+its certificates read the tilt, the pushforward, J, the free energy and
+the residual of a potential from one evaluation of that scan.
+
 The master equation couples the operator to a Gibbs tilt,
 
     MA_nu f = e^{beta f} mu0 / integral(e^{beta f} mu0),
@@ -28,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -66,10 +72,6 @@ class Potential:
     @property
     def values(self) -> np.ndarray:
         return self.f.values
-
-    @property
-    def grid(self) -> GridFunction:
-        return self.f
 
 
 def _as_grid_function(theta: Union[Potential, GridFunction]) -> GridFunction:
@@ -188,8 +190,8 @@ def w2_circle(mu, nu) -> float:
     if not isinstance(nu, GridMeasure):
         return float(w2_circle_atoms(x, weights, nu.points.reshape(-1),
                                      nu.weights)[0])
-    if nu.dim != 1 or nu.kind != "torus":
-        raise ValueError("w2_circle needs a 1-d torus grid measure")
+    if nu.dim != 1:
+        raise ValueError("w2_circle needs a 1-d grid measure")
     k = nu.resolution
     masses = nu.masses() / nu.total_mass()
     keep = masses > 0.0
@@ -290,42 +292,71 @@ def _torus_subsample(nu: GridMeasure, r: int):
 
 def _torus_pair(theta: Union[Potential, GridFunction],
                 nu: GridMeasure) -> GridFunction:
-    """The potential's grid function, once both it and nu are on the torus."""
+    """The potential's grid function, once it lives on nu's torus."""
     f = _as_grid_function(theta)
     if f.kind != "torus":
         raise ValueError("the potential must live on the torus")
-    if nu.kind != "torus" or nu.dim != f.dim:
-        raise ValueError("nu must be a torus measure of matching dimension")
+    if nu.dim != f.dim:
+        raise ValueError("nu must be a measure of matching dimension")
     return f
+
+
+def _from_masses(masses: np.ndarray, dim: int, k: int) -> GridMeasure:
+    """The probability grid measure with these row-major cell masses."""
+    return GridMeasure(dim=dim, resolution=k,
+                       density=masses.reshape((k,) * dim) * (k ** dim))
+
+
+def _transport(f: GridFunction, nu: GridMeasure):
+    """(cell masses of MA_nu f, J_nu(f)) from one argmin scan.
+
+    d = 1: the exact power-diagram intervals. A cell's nu-mass is a
+    closed-form CDF difference; J integrates the piecewise-quadratic
+    integrand over each interval split at nu's cell edges (cubic
+    antiderivative per piece). d = 2: nu cells are subsampled at 3^d
+    symmetric points each and every subpoint goes to its argmin node (mass
+    quantum cellmass/3^d; the subsampling keeps the assignment responsive
+    to sub-cell boundary moves, which the descent solver needs). J is the
+    same quadrature of the scanned minimum, so dJ/df_i = -mass_i holds at
+    quadrature level.
+    """
+    k = f.resolution
+    masses = np.zeros(k ** f.dim)
+    if f.dim != 1:
+        pts, weights = _torus_subsample(nu, D2_SUBSAMPLE)
+        vals, owners = _lifted_conjugate_scan(f, pts)
+        np.add.at(masses, owners, weights)
+        return masses, float(np.sum(-vals * weights))
+    values = f.values.reshape(-1)
+    node_idx, sites, lows, highs = _power_cells_1d(values)
+    np.add.at(masses, node_idx, _cdf_eval(nu, highs) - _cdf_eval(nu, lows))
+    total = 0.0
+    kn = nu.resolution
+    nu_masses = nu.masses()
+    for node, site, lo, hi in zip(node_idx, sites, lows, highs):
+        # split [lo, hi) at nu cell edges; density constant per piece
+        first = int(math.floor(lo * kn))
+        last = min(int(math.ceil(hi * kn)), kn)
+        edges = [lo] + [e / kn for e in range(first + 1, last)
+                        if lo < e / kn < hi] + [hi]
+        for a, b in zip(edges[:-1], edges[1:]):
+            cell = min(int((0.5 * (a + b)) * kn), kn - 1)
+            rho = nu_masses[cell] * kn  # density on the piece
+            integral = ((b - site) ** 3 - (a - site) ** 3) / 3.0
+            total += rho * integral + rho * (b - a) * values[node]
+    return masses, -total
 
 
 def ma_operator(theta: Union[Potential, GridFunction],
                 nu: GridMeasure) -> GridMeasure:
     """Pushforward of nu under the transport map of the potential.
 
-    Torus, d = 1: exact power-diagram intervals, nu-masses by closed-form
-    CDF differences (no histogram granularity). Torus, d = 2: nu cells are
-    subsampled at 3^d symmetric points each, every subpoint assigned to
-    its argmin node (mass quantum cellmass/3^d; the subsampling keeps the
-    assignment responsive to sub-cell boundary moves, which the descent
-    solver needs).
-
-    The output lives on the potential's grid and carries total mass 1.
+    The cell masses come from the scan of :func:`_transport`: exact in
+    d = 1, a subsampled cell quadrature in d = 2. The output lives on the
+    potential's grid and carries total mass 1.
     """
     f = _torus_pair(theta, nu)
-    k = f.resolution
-    if f.dim == 1:
-        node_idx, _, lows, highs = _power_cells_1d(f.values.reshape(-1))
-        cell_mass = _cdf_eval(nu, highs) - _cdf_eval(nu, lows)
-        masses = np.zeros(k)
-        np.add.at(masses, node_idx, cell_mass)
-    else:
-        pts, weights = _torus_subsample(nu, D2_SUBSAMPLE)
-        _, owners = _lifted_conjugate_scan(f, pts)
-        masses = np.zeros(k ** f.dim)
-        np.add.at(masses, owners, weights)
-    density = masses.reshape((k,) * f.dim) * (k ** f.dim)
-    return GridMeasure(dim=f.dim, resolution=k, density=density, kind="torus")
+    return _from_masses(_transport(f, nu)[0], f.dim, f.resolution)
 
 
 def transport_map_1d(theta: Union[Potential, GridFunction],
@@ -348,39 +379,12 @@ def j_functional(theta: Union[Potential, GridFunction],
                  nu: GridMeasure) -> float:
     """Dual-side potential energy.
 
-    The integral of g_f(y) = -min_x [d(x,y)^2 + f(x)] against nu: exact in
-    d = 1 (piecewise-quadratic integrand over power cells, cubic
-    antiderivative per nu cell), the same subsampled cell quadrature as
-    ma_operator in d = 2 (so dJ/dtheta_i = -mass_i holds at quadrature
-    level). Adding a constant c to the potential lowers the value by
-    exactly c.
+    The integral of g_f(y) = -min_x [d(x,y)^2 + f(x)] against nu, from the
+    same scan as :func:`ma_operator` (see :func:`_transport`), so that
+    dJ/dtheta_i = -(MA_nu theta)_i. Adding a constant c to the potential
+    lowers the value by exactly c.
     """
-    f = _torus_pair(theta, nu)
-    if f.dim == 1:
-        return _j_exact_1d(f, nu)
-    pts, weights = _torus_subsample(nu, D2_SUBSAMPLE)
-    vals, _ = _lifted_conjugate_scan(f, pts)
-    return float(np.sum(-vals * weights))
-
-
-def _j_exact_1d(f: GridFunction, nu: GridMeasure) -> float:
-    values = f.values.reshape(-1)
-    node_idx, sites, lows, highs = _power_cells_1d(values)
-    total = 0.0
-    kn = nu.resolution
-    nu_masses = nu.masses()
-    for node, site, lo, hi in zip(node_idx, sites, lows, highs):
-        # split [lo, hi) at nu cell edges; density constant per piece
-        first = int(math.floor(lo * kn))
-        last = min(int(math.ceil(hi * kn)), kn)
-        edges = [lo] + [e / kn for e in range(first + 1, last)
-                        if lo < e / kn < hi] + [hi]
-        for a, b in zip(edges[:-1], edges[1:]):
-            cell = min(int((0.5 * (a + b)) * kn), kn - 1)
-            rho = nu_masses[cell] * kn  # density on the piece
-            integral = ((b - site) ** 3 - (a - site) ** 3) / 3.0
-            total += rho * integral + rho * (b - a) * values[node]
-    return -total
+    return _transport(_torus_pair(theta, nu), nu)[1]
 
 
 def tilt_measure(theta: Union[Potential, GridFunction],
@@ -395,11 +399,7 @@ def tilt_measure(theta: Union[Potential, GridFunction],
     total = raw.sum()
     if total <= 0.0:
         raise ValueError("tilt has no mass; mu0 vanishes everywhere relevant")
-    masses = raw / total
-    density = masses.reshape(mu0.density.shape) * (mu0.resolution ** mu0.dim)
-    return GridMeasure(dim=mu0.dim, resolution=mu0.resolution, density=density,
-                       kind=mu0.kind,
-                       bounds=mu0.bounds if mu0.kind == "box" else ())
+    return _from_masses(raw / total, mu0.dim, mu0.resolution)
 
 
 @dataclass(frozen=True)
@@ -421,8 +421,6 @@ class MasterParams:
     scheme: str = "auto"
 
     def __post_init__(self):
-        if self.mu0.kind != "torus":
-            raise ValueError("the master equation is posed on the torus")
         if not self.mu0.is_probability:
             raise ValueError("mu0 must be a probability measure")
         nu = self.nu
@@ -430,8 +428,7 @@ class MasterParams:
             nu = GridMeasure.uniform(dim=self.mu0.dim,
                                      resolution=self.mu0.resolution)
             object.__setattr__(self, "nu", nu)
-        if (nu.kind, nu.dim, nu.resolution) != ("torus", self.mu0.dim,
-                                                self.mu0.resolution):
+        if (nu.dim, nu.resolution) != (self.mu0.dim, self.mu0.resolution):
             raise ValueError("mu0 and nu must share one torus grid")
         if not nu.is_probability:
             raise ValueError("nu must be a probability measure")
@@ -454,6 +451,32 @@ class MasterParams:
         return "cells" if self.dim == 1 else "descent"
 
 
+class _Evaluation(NamedTuple):
+    """What the solver and its certificates read off one potential."""
+
+    tilt: np.ndarray  # cell masses of the Gibbs tilt
+    push: GridMeasure  # MA_nu theta
+    j: float  # J_nu(theta)
+    free_energy: float
+    residual: float  # TV norm of tilt - push
+
+
+def _evaluate(theta: Union[Potential, GridFunction],
+              params: MasterParams) -> _Evaluation:
+    """Tilt, pushforward, J, free energy and residual from one scan."""
+    f = _torus_pair(theta, params.nu)
+    tilt = tilt_measure(f, params.beta, params.mu0).masses()
+    push_masses, j = _transport(f, params.nu)
+    push = _from_masses(push_masses, f.dim, f.resolution)
+    flat = f.values.reshape(-1)
+    if params.beta == 0.0:
+        free_energy = float(np.sum(flat * params.mu0.masses())) + j
+    else:
+        free_energy = log_mgf(params.mu0, params.beta * flat) / params.beta + j
+    return _Evaluation(tilt=tilt, push=push, j=j, free_energy=free_energy,
+                       residual=float(np.sum(np.abs(tilt - push.masses()))))
+
+
 def f_functional(theta: Union[Potential, GridFunction],
                  params: MasterParams) -> float:
     """(1/beta) log integral(e^{beta theta} mu0) + J_nu(theta).
@@ -461,12 +484,7 @@ def f_functional(theta: Union[Potential, GridFunction],
     At beta = 0 the first term degenerates to its derivative limit, the
     plain mu0-average of theta. Invariant under adding constants to theta.
     """
-    f = _as_grid_function(theta)
-    j = j_functional(f, params.nu)
-    if params.beta == 0.0:
-        mean = float(np.sum(f.values.reshape(-1) * params.mu0.masses()))
-        return mean + j
-    return log_mgf(params.mu0, params.beta * f.values.reshape(-1)) / params.beta + j
+    return _evaluate(theta, params).free_energy
 
 
 def f_gradient_residual(theta: Union[Potential, GridFunction],
@@ -477,10 +495,7 @@ def f_gradient_residual(theta: Union[Potential, GridFunction],
     master equation says it vanishes. The norm is the full absolute mass
     of the difference (not halved).
     """
-    f = _as_grid_function(theta)
-    tilt = tilt_measure(f, params.beta, params.mu0)
-    ma = ma_operator(f, params.nu)
-    return float(np.sum(np.abs(tilt.masses() - ma.masses())))
+    return _evaluate(theta, params).residual
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +593,11 @@ def solve_master(params: MasterParams,
     The cells scheme (1-d) alternates the Gibbs tilt with an exact power
     cell inversion, damped and backtracked so the free energy does not
     increase; the descent scheme steps against the smoothed density
-    mismatch. Output is mean-zero under nu and carries the iteration log
-    as (iteration, residual, free energy, step) tuples. Non-convergence
-    raises :class:`SolverError` with the residual trace.
+    mismatch. Each trial potential is evaluated once, and the accepted
+    trial's tilt and pushforward seed the next iteration. Output is
+    mean-zero under nu and carries the iteration log as (iteration,
+    residual, free energy, step) tuples. Non-convergence raises
+    :class:`SolverError` with the residual trace.
     """
     k = params.resolution
     if initial is None:
@@ -594,16 +611,15 @@ def solve_master(params: MasterParams,
         raise ValueError("the cells scheme is 1-d only")
 
     log = []
-    residual = f_gradient_residual(current, params)
-    f_value = f_functional(current, params)
+    ev = _evaluate(current, params)
+    residual, f_value = ev.residual, ev.free_energy
     best_residual, best_iter = residual, 0
     for it in range(params.max_iter):
         log.append((it, residual, f_value, params.damping))
         if residual <= params.residual_tol:
             return dataclasses.replace(current, log=tuple(log))
 
-        tilt = tilt_measure(current, params.beta, params.mu0).masses()
-        ma = ma_operator(current, params.nu).masses()
+        tilt, ma = ev.tilt, ev.push.masses()
         step = params.damping
         improved = None
         for _ in range(40):
@@ -621,8 +637,8 @@ def solve_master(params: MasterParams,
                     dim=params.dim, resolution=k,
                     values=current.values - step * lift, kind="torus")
             trial = normalize_potential(trial_f, params.nu)
-            trial_res = f_gradient_residual(trial, params)
-            trial_val = f_functional(trial, params)
+            trial_ev = _evaluate(trial, params)
+            trial_res, trial_val = trial_ev.residual, trial_ev.free_energy
             if scheme == "cells":
                 accept = trial_res <= residual or trial_val <= f_value + 1e-15
             else:
@@ -630,7 +646,7 @@ def solve_master(params: MasterParams,
                 # too flat to arbitrate; insist on residual progress
                 accept = trial_res <= residual
             if accept:
-                improved = (trial, trial_res, trial_val)
+                improved = (trial, trial_ev)
                 break
             step *= 0.5
         if improved is None:
@@ -642,7 +658,8 @@ def solve_master(params: MasterParams,
                             f"residuals much below {floor:.2f}, raise "
                             f"residual_tol or D2_SUBSAMPLE")
             raise SolverError(message, [r for _, r, _, _ in log])
-        current, residual, f_value = improved
+        current, ev = improved
+        residual, f_value = ev.residual, ev.free_energy
         if residual < best_residual * (1.0 - 1e-6):
             best_residual, best_iter = residual, it + 1
         elif scheme == "descent" and it + 1 - best_iter >= 40:
@@ -700,8 +717,7 @@ def _as_grid_measure(mu, like: GridMeasure) -> GridMeasure:
                          minlength=like.resolution ** like.dim)
     density = masses.reshape(like.density.shape) / like.cell_volume()
     return GridMeasure(dim=like.dim, resolution=like.resolution,
-                       density=density, kind=like.kind,
-                       bounds=like.bounds if like.kind == "box" else (),
+                       density=density,
                        is_probability=mu.total_mass() > 1.0 - 1e-9)
 
 
@@ -774,19 +790,18 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
     bracket W2^2 + J + <f, mu> at the fixed point (zero exactly at the
     minimizer); the entropy duality gap Ent - (beta <phi, mu> - I(beta
     phi)); and a probe sweep showing the rate function is strictly larger
-    at perturbed measures. The rate function's constant beta F(phi_min) is
-    computed once for the minimiser and every probe.
+    at perturbed measures. One evaluation of phi_min gives mu_min, the
+    residual, J and the rate function's constant beta F(phi_min), shared
+    by the minimiser and every probe.
     """
     if phi_min is None:
         phi_min = solve_master(params)
-    mu_min = ma_operator(phi_min, params.nu)
-
-    residual_tv = f_gradient_residual(phi_min, params)
+    ev = _evaluate(phi_min, params)
+    mu_min = ev.push
 
     w2 = w2_to_reference(mu_min, params.nu)
-    j = j_functional(phi_min, params.nu)
     pairing = float(np.sum(phi_min.values.reshape(-1) * mu_min.masses()))
-    bracket_gap = w2 + j + pairing
+    bracket_gap = w2 + ev.j + pairing
 
     ent = entropy(params.mu0, mu_min)
     if params.beta == 0.0:
@@ -795,7 +810,7 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
         i_term = log_mgf(params.mu0, params.beta * phi_min.values.reshape(-1))
     entropy_gap = ent - (params.beta * pairing - i_term)
 
-    constant = params.beta * f_functional(phi_min, params)
+    constant = params.beta * ev.free_energy
     rate_min = _rate_value(mu_min, params, constant).value
 
     rng = np.random.default_rng(seed)
@@ -805,11 +820,9 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
         bump = rng.normal(0.0, 0.35, size=(k,) * params.dim)
         masses = mu_min.masses() * np.exp(bump.reshape(-1))
         masses = masses / masses.sum()
-        probe = GridMeasure(dim=params.dim, resolution=k,
-                            density=masses.reshape((k,) * params.dim)
-                            * (k ** params.dim), kind="torus")
+        probe = _from_masses(masses, params.dim, k)
         best = min(best, _rate_value(probe, params, constant).value)
-    return ConsistencyReport(beta=params.beta, residual_tv=residual_tv,
+    return ConsistencyReport(beta=params.beta, residual_tv=ev.residual,
                              bracket_gap=bracket_gap, entropy_gap=entropy_gap,
                              rate_at_minimizer=rate_min,
                              min_probe_value=best, probes=probes,

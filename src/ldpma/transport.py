@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .legendre import GridFunction, conjugate_at, interpolate_at
-from .measures import DiscreteMeasure, GridMeasure
+from .measures import DiscreteMeasure, GridMeasure, torus_domain
 
 MARGINAL_TOL = 1e-10
 BRUTE_FORCE_MAX = 9
@@ -278,29 +278,21 @@ def w2_circle_atoms(points: np.ndarray, weights: np.ndarray,
 def w2_semidiscrete(nu: GridMeasure, mu: DiscreteMeasure) -> float:
     """Squared Wasserstein distance from a grid density to a discrete measure.
 
-    Each grid cell becomes an atom at its center carrying the cell mass and
-    the instance is handed to the coupling LP. The midpoint atomization
+    Each torus grid cell becomes an atom at its center carrying the cell
+    mass and the instance is handed to the coupling LP under the squared
+    torus distance. The midpoint atomization
     carries an O(step) bias that vanishes under grid refinement.
     """
     cells = nu.resolution ** nu.dim
     if cells > SEMIDISCRETE_CELL_MAX:
         raise ValueError("grid too fine; use a coarser grid")
-    cost_name = "sqdist_torus" if nu.kind == "torus" else "sqdist_euclid"
     nu_atoms = DiscreteMeasure(
         points=nu.centers(), weights=nu.masses(),
-        domain=_grid_domain(nu), is_probability=nu.is_probability,
+        domain=torus_domain(nu.dim), is_probability=nu.is_probability,
     )
-    costs = cost_matrix(nu_atoms.points, mu.points, cost_name)
+    costs = cost_matrix(nu_atoms.points, mu.points, "sqdist_torus")
     plan = kantorovich_lp(nu_atoms, mu, costs)
     return plan.objective(costs)
-
-
-def _grid_domain(nu: GridMeasure):
-    from .measures import box_domain, torus_domain
-
-    if nu.kind == "torus":
-        return torus_domain(nu.dim)
-    return box_domain(nu.bounds)
 
 
 # ---------------------------------------------------------------------------

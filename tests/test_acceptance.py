@@ -141,15 +141,13 @@ def test_06_zero_temperature_partition_decay():
     fitted_c = 1.2  # frozen desk constant covering the whole n range
     values = []
     for n in (2, 4, 8, 16):
-        backend = "exact" if n == 2 else "mcmc"  # skip the exact-table cap
         ens = GibbsEnsemble(beta=float(n), n=n, d=1, mu0=mu0,
-                            kind=PERMANENTAL, backend=backend)
+                            kind=PERMANENTAL)
         v = log_partition_product(ens, 512) / n ** 2
         assert n * abs(v) <= fitted_c, f"n={n}: n|v| = {n * abs(v):.3f}"
         values.append(abs(v))
     assert values[0] > values[1] > values[2] > values[3]
-    ens2 = GibbsEnsemble(beta=2.0, n=2, d=1, mu0=mu0, kind=PERMANENTAL,
-                         backend="exact")
+    ens2 = GibbsEnsemble(beta=2.0, n=2, d=1, mu0=mu0, kind=PERMANENTAL)
     tensor = partition_function(ens2, 512)
     product = math.exp(log_partition_product(ens2, 512))
     assert abs(tensor - product) <= 1e-8 * product
@@ -192,8 +190,7 @@ def test_09_transport_bracket_at_fixed_point():
     xs = np.arange(k) / k
     dens = 1.0 + 0.4 * np.cos(2 * np.pi * xs) + 0.15 * np.sin(4 * np.pi * xs)
     params = MasterParams(beta=1.0,
-                          mu0=GridMeasure.from_density_values(dens,
-                                                              kind="torus"))
+                          mu0=GridMeasure.from_density_values(dens))
     phi = solve_master(params)
     mu_min = ma_operator(phi, params.nu)
     j = j_functional(phi, params.nu)
@@ -208,7 +205,7 @@ def test_09_transport_bracket_at_fixed_point():
         bump = rng.normal(0.0, 0.35, size=k)
         masses = mu_min.masses() * np.exp(bump)
         masses /= masses.sum()
-        probe = GridMeasure.from_density_values(masses * k, kind="torus")
+        probe = GridMeasure.from_density_values(masses * k)
         assert bracket(probe) > 1e-6  # equality fails by a positive margin
     budget(start, 120.0)
 
@@ -218,7 +215,7 @@ def test_10_rate_function_zero_at_minimizer():
     k = 64
     xs = np.arange(k) / k
     dens = 1.0 + 0.4 * np.cos(2 * np.pi * xs) + 0.15 * np.sin(4 * np.pi * xs)
-    mu0 = GridMeasure.from_density_values(dens, kind="torus")
+    mu0 = GridMeasure.from_density_values(dens)
     for beta in (-0.5, 0.0, 1.0, 4.0):
         report = gprop_consistency(MasterParams(beta=beta, mu0=mu0),
                                    probes=50, seed=0)
@@ -241,7 +238,7 @@ def test_11_gibbs_ball_mass_concentrates():
     masses = []
     for beta in (0.0, 1e3, 1e4, 1e5, 3e5):
         ens = GibbsEnsemble(beta=beta, n=2, d=1, mu0=mu0, kind=PERMANENTAL,
-                            backend="exact", site_refinement=4)
+                            site_refinement=4)
         masses.append(local_rate(ens, center, radius=0.15).prob)
     assert all(b > a for a, b in zip(masses, masses[1:])), masses
     assert masses[-1] >= 0.9

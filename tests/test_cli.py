@@ -126,7 +126,6 @@ def test_ot_positional_fixtures(tmp_path):
 
 
 @pytest.mark.parametrize("arg, message", [
-    ("center_res=0", "center_res must be >= 1"),
     ("radius=-1", "radius must be > 0"),
     ("radius=0", "radius must be > 0"),
 ])
@@ -145,6 +144,16 @@ def test_gibbs_ldp_refuses_bad_ball(tmp_path, capsys, arg, message):
     (["sanov-demo", "sweep=0"], "sweep"),
     (["sanov-demo", "k=-1"], "k"),
     (["verify-theta", "grid=0"], "grid"),
+    (["gibbs-ldp", "n=0"], "n"),
+    (["gibbs-ldp", "refine=0"], "refine"),
+    (["gibbs-ldp", "partition_n=2,0"], "partition_n"),
+    (["gibbs-ldp", "center_res=0"], "center_res"),
+    (["solve-ma", "k=0"], "k"),
+    (["zero-temp-mgf", "n=8,0"], "n"),
+    (["zero-temp-mgf", "k=0"], "k"),
+    (["zero-temp-mgf", "quad=0"], "quad"),
+    (["cramer-demo", "t_res=0"], "t_res"),
+    (["cramer-demo", "x_res=0"], "x_res"),
 ])
 def test_non_positive_counts_are_usage_errors(tmp_path, capsys, args, name):
     assert main(["run", *args, f"out={tmp_path / 'r'}"]) == 2

@@ -164,7 +164,7 @@ def test_hamiltonians_shape_and_translation():
 def uniform_ensemble(beta, n=2, refine=4):
     mu0 = GridMeasure.uniform(dim=1, resolution=n * refine)
     return GibbsEnsemble(beta=beta, n=n, d=1, mu0=mu0, kind=PERMANENTAL,
-                         backend="exact", site_refinement=refine)
+                         site_refinement=refine)
 
 
 def test_gibbs_exact_normalizes():
@@ -205,8 +205,7 @@ def test_local_rate_extreme_radii():
 def table_ensemble(kind, n, d, refine, beta=2.0):
     k = n * refine
     values = 1.0 + np.add.outer(np.arange(k), 0.5 * np.arange(k)) % 7.0
-    mu0 = GridMeasure.from_density_values(values if d == 2 else values[0],
-                                          kind="torus")
+    mu0 = GridMeasure.from_density_values(values if d == 2 else values[0])
     return GibbsEnsemble(beta=beta, n=n, d=d, mu0=mu0, kind=kind,
                          site_refinement=refine)
 
@@ -249,10 +248,23 @@ def test_table_hamiltonians_match_permutation_sums(kind):
             assert hams[flat] == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
+def test_exact_table_cap_is_checked_where_tables_are_built():
+    # 24^6 site tuples: the ensemble builds, the exact routes refuse it
+    ens = GibbsEnsemble(beta=1.0, n=6, d=1,
+                        mu0=GridMeasure.uniform(dim=1, resolution=24),
+                        kind=PERMANENTAL)
+    center = DiscreteMeasure(points=np.array([[0.5]]), weights=np.ones(1),
+                             domain=torus_domain(1))
+    with pytest.raises(ValueError, match="EXACT_TABLE_MAX"):
+        gibbs_exact(ens)
+    with pytest.raises(ValueError, match="EXACT_TABLE_MAX"):
+        local_rate(ens, center, 0.1)
+
+
 def test_tropical_tables_refuse_past_the_exhaustive_cap():
     ens = GibbsEnsemble(beta=1.0, n=10, d=1,
                         mu0=GridMeasure.uniform(dim=1, resolution=10),
-                        kind=TROPICAL, backend="mcmc")
+                        kind=TROPICAL)
     with pytest.raises(ValueError, match="tropical tables"):
         partition_function(ens, quadrature_resolution=1)
 
@@ -271,9 +283,8 @@ def test_quadrature_reads_the_cell_each_center_lies_in():
     # 5 nodes on a 10-cell mu0: center (2j + 1) / 10 lies in cell 2j + 1,
     # also at 0.3 and 0.7 where floating division lands one cell low
     values = 1.0 + np.arange(10.0)
-    mu0 = GridMeasure.from_density_values(values, kind="torus")
-    ens = GibbsEnsemble(beta=1.0, n=1, d=1, mu0=mu0, kind=PERMANENTAL,
-                        backend="mcmc")
+    mu0 = GridMeasure.from_density_values(values)
+    ens = GibbsEnsemble(beta=1.0, n=1, d=1, mu0=mu0, kind=PERMANENTAL)
     nodes = (np.arange(5) + 0.5) / 5
     log_w = np.log(values[1::2] / values[1::2].sum())
     log_phi = log_theta_grid(ens.params, ens.lattice.points, nodes[:, None])
@@ -285,9 +296,9 @@ def test_site_weights_read_the_cell_each_site_starts():
     # 10 sites per axis on a 10-cell mu0: site j/10 lies in cell j, also
     # at 3/10, 6/10 and 7/10 where floating division lands one cell low
     values = 1.0 + np.arange(10.0)
-    mu0 = GridMeasure.from_density_values(values, kind="torus")
+    mu0 = GridMeasure.from_density_values(values)
     ens = GibbsEnsemble(beta=1.0, n=5, d=1, mu0=mu0, kind=PERMANENTAL,
-                        backend="mcmc", site_refinement=2)
+                        site_refinement=2)
     want = np.log(values / values.sum())
     assert np.allclose(ens.site_log_weights(), want, atol=1e-14)
 
@@ -307,7 +318,7 @@ def test_product_formula_requires_zero_temperature_coupling():
 def test_mcmc_deterministic_and_in_domain():
     ens = GibbsEnsemble(beta=1.0, n=2, d=1,
                         mu0=GridMeasure.uniform(dim=1, resolution=8),
-                        kind=PERMANENTAL, backend="mcmc")
+                        kind=PERMANENTAL)
     run_a = gibbs_mcmc(ens, steps=200, burn_in=50, seed=4)
     run_b = gibbs_mcmc(ens, steps=200, burn_in=50, seed=4)
     assert np.array_equal(run_a.configs, run_b.configs)

@@ -47,16 +47,10 @@ def test_cell_index_puts_left_edges_in_their_cell():
     assert GridMeasure.uniform(dim=1, resolution=10).cell_index(0.3) == (3,)
 
 
-def test_cell_index_wraps_the_torus_and_clips_the_box():
+def test_cell_index_wraps_the_torus():
     torus = GridMeasure.uniform(dim=2, resolution=10)
     assert torus.cell_index(np.array([1.3, -0.25])) == (3, 7)
     assert torus.cell_index(np.array([-1e-18, 1.0])) == (0, 0)
-    box = GridMeasure.uniform(dim=1, resolution=4, kind="box",
-                              bounds=((-1.0, 1.0),))
-    assert [box.cell_index(np.array([x]))[0]
-            for x in (-1.0, -0.5, 0.0, 0.5, 1.0)] == [0, 1, 2, 3, 3]
-    with pytest.raises(ValueError):
-        box.cell_index(np.array([1.5]))
 
 
 def test_grid_centers_match_lattice():
@@ -97,10 +91,10 @@ def test_save_load_discrete_roundtrip(tmp_path):
 def test_save_load_grid_roundtrip(tmp_path):
     vals = 1.0 + 0.3 * np.cos(2 * np.pi * np.arange(16) / 16)
     vals = vals / vals.mean()
-    g = GridMeasure(dim=1, resolution=16, density=vals, kind="torus")
+    g = GridMeasure(dim=1, resolution=16, density=vals)
     path = tmp_path / "grid.csv"
     save_csv(g, path)
-    back = load_grid_csv(path, kind="torus")
+    back = load_grid_csv(path)
     assert back.resolution == 16
     assert np.array_equal(back.density, g.density)
 
@@ -109,7 +103,7 @@ def test_load_grid_rejects_non_grid_points(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("coord_0,weight\n0.1,0.5\n0.7,0.5\n", encoding="ascii")
     with pytest.raises(ValueError):
-        load_grid_csv(path, kind="torus")
+        load_grid_csv(path)
 
 
 def test_entropy_of_itself_is_zero():
@@ -169,4 +163,4 @@ def test_alphabet_domain_validation():
 def test_grid_measure_rejects_negative_density():
     with pytest.raises(ValueError):
         GridMeasure(dim=1, resolution=4,
-                    density=np.array([1.0, -0.5, 1.0, 2.5]), kind="torus")
+                    density=np.array([1.0, -0.5, 1.0, 2.5]))

@@ -41,7 +41,7 @@ def torus_grid_function(values):
 def bump_measure(k, amplitude=0.4):
     xs = np.arange(k) / k
     dens = 1.0 + amplitude * np.cos(2 * np.pi * xs) + 0.15 * np.sin(4 * np.pi * xs)
-    return GridMeasure.from_density_values(dens, kind="torus")
+    return GridMeasure.from_density_values(dens)
 
 
 def test_normalize_potential_gauge():
@@ -119,7 +119,7 @@ def test_duality_bracket_vanishes_off_fixed_point():
     k = 32
     xs = np.arange(k) / k
     nu = GridMeasure.from_density_values(
-        1.0 + 0.3 * np.cos(2 * np.pi * xs + 0.7), kind="torus")
+        1.0 + 0.3 * np.cos(2 * np.pi * xs + 0.7))
     rng = np.random.default_rng(11)
     for _ in range(5):
         raw = 0.02 * rng.standard_normal(k)
@@ -130,6 +130,55 @@ def test_duality_bracket_vanishes_off_fixed_point():
         bracket = (w2_to_reference(mu, nu) + j_functional(f, nu)
                    + float(np.sum(f.values * mu.masses())))
         assert abs(bracket) <= 1e-9
+
+
+@pytest.mark.parametrize("dim, k", [(1, 32), (2, 6)])
+def test_j_envelope_identity_gives_the_pushforward(dim, k):
+    # dJ/df_i = -(MA_nu f)_i, by central differences of J alone; the
+    # potential is small against h^2, so every cell carries mass
+    rng = np.random.default_rng(7)
+    shape = (k,) * dim
+    nu = GridMeasure.from_density_values(1.0 + 0.5 * rng.random(shape))
+    values = 0.2 / k ** 2 * rng.standard_normal(shape)
+    h = 1e-7
+
+    def j_at(v):
+        return j_functional(GridFunction(dim=dim, resolution=k, values=v,
+                                         kind="torus"), nu)
+
+    grad = np.empty(k ** dim)
+    for i in range(k ** dim):
+        step = np.zeros(k ** dim)
+        step[i] = h
+        step = step.reshape(shape)
+        grad[i] = (j_at(values + step) - j_at(values - step)) / (2.0 * h)
+    push = ma_operator(GridFunction(dim=dim, resolution=k, values=values,
+                                    kind="torus"), nu).masses()
+    assert np.all(push > 0.0)
+    assert np.max(np.abs(grad + push)) <= 1e-8
+
+
+def test_solver_and_certificates_scan_each_potential_once(monkeypatch):
+    cells, invert = monge_ampere._power_cells_1d, monge_ampere._invert_cells_1d
+    calls = []
+
+    def counted_cells(values):
+        calls.append("cells")
+        return cells(values)
+
+    def counted_invert(masses, measure):
+        calls.append("invert")
+        return invert(masses, measure)
+
+    monkeypatch.setattr(monge_ampere, "_power_cells_1d", counted_cells)
+    monkeypatch.setattr(monge_ampere, "_invert_cells_1d", counted_invert)
+    params = MasterParams(beta=1.0, mu0=bump_measure(64))
+    phi = solve_master(params)
+    # one scan per trial potential, plus one for the starting potential
+    assert calls.count("cells") == calls.count("invert") + 1
+    calls.clear()
+    gprop_consistency(params, probes=8, phi_min=phi)
+    assert calls == ["cells"]
 
 
 def test_w2_circle_single_atoms():
@@ -178,7 +227,7 @@ def seeded_grid(rng, k, zero_share=0.0):
     dens = rng.random(k) + 0.1
     dens[rng.random(k) < zero_share] = 0.0
     dens[rng.integers(k)] = 1.0  # never all zero
-    return GridMeasure.from_density_values(dens, kind="torus")
+    return GridMeasure.from_density_values(dens)
 
 
 @pytest.mark.parametrize("k", [8, 16, 32, 64, 128, 256])
@@ -226,8 +275,7 @@ def test_solver_cells_bit_identical_to_the_scalar_kernels(beta, uniform_nu,
     k = 32
     xs = np.arange(k) / k
     nu = (GridMeasure.uniform(dim=1, resolution=k) if uniform_nu else
-          GridMeasure.from_density_values(1.0 + 0.3 * np.sin(2 * np.pi * xs),
-                                          kind="torus"))
+          GridMeasure.from_density_values(1.0 + 0.3 * np.sin(2 * np.pi * xs)))
     cells, invert = monge_ampere._power_cells_1d, monge_ampere._invert_cells_1d
     calls = []
 
@@ -292,8 +340,7 @@ def test_solver_zero_beta_transports_nu_to_mu0():
     k = 64
     xs = np.arange(k) / k
     mu0 = bump_measure(k)
-    nu = GridMeasure.from_density_values(1.0 + 0.25 * np.sin(2 * np.pi * xs),
-                                         kind="torus")
+    nu = GridMeasure.from_density_values(1.0 + 0.25 * np.sin(2 * np.pi * xs))
     phi = solve_master(MasterParams(beta=0.0, mu0=mu0, nu=nu))
     push = ma_operator(phi, nu)
     assert np.abs(push.masses() - mu0.masses()).sum() <= 1e-8
@@ -334,7 +381,7 @@ def test_rate_function_zero_at_minimizer_positive_elsewhere():
         bump = rng.normal(0.0, 0.35, size=64)
         masses = mu_min.masses() * np.exp(bump)
         masses /= masses.sum()
-        probe = GridMeasure.from_density_values(masses * 64, kind="torus")
+        probe = GridMeasure.from_density_values(masses * 64)
         assert rate_function_g(probe, params, phi).value > 1e-3
 
 
@@ -372,19 +419,19 @@ def test_gprop_consistency_computes_the_constant_once(monkeypatch):
     probes = []
     for _ in range(8):
         masses = mu_min.masses() * np.exp(rng.normal(0.0, 0.35, size=32))
-        probes.append(GridMeasure(dim=1, resolution=32, kind="torus",
+        probes.append(GridMeasure(dim=1, resolution=32,
                                   density=masses / masses.sum() * 32))
     want_min = rate_function_g(mu_min, params, phi).value
     want_best = min(rate_function_g(p, params, phi).value for p in probes)
 
     calls = []
-    real = monge_ampere.f_functional
+    real = monge_ampere._evaluate
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(monge_ampere, "f_functional", counted)
+    monkeypatch.setattr(monge_ampere, "_evaluate", counted)
     report = gprop_consistency(params, probes=8, seed=5, phi_min=phi)
     assert len(calls) == 1
     assert report.rate_at_minimizer == want_min
