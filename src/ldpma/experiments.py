@@ -38,9 +38,7 @@ from .legendre import GridFunction, conjugate_at, legendre_transform
 from .measures import (
     DiscreteMeasure,
     Domain,
-    EmpiricalConfig,
     GridMeasure,
-    empirical,
     load_discrete_csv,
     load_grid_csv,
     log_mgf,
@@ -48,9 +46,7 @@ from .measures import (
 from .monge_ampere import (
     MasterParams,
     SolverError,
-    f_functional,
     gprop_consistency,
-    ma_operator,
     solve_master,
 )
 from .torus_theta import ThetaParams, TorusLattice, theta_rate_error
@@ -58,7 +54,7 @@ from .transport import (
     cost_matrix,
     cyclical_monotonicity_check,
     kantorovich_lp,
-    w2_semidiscrete,
+    w2_circle_atoms,
 )
 
 # Claim registry: every result row carries one of these ids in its
@@ -362,11 +358,14 @@ def _run_verify_hamiltonian(params: dict, seed: int) -> ExperimentResult:
     rows += [w2_row(TROPICAL, n, s) for n, s in zip(ns, s_trop)]
     rows += [w2_row(PERMANENTAL, n, s) for n, s in zip(perm_ns, s_perm)]
 
+    # the uniform reference read as atoms at its cell centres
     reference = GridMeasure.uniform(dim=1, resolution=params["quad"])
+    centres, cell_masses = reference.centers().reshape(-1), reference.masses()
     previous = math.inf
     for n in ns:
-        lattice_mu = empirical(EmpiricalConfig(points=TorusLattice(n, 1).points))
-        value = w2_semidiscrete(reference, lattice_mu)
+        value = float(w2_circle_atoms(TorusLattice(n, 1).points.reshape(1, -1),
+                                      np.full(n, 1.0 / n), centres,
+                                      cell_masses)[0])
         rows.append(("lattice-refinement", n, n, 0, value, previous,
                      "lattice-empirical-refinement"))
         previous = value
@@ -760,7 +759,6 @@ def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
     if params["nu"] != "uniform":
         nu = load_grid_csv(params["nu"])
     mp = MasterParams(beta=params["beta"], mu0=mu0, nu=nu,
-                      damping=params["damping"],
                       max_iter=params["max_iter"],
                       residual_tol=params["tol"],
                       scheme=params["scheme"])
@@ -799,9 +797,9 @@ def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
 
     report = gprop_consistency(mp, probes=0, phi_min=phi)
     residual, bracket = report.residual_tv, abs(report.bracket_gap)
-    free_energy = f_functional(phi, mp)
+    free_energy = report.free_energy
     constant = mp.beta * free_energy
-    push = ma_operator(phi, mp.nu)
+    push = report.pushforward
 
     nodes = phi.f.nodes()
     flat = phi.f.values.reshape(-1)
@@ -1098,10 +1096,10 @@ _register(ExperimentSpec(
                   "reference measure: uniform or a torus grid CSV path"),
         ParamSpec("d", "1", _parse_int, "torus dimension"),
         ParamSpec("tol", "1e-9", _parse_float, "solver residual target"),
-        ParamSpec("damping", "0.5", _parse_float, "initial step fraction"),
-        ParamSpec("max_iter", "400", _parse_int, "iteration budget"),
+        ParamSpec("max_iter", "400", _parse_int, "accepted-step budget"),
         ParamSpec("scheme", "auto", _parse_str,
-                  "auto, cells (1-d exact), or descent"),
+                  "auto, cells (1-d Newton on exact power-cell masses), "
+                  "or descent (2-d)"),
     ),
     claims=("master-equation-fixed-point", "duality-bracket-zero"),
     tolerances={

@@ -22,7 +22,13 @@ The master equation couples the operator to a Gibbs tilt,
 
     MA_nu f = e^{beta f} mu0 / integral(e^{beta f} mu0),
 
-and its solution phi_min calibrates the rate function
+which `solve_master` solves. In one dimension it runs damped
+Newton on the cell masses m: the potential is the exact power-cell
+inversion Inv(m), and the residual m - tilt(Inv(m)) has a dense k x k
+Jacobian built from the inversion's quantile slopes, so a solve takes a
+few steps at every beta. In two dimensions a Fourier-preconditioned
+descent steps against the density mismatch. The solution phi_min
+calibrates the rate function
 
     G(mu) = beta W2^2(mu, nu) + Ent(mu0, mu) + beta F(phi_min),
 
@@ -46,6 +52,8 @@ NORMALIZATION_TOL = 1e-10
 # d >= 2 torus quadrature: subpoints per nu-cell axis for the transport
 # assignment (mass quantum = cell mass / D2_SUBSAMPLE^d)
 D2_SUBSAMPLE = 3
+# d >= 2 descent scheme: initial step fraction of the lifted mismatch
+DESCENT_STEP = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +338,19 @@ def _transport(f: GridFunction, nu: GridMeasure):
     values = f.values.reshape(-1)
     node_idx, sites, lows, highs = _power_cells_1d(values)
     np.add.at(masses, node_idx, _cdf_eval(nu, highs) - _cdf_eval(nu, lows))
-    total = 0.0
+    # the cells tile [0, 1): split them all at nu's cell edges at once,
+    # the density being constant on each piece
     kn = nu.resolution
-    nu_masses = nu.masses()
-    for node, site, lo, hi in zip(node_idx, sites, lows, highs):
-        # split [lo, hi) at nu cell edges; density constant per piece
-        first = int(math.floor(lo * kn))
-        last = min(int(math.ceil(hi * kn)), kn)
-        edges = [lo] + [e / kn for e in range(first + 1, last)
-                        if lo < e / kn < hi] + [hi]
-        for a, b in zip(edges[:-1], edges[1:]):
-            cell = min(int((0.5 * (a + b)) * kn), kn - 1)
-            rho = nu_masses[cell] * kn  # density on the piece
-            integral = ((b - site) ** 3 - (a - site) ** 3) / 3.0
-            total += rho * integral + rho * (b - a) * values[node]
-    return masses, -total
+    cuts = np.unique(np.concatenate([lows, highs[-1:],
+                                     np.arange(1, kn) / kn]))
+    a, b = cuts[:-1], cuts[1:]
+    owner = np.searchsorted(lows, a, side="right") - 1
+    site = sites[owner]
+    rho = nu.masses()[np.minimum((0.5 * (a + b) * kn).astype(np.int64),
+                                 kn - 1)] * kn
+    integral = ((b - site) ** 3 - (a - site) ** 3) / 3.0
+    return masses, -float(np.sum(rho * integral
+                                 + rho * (b - a) * values[node_idx[owner]]))
 
 
 def ma_operator(theta: Union[Potential, GridFunction],
@@ -404,18 +410,21 @@ def tilt_measure(theta: Union[Potential, GridFunction],
 
 @dataclass(frozen=True)
 class MasterParams:
-    """Problem data and solver knobs for the master equation.
+    """Problem data and solver budget for the master equation.
 
     nu defaults to the uniform density on mu0's grid. beta may take any
     sign; existence for beta < 0 is not claimed, the solver simply reports
     non-convergence outside its range. Both measures must share one torus
-    grid (the solver's state space).
+    grid (the solver's state space). max_iter caps the accepted steps and
+    residual_tol is the TV residual to reach; scheme picks cells (1-d
+    Newton on the cell masses) or descent, auto choosing by dimension.
+    The step lengths are not parameters: Newton starts each step at 1,
+    descent at DESCENT_STEP, and both halve on rejection.
     """
 
     beta: float
     mu0: GridMeasure
     nu: Optional[GridMeasure] = None
-    damping: float = 0.5
     max_iter: int = 400
     residual_tol: float = 1e-9
     scheme: str = "auto"
@@ -432,8 +441,6 @@ class MasterParams:
             raise ValueError("mu0 and nu must share one torus grid")
         if not nu.is_probability:
             raise ValueError("nu must be a probability measure")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.scheme not in ("auto", "cells", "descent"):
             raise ValueError("scheme must be auto, cells, or descent")
 
@@ -511,12 +518,16 @@ class SolverError(RuntimeError):
         self.residuals = tuple(residuals)
 
 
-def _invert_cells_1d(masses: np.ndarray, nu: GridMeasure) -> np.ndarray:
-    """Potential whose power cells carry exactly the given nu-masses.
+def _invert_cells_1d(masses: np.ndarray, nu: GridMeasure):
+    """(potential, quantile slopes) for power cells carrying these nu-masses.
 
-    Cyclic consistency pins the quantile anchor: the boundary positions
-    must sum to the node midpoints' sum, a strictly increasing condition
-    solved by bisection. Needs every target mass positive.
+    Cyclic consistency pins the quantile anchor s: the boundaries b_j =
+    Q_nu(s + c_j), c the cumulative masses, must sum to the node
+    midpoints' sum, a strictly increasing condition solved by bisection.
+    The slopes are Q_nu' at each s + c_j, read from the nu cell that
+    charges that mass coordinate, so they stay finite where nu has empty
+    cells; :func:`_inversion_jacobian` turns them into the derivative.
+    Needs every target mass positive.
     """
     k = len(masses)
     if np.any(masses <= 0.0):
@@ -526,15 +537,20 @@ def _invert_cells_1d(masses: np.ndarray, nu: GridMeasure) -> np.ndarray:
     target_sum = float(np.sum(mids))
     cum = np.cumsum(masses)
     total = nu.total_mass()
-    knots_t = np.concatenate([[0.0], np.cumsum(nu.masses())])
+    nu_masses = nu.masses()
+    knots_t = np.concatenate([[0.0], np.cumsum(nu_masses)])
     knots_t[-1] = total
     knots_x = np.arange(nu.resolution + 1) / nu.resolution
 
-    def boundaries(s: float) -> np.ndarray:
-        # nu's piecewise-linear quantile at s + cum, gaining 1 per wrap
+    def coordinates(s: float):
+        # mass coordinate of each boundary in [0, total], and its wraps
         t = s + cum
         wraps = np.floor(t)
-        frac = np.clip((t - wraps) * total, 0.0, total)
+        return np.clip((t - wraps) * total, 0.0, total), wraps
+
+    def boundaries(s: float) -> np.ndarray:
+        # nu's piecewise-linear quantile at s + cum, gaining 1 per wrap
+        frac, wraps = coordinates(s)
         return np.interp(frac, knots_t, knots_x) + wraps
 
     lo, hi = -1.0, 1.0
@@ -549,10 +565,31 @@ def _invert_cells_1d(masses: np.ndarray, nu: GridMeasure) -> np.ndarray:
         if bracket == (lo, hi):
             break  # each step depends only on (lo, hi): a fixed point
         lo, hi = bracket
-    b = boundaries(0.5 * (lo + hi))
+    s = 0.5 * (lo + hi)
+    b = boundaries(s)
     increments = 2.0 * h * (b - mids)
     values = np.concatenate([[0.0], np.cumsum(increments[:-1])])
-    return values
+    charged = np.flatnonzero(nu_masses > 0.0)
+    cell = charged[np.minimum(
+        np.searchsorted(knots_t[charged], coordinates(s)[0], side="right") - 1,
+        len(charged) - 1)]
+    return values, total / (nu.resolution * nu_masses[cell])
+
+
+def _inversion_jacobian(slopes: np.ndarray) -> np.ndarray:
+    """d(potential)/d(masses) of :func:`_invert_cells_1d`, from its slopes.
+
+    With q the slopes, db_j/dm_l = q_j (ds/dm_l + [l <= j]) where the
+    anchor moves by ds/dm_l = -sum_{j >= l} q_j / sum_j q_j, and f_i sums
+    2h (b_j - mid_j) over j < i. With P_i = sum_{j < i} q_j that gives
+    2h (P_i ds_l + max(P_i - P_l, 0)).
+    """
+    k = len(slopes)
+    prefix = np.concatenate([[0.0], np.cumsum(slopes[:-1])])
+    total = prefix[-1] + slopes[-1]
+    ds = (prefix - total) / total
+    return (2.0 / k) * (np.outer(prefix, ds)
+                        + np.maximum(prefix[:, None] - prefix[None, :], 0.0))
 
 
 def _descent_lift(mismatch: np.ndarray, beta: float) -> np.ndarray:
@@ -578,7 +615,7 @@ def _descent_lift(mismatch: np.ndarray, beta: float) -> np.ndarray:
         lam = lam + sq.reshape(shape)
     lam = -2.0 * float(k) ** (2 - dim) * lam - beta / float(k ** dim)
     # beta < 0 can push low modes toward singularity; clamp keeps the
-    # lift finite and the damping loop does the rest
+    # lift finite and the step halving does the rest
     lam = np.minimum(lam, -1e-12)
     hat = np.fft.fftn(mismatch) / lam
     hat[(0,) * dim] = 0.0
@@ -586,18 +623,38 @@ def _descent_lift(mismatch: np.ndarray, beta: float) -> np.ndarray:
     return -delta
 
 
+def _newton_direction(masses: np.ndarray, slopes: np.ndarray,
+                      tilt: np.ndarray, beta: float) -> np.ndarray:
+    """Newton step for R(m) = m - tilt(Inv(m)) on the cell masses m.
+
+    The tilt moves with the potential by beta (diag t - t t^T), so the
+    Jacobian is I - beta (diag t - t t^T) DInv(m), a dense k x k system.
+    Its columns sum to 1, since t t^T and diag t agree on sums; adding
+    1 1^T / k therefore makes the step sum to zero, as R does.
+    """
+    dinv = _inversion_jacobian(slopes)
+    jac = (np.eye(len(masses)) + 1.0 / len(masses)
+           - beta * (tilt[:, None] * dinv - np.outer(tilt, tilt @ dinv)))
+    return np.linalg.solve(jac, tilt - masses)
+
+
 def solve_master(params: MasterParams,
                  initial: Optional[Potential] = None) -> Potential:
     """Solve MA_nu f = e^{beta f} mu0 / Z to the requested residual.
 
-    The cells scheme (1-d) alternates the Gibbs tilt with an exact power
-    cell inversion, damped and backtracked so the free energy does not
-    increase; the descent scheme steps against the smoothed density
-    mismatch. Each trial potential is evaluated once, and the accepted
-    trial's tilt and pushforward seed the next iteration. Output is
-    mean-zero under nu and carries the iteration log as (iteration,
-    residual, free energy, step) tuples. Non-convergence raises
-    :class:`SolverError` with the residual trace.
+    The cells scheme (1-d) runs damped Newton on the cell masses m, the
+    potential being the exact power-cell inversion Inv(m): its first step
+    blends the pushforward halfway toward the tilt (positive wherever
+    either is), every later one solves the Jacobian of m - tilt(Inv(m))
+    (Kitagawa, Merigot & Thibert 2019). A step is halved until the masses
+    stay positive and either the residual or the free energy does not
+    increase. The descent scheme steps against the smoothed density
+    mismatch and insists on residual progress. Each trial potential is
+    evaluated once, and the accepted trial's evaluation seeds the next
+    iteration. Output is mean-zero under nu and carries the iteration log
+    as (iteration, residual, free energy, accepted step) tuples, the start
+    logged with step 0. Non-convergence raises :class:`SolverError` with
+    the residual trace.
     """
     k = params.resolution
     if initial is None:
@@ -610,72 +667,72 @@ def solve_master(params: MasterParams,
     if scheme == "cells" and params.dim != 1:
         raise ValueError("the cells scheme is 1-d only")
 
-    log = []
     ev = _evaluate(current, params)
-    residual, f_value = ev.residual, ev.free_energy
-    best_residual, best_iter = residual, 0
-    for it in range(params.max_iter):
-        log.append((it, residual, f_value, params.damping))
-        if residual <= params.residual_tol:
-            return dataclasses.replace(current, log=tuple(log))
-
-        tilt, ma = ev.tilt, ev.push.masses()
-        step = params.damping
-        improved = None
+    log = [(0, ev.residual, ev.free_energy, 0.0)]
+    masses = slopes = None  # cells: the masses the current potential inverts
+    best_residual, best_iter = ev.residual, 0
+    while ev.residual > params.residual_tol:
+        it = len(log) - 1
+        if it >= params.max_iter:
+            raise SolverError(
+                f"master equation not converged after {params.max_iter} "
+                f"iterations (residual {ev.residual:.3e}, tolerance "
+                f"{params.residual_tol:.1e})", [r for _, r, _, _ in log])
+        if scheme == "descent":
+            mismatch = (ev.tilt - ev.push.masses()).reshape((k,) * params.dim)
+            direction = -_descent_lift(mismatch, params.beta)
+            step = DESCENT_STEP
+        elif masses is None:  # the start is no inversion: blend toward the tilt
+            masses = ev.push.masses()
+            direction, step = ev.tilt - masses, 0.5
+        else:
+            direction = _newton_direction(masses, slopes, ev.tilt, params.beta)
+            step = 1.0
         for _ in range(40):
-            if scheme == "cells":
-                blend = (1.0 - step) * ma + step * tilt
-                blend = np.maximum(blend, 1e-300)
-                blend = blend / blend.sum()
-                values = _invert_cells_1d(blend, params.nu)
-                trial_f = GridFunction(dim=1, resolution=k, values=values,
-                                       kind="torus")
+            if scheme == "descent":
+                values = current.values + step * direction
+                trial_masses = trial_slopes = None
             else:
-                mismatch = (tilt - ma).reshape((k,) * params.dim)
-                lift = _descent_lift(mismatch, params.beta)
-                trial_f = GridFunction(
-                    dim=params.dim, resolution=k,
-                    values=current.values - step * lift, kind="torus")
-            trial = normalize_potential(trial_f, params.nu)
+                trial_masses = masses + step * direction
+                if np.any(trial_masses <= 0.0):
+                    step *= 0.5
+                    continue
+                trial_masses = trial_masses / trial_masses.sum()
+                values, trial_slopes = _invert_cells_1d(trial_masses, params.nu)
+            trial = normalize_potential(
+                GridFunction(dim=params.dim, resolution=k, values=values,
+                             kind="torus"), params.nu)
             trial_ev = _evaluate(trial, params)
-            trial_res, trial_val = trial_ev.residual, trial_ev.free_energy
             if scheme == "cells":
-                accept = trial_res <= residual or trial_val <= f_value + 1e-15
+                accept = (trial_ev.residual <= ev.residual
+                          or trial_ev.free_energy <= ev.free_energy + 1e-15)
             else:
                 # assignment masses are quantized, so the free energy is
                 # too flat to arbitrate; insist on residual progress
-                accept = trial_res <= residual
+                accept = trial_ev.residual <= ev.residual
             if accept:
-                improved = (trial, trial_ev)
                 break
             step *= 0.5
-        if improved is None:
+        else:
             message = (f"no admissible step at iteration {it} "
-                       f"(residual {residual:.3e})")
+                       f"(residual {ev.residual:.3e})")
             if scheme == "descent":
                 floor = (1.0 / D2_SUBSAMPLE) ** params.dim
                 message += (f"; the subsampled assignment cannot resolve "
                             f"residuals much below {floor:.2f}, raise "
                             f"residual_tol or D2_SUBSAMPLE")
             raise SolverError(message, [r for _, r, _, _ in log])
-        current, ev = improved
-        residual, f_value = ev.residual, ev.free_energy
-        if residual < best_residual * (1.0 - 1e-6):
-            best_residual, best_iter = residual, it + 1
+        current, ev = trial, trial_ev
+        masses, slopes = trial_masses, trial_slopes
+        log.append((it + 1, ev.residual, ev.free_energy, step))
+        if ev.residual < best_residual * (1.0 - 1e-6):
+            best_residual, best_iter = ev.residual, it + 1
         elif scheme == "descent" and it + 1 - best_iter >= 40:
-            log.append((it + 1, residual, f_value, step))
             raise SolverError(
-                f"stalled at residual {residual:.3e} (quantized assignment "
+                f"stalled at residual {ev.residual:.3e} (quantized assignment "
                 f"floor; raise residual_tol above it)",
                 [r for _, r, _, _ in log])
-
-    log.append((params.max_iter, residual, f_value, params.damping))
-    if residual <= params.residual_tol:
-        return dataclasses.replace(current, log=tuple(log))
-    raise SolverError(
-        f"master equation not converged after {params.max_iter} iterations "
-        f"(residual {residual:.3e}, tolerance {params.residual_tol:.1e})",
-        [r for _, r, _, _ in log])
+    return dataclasses.replace(current, log=tuple(log))
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +828,8 @@ class ConsistencyReport:
     min_probe_value: float
     probes: int
     tolerance: float
+    free_energy: float  # F(phi_min)
+    pushforward: GridMeasure  # mu_min = MA_nu phi_min
 
     @property
     def passed(self) -> bool:
@@ -792,7 +851,8 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
     phi)); and a probe sweep showing the rate function is strictly larger
     at perturbed measures. One evaluation of phi_min gives mu_min, the
     residual, J and the rate function's constant beta F(phi_min), shared
-    by the minimiser and every probe.
+    by the minimiser and every probe; one W2^2(mu_min, nu) serves both the
+    bracket and the rate at the minimiser.
     """
     if phi_min is None:
         phi_min = solve_master(params)
@@ -811,7 +871,8 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
     entropy_gap = ent - (params.beta * pairing - i_term)
 
     constant = params.beta * ev.free_energy
-    rate_min = _rate_value(mu_min, params, constant).value
+    rate_min = RateValue(beta_w2=params.beta * w2, ent=ent,
+                         constant=constant).value
 
     rng = np.random.default_rng(seed)
     k = params.resolution
@@ -826,4 +887,5 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
                              bracket_gap=bracket_gap, entropy_gap=entropy_gap,
                              rate_at_minimizer=rate_min,
                              min_probe_value=best, probes=probes,
-                             tolerance=tolerance)
+                             tolerance=tolerance, free_energy=ev.free_energy,
+                             pushforward=mu_min)

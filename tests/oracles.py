@@ -367,3 +367,23 @@ def invert_cells_bisect(masses, nu_masses, steps: int = 200):
     b = boundaries(0.5 * (lo + hi))
     increments = 2.0 * h * (b - mids)
     return np.concatenate([[0.0], np.cumsum(increments[:-1])])
+
+
+def dual_energy_loop(values, nu_masses):
+    """J_nu(f) = -integral of min_x [d(x, y)^2 + f(x)] against a 1-d grid
+    density: each power cell of the lifted stack scan is split at nu's cell
+    edges, and the cubic antiderivative is added piece by piece, left to
+    right."""
+    kn = len(nu_masses)
+    total = 0.0
+    for node, site, lo, hi in zip(*power_cells_numpy(values)):
+        first = int(math.floor(lo * kn))
+        last = min(int(math.ceil(hi * kn)), kn)
+        edges = [lo] + [e / kn for e in range(first + 1, last)
+                        if lo < e / kn < hi] + [hi]
+        for a, b in zip(edges[:-1], edges[1:]):
+            cell = min(int((0.5 * (a + b)) * kn), kn - 1)
+            rho = nu_masses[cell] * kn
+            integral = ((b - site) ** 3 - (a - site) ** 3) / 3.0
+            total += rho * integral + rho * (b - a) * values[node]
+    return -total

@@ -36,17 +36,17 @@ GOLDEN = {
     "ot/results.csv":
         "e04eaf5da5ca6f42df4c58ae3ec9f41ca8426637d492dcb5950782021d47d5c8",
     "report.csv":
-        "47aff76ee6a8ab084532d30f9022fa072ea0441aa07d6dcf3c801b5e9e539669",
+        "2eedd6fa68e0e980dce25f171d953e22c8a5961262ace572c4dc2d365e5e5188",
     "sanov-demo/results.csv":
         "9b8c1dd573e71de34a2a8fa49aad45d860641d94af0167c1b44aa566d6fb39f0",
     "solve-ma/potential.csv":
-        "f1de85697864865742b1cf390d7ad67e544873ef22222ef8cd928b8539f87b61",
+        "6878c15a7e47c5821cd59bbadb3fa6b79b7a0c0ebb2f75b00ee72fc995cecf53",
     "solve-ma/pushforward.csv":
-        "b2061d1a42da727b0c3a06b3bd8268ca033000c5467ab609549fb44b3fe12f8f",
+        "90a6a2cbe869138aa1569a0e9f8eb6518152b18399b838647cbc41f94481800a",
     "solve-ma/residuals.csv":
-        "bfbb4a9c804a43102fddb94bb7b2d8e2fcb7d50d5eec1308835d143724917186",
+        "eecf3570056264529c954b3d6c8ba7fb03783aafcdda4248dcf98ce8f926ebf7",
     "solve-ma/results.csv":
-        "160acf7858d6acd8f9d3d1c7e6334dc65c9288a9b95ce4b748dbcd4150748c72",
+        "383d16f3aef078f3a151e59f780a47bbcc3724132f88191df33fb4ebddf01ed2",
     "verify-hamiltonian/results.csv":
         "97b44b72ab7412eb0eb96f6428396d12e5efed71886cff2003de8b0ea65219f6",
     "verify-theta/results.csv":

@@ -27,9 +27,10 @@ from ldpma.monge_ampere import (
     w2_to_reference,
 )
 
-from oracles import (invert_cells_bisect, power_cells_numpy,
-                     torus_cell_masses_1d, w2_circle_atoms_brute,
-                     w2_circle_ternary, w2_single_atom)
+from oracles import (dual_energy_loop, invert_cells_bisect,
+                     power_cells_numpy, torus_cell_masses_1d,
+                     w2_circle_atoms_brute, w2_circle_ternary,
+                     w2_single_atom)
 
 
 def torus_grid_function(values):
@@ -289,15 +290,17 @@ def test_solver_cells_bit_identical_to_the_scalar_kernels(beta, uniform_nu,
 
     def checked_invert(masses, measure):
         out = invert(masses, measure)
-        assert np.array_equal(out, invert_cells_bisect(masses,
-                                                       measure.masses()))
+        assert np.array_equal(out[0], invert_cells_bisect(masses,
+                                                          measure.masses()))
         calls.append("invert")
         return out
 
     monkeypatch.setattr(monge_ampere, "_power_cells_1d", checked_cells)
     monkeypatch.setattr(monge_ampere, "_invert_cells_1d", checked_invert)
-    solve_master(MasterParams(beta=beta, mu0=bump_measure(k), nu=nu))
-    assert calls.count("cells") > 20 and calls.count("invert") > 5
+    phi = solve_master(MasterParams(beta=beta, mu0=bump_measure(k), nu=nu))
+    # the blend and two full Newton steps, no backtracking
+    assert [step for *_, step in phi.log] == [0.0, 0.5, 1.0, 1.0]
+    assert calls.count("cells") == 4 and calls.count("invert") == 3
 
 
 def test_histogram_puts_edge_atoms_in_their_cell():
@@ -322,8 +325,6 @@ def test_master_params_validation():
     with pytest.raises(ValueError):
         MasterParams(beta=1.0, mu0=mu0,
                      nu=GridMeasure.uniform(dim=1, resolution=8))
-    with pytest.raises(ValueError):
-        MasterParams(beta=1.0, mu0=mu0, damping=0.0)
     with pytest.raises(ValueError):
         MasterParams(beta=1.0, mu0=mu0, scheme="newton")
 
@@ -425,15 +426,115 @@ def test_gprop_consistency_computes_the_constant_once(monkeypatch):
     want_best = min(rate_function_g(p, params, phi).value for p in probes)
 
     calls = []
-    real = monge_ampere._evaluate
+    real, real_w2 = monge_ampere._evaluate, monge_ampere.w2_to_reference
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append("evaluate")
         return real(*args, **kwargs)
 
+    def counted_w2(*args, **kwargs):
+        calls.append("w2")
+        return real_w2(*args, **kwargs)
+
     monkeypatch.setattr(monge_ampere, "_evaluate", counted)
+    monkeypatch.setattr(monge_ampere, "w2_to_reference", counted_w2)
     report = gprop_consistency(params, probes=8, seed=5, phi_min=phi)
-    assert len(calls) == 1
+    # one W2 for mu_min (bracket and rate alike), one per probe
+    assert calls.count("evaluate") == 1 and calls.count("w2") == 1 + 8
     assert report.rate_at_minimizer == want_min
     assert report.min_probe_value == want_best
+    assert report.free_energy == f_functional(phi, params)
+    assert np.array_equal(report.pushforward.masses(), mu_min.masses())
     assert report.passed
+
+
+@pytest.mark.parametrize("k", [32, 64, 128, 256])
+def test_dual_energy_matches_the_per_piece_loop(k):
+    rng = np.random.default_rng(k)
+    xs = np.arange(k) / k
+    for nu in (GridMeasure.uniform(dim=1, resolution=k), bump_measure(k),
+               seeded_grid(rng, k, zero_share=0.2)):
+        for scale in (0.01, 0.3 / k ** 2):
+            f = torus_grid_function(scale * np.cos(2 * np.pi * xs + 0.4)
+                                    + scale * rng.standard_normal(k))
+            want = dual_energy_loop(f.values, nu.masses())
+            assert abs(j_functional(f, nu) - want) <= 1e-14 * abs(want)
+
+
+def nu_cases(k):
+    xs = np.arange(k) / k
+    wavy = 1.0 + 0.3 * np.sin(2 * np.pi * xs)
+    empty = wavy.copy()
+    empty[10] = 0.0
+    return {"uniform": GridMeasure.uniform(dim=1, resolution=k),
+            "wavy": GridMeasure.from_density_values(wavy),
+            "empty-cell": GridMeasure.from_density_values(empty)}
+
+
+@pytest.mark.parametrize("case", ["uniform", "wavy", "empty-cell"])
+def test_inversion_jacobian_matches_central_differences(case):
+    k = 32
+    nu = nu_cases(k)[case]
+    rng = np.random.default_rng(3)
+    masses = rng.random(k) + 0.5
+    masses /= masses.sum()
+    values, slopes = monge_ampere._invert_cells_1d(masses, nu)
+    assert np.array_equal(values, invert_cells_bisect(masses, nu.masses()))
+    got = monge_ampere._inversion_jacobian(slopes)
+    eps = 1e-7
+    want = np.empty((k, k))
+    for l in range(k):
+        bump = np.zeros(k)
+        bump[l] = eps
+        up = monge_ampere._invert_cells_1d(masses + bump, nu)[0]
+        down = monge_ampere._invert_cells_1d(masses - bump, nu)[0]
+        want[:, l] = (up - down) / (2.0 * eps)
+    assert np.abs(got - want).max() <= 1e-7
+
+
+def smooth_mu0(rng, k):
+    xs = (np.arange(k) + 0.5) / k
+    amps = rng.dirichlet(np.ones(3)) * 0.8
+    dens = 1.0 + sum(a * np.cos(2 * np.pi * (m + 1) * xs + rng.uniform(0, 6.3))
+                     for m, a in enumerate(amps))
+    return GridMeasure.from_density_values(dens)
+
+
+@pytest.mark.parametrize("k", [64, 128, 256])
+def test_newton_converges_in_a_few_steps(k):
+    rng = np.random.default_rng(k)
+    for beta in (-0.5, 0.0, 0.5, 1.0, 2.0, 4.0):
+        params = MasterParams(beta=beta, mu0=smooth_mu0(rng, k))
+        phi = solve_master(params)
+        assert len(phi.log) - 1 <= 6, (beta, phi.log)
+        assert phi.log[-1][1] <= params.residual_tol
+        assert f_gradient_residual(phi, params) == phi.log[-1][1]
+
+
+def test_zero_beta_solution_is_the_cell_inversion_of_mu0():
+    # at beta = 0 the tilt is mu0 whatever the potential: the solution
+    # inverts the cells of mu0 itself
+    k = 64
+    mu0 = smooth_mu0(np.random.default_rng(1), k)
+    for nu in nu_cases(k).values():
+        phi = solve_master(MasterParams(beta=0.0, mu0=mu0, nu=nu))
+        want = normalize_potential(
+            torus_grid_function(invert_cells_bisect(mu0.masses(),
+                                                    nu.masses())), nu)
+        assert np.abs(phi.values - want.values).max() <= 1e-12
+
+
+def test_newton_solves_a_reference_with_an_empty_cell():
+    # the damped blend of the cell masses stalled here, at iteration 25
+    # with residual 1.4e-3
+    k = 64
+    xs = np.arange(k) / k
+    params = MasterParams(
+        beta=-0.5,
+        mu0=GridMeasure.from_density_values(1.0 + 0.4 * np.cos(2 * np.pi * xs)),
+        nu=nu_cases(k)["empty-cell"])
+    phi = solve_master(params)
+    assert len(phi.log) - 1 <= 6
+    report = gprop_consistency(params, probes=12, phi_min=phi)
+    assert report.passed, (report.residual_tv, report.bracket_gap,
+                           report.entropy_gap, report.rate_at_minimizer)

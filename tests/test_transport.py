@@ -187,6 +187,25 @@ def test_w2_semidiscrete_refinement_decreases():
     assert values[0] > values[1] > values[2]
 
 
+def test_lattice_refinement_rows_match_the_semidiscrete_lp():
+    # verify-hamiltonian reads the uniform reference as atoms at its cell
+    # centres and takes the exact circle W2 of that instance
+    from ldpma.experiments import _run_verify_hamiltonian
+
+    for quad, ns in ((256, [2, 4, 8, 16]), (7, [3, 5])):
+        table = _run_verify_hamiltonian(
+            {"n": ns, "trials": 1, "sandwich_trials": 1, "quad": quad},
+            seed=0).table
+        rows = [r for r in table.rows if r[0] == "lattice-refinement"]
+        g = GridMeasure.uniform(dim=1, resolution=quad)
+        for row, n in zip(rows, ns):
+            mu = DiscreteMeasure(points=(np.arange(n) / n)[:, None],
+                                 weights=np.full(n, 1.0 / n),
+                                 domain=torus_domain(1))
+            assert row[1] == n
+            assert abs(row[4] - w2_semidiscrete(g, mu)) <= 1e-12
+
+
 def test_cyclical_monotonicity_detects_crossing():
     xs = np.array([[0.0], [1.0]])
     for cost in ("neg_inner", "sqdist_euclid"):
