@@ -60,7 +60,7 @@ class UsageError(Exception):
 def _registered_lines() -> List[str]:
     lines = [f"  {name}: {spec.summary}"
              for name, spec in EXPERIMENTS.items()]
-    lines.append("  report: merge run directories into one anchored table")
+    lines.append("  (merge run directories with: ldpma report DIR ...)")
     return lines
 
 
@@ -323,13 +323,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_report(args.dirs, args.out)
         if args.command == "run":
             name = args.experiment
-            if name == "report":
-                dirs = [t for t in (args.tokens or ()) if "=" not in t]
-                extra = dict(t.partition("=")[::2]
-                             for t in (args.tokens or ()) if "=" in t)
-                dirs += [d for d in
-                         extra.get("dirs", "").split(",") if d]
-                return _cmd_report(dirs, args.out or extra.get("out"))
             if name not in EXPERIMENTS:
                 print(f"unknown experiment {name!r}; registered:",
                       file=sys.stderr)

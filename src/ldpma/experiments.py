@@ -231,8 +231,15 @@ def _parse_count(text: str) -> int:
 
 def _parse_float(text: str) -> float:
     value = float(text)
-    if value != value:
-        raise ValueError("NaN is not a parameter")
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _parse_positive_float(text: str) -> float:
+    value = _parse_float(text)
+    if not value > 0.0:
+        raise ValueError("must be > 0")
     return value
 
 
@@ -251,7 +258,7 @@ def _parse_count_list(text: str) -> Tuple[int, ...]:
 
 
 def _parse_float_list(text: str) -> Tuple[float, ...]:
-    items = tuple(float(t) for t in text.split(",") if t.strip() != "")
+    items = tuple(_parse_float(t) for t in text.split(",") if t.strip() != "")
     if not items:
         raise ValueError("empty float list")
     return items
@@ -777,9 +784,10 @@ def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
             rows=trace,
         ))
         residual = err.residuals[-1] if err.residuals else math.inf
+        # the trace starts with the initial potential; count accepted steps
         row = (mp.beta, mp.resolution, dim, mp.effective_scheme(),
-               len(err.residuals), residual, math.inf, math.inf, math.inf,
-               "master-equation-fixed-point")
+               max(len(err.residuals) - 1, 0), residual, math.inf, math.inf,
+               math.inf, "master-equation-fixed-point")
         table = ResultTable(
             columns=("beta", "resolution", "dim", "scheme", "iterations",
                      "residual", "free_energy", "constant", "bracket_abs",
@@ -823,7 +831,8 @@ def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
                    for i, r, fv, s in phi.log),
     ))
 
-    row = (mp.beta, mp.resolution, dim, mp.effective_scheme(), len(phi.log),
+    steps = len(phi.log) - 1  # the log starts with the initial potential
+    row = (mp.beta, mp.resolution, dim, mp.effective_scheme(), steps,
            residual, free_energy, constant, bracket,
            "master-equation-fixed-point")
     table = ResultTable(
@@ -837,7 +846,7 @@ def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
             name="residual-converged",
             passed=residual <= 1e-6,
             observed=f"density mismatch {_fmt(residual)} after "
-                     f"{len(phi.log)} iterations",
+                     f"{steps} iterations",
             failing_rows=() if residual <= 1e-6 else (format_row(row),),
         ),
         Check(
@@ -1095,8 +1104,9 @@ _register(ExperimentSpec(
         ParamSpec("nu", "uniform", _parse_str,
                   "reference measure: uniform or a torus grid CSV path"),
         ParamSpec("d", "1", _parse_int, "torus dimension"),
-        ParamSpec("tol", "1e-9", _parse_float, "solver residual target"),
-        ParamSpec("max_iter", "400", _parse_int, "accepted-step budget"),
+        ParamSpec("tol", "1e-9", _parse_positive_float,
+                  "solver residual target"),
+        ParamSpec("max_iter", "400", _parse_count, "accepted-step budget"),
         ParamSpec("scheme", "auto", _parse_str,
                   "auto, cells (1-d Newton on exact power-cell masses), "
                   "or descent (2-d)"),

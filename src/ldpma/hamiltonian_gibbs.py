@@ -13,16 +13,14 @@ the squared Wasserstein distance from the lattice to the configuration.
 The Gibbs ensemble at inverse temperature beta weights configurations by
 e^{-beta H} against mu0^(x)N. `gibbs_exact` enumerates it over a site
 discretization (the n-lattice refined by an integer factor, so every
-lattice point is a representable site), up to EXACT_TABLE_MAX site tuples;
-`gibbs_mcmc` samples it with a Metropolis chain. Rate estimates read off
--(1/r_n) log(ball probability) with r_n = n^d.
+lattice point is a representable site), up to EXACT_TABLE_MAX site tuples.
+Rate estimates read off -(1/r_n) log(ball probability) with r_n = n^d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -92,18 +90,6 @@ def permanent(matrix: np.ndarray) -> float:
     return float(_ryser((a / scale[:, None])[None])[0]) * float(np.prod(scale))
 
 
-def tropical_permanent(matrix: np.ndarray) -> float:
-    """max over permutations of the entry product, for positive matrices.
-
-    Computed in log-space as the min-cost assignment of -log A, so the
-    value is exact up to one exp at the end.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if np.any(a <= 0.0):
-        raise ValueError("tropical permanent needs strictly positive entries")
-    return float(np.exp(-hungarian(-np.log(a)).cost))
-
-
 def _log_permanents(logs: np.ndarray) -> np.ndarray:
     """log per(exp(L)) for a (T, N, N) stack; rows are shifted by their
     maximum, and a zero or negative Ryser total gives -inf."""
@@ -111,14 +97,6 @@ def _log_permanents(logs: np.ndarray) -> np.ndarray:
     value = _ryser(np.exp(logs - shifts[..., None]))
     return np.sum(shifts, axis=1) + np.log(
         value, where=value > 0.0, out=np.full_like(value, -np.inf))
-
-
-def log_permanent(log_matrix: np.ndarray) -> float:
-    """log per(exp(L)) with per-row shifts, for matrices given in log form."""
-    logs = np.asarray(log_matrix, dtype=float)
-    if logs.ndim != 2 or logs.shape[0] != logs.shape[1]:
-        raise ValueError("permanent needs a square matrix")
-    return float(_log_permanents(logs[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -374,67 +352,6 @@ def gibbs_exact(ensemble: GibbsEnsemble) -> GibbsTable:
                       hamiltonians=hams, log_partition=log_z)
 
 
-@dataclass(frozen=True, eq=False)
-class McmcRun:
-    """Post-burn-in sample stream with its acceptance bookkeeping."""
-
-    configs: np.ndarray  # (kept, N, d)
-    acceptance_rate: float
-    seed: int
-
-    def __iter__(self) -> Iterator[EmpiricalConfig]:
-        for pts in self.configs:
-            yield EmpiricalConfig(points=pts)
-
-
-def gibbs_mcmc(ensemble: GibbsEnsemble, steps: int, burn_in: int,
-               seed: int) -> McmcRun:
-    """Metropolis chain targeting the ensemble, one particle move per step.
-
-    Proposals are uniform on the torus; the acceptance ratio is
-    e^{-beta (H' - H)} times the mu0 density ratio at the moved particle.
-    Identical seeds give identical streams. The chain starts from the
-    lattice configuration.
-    """
-    if steps < burn_in:
-        raise ValueError("steps must cover the burn-in")
-    rng = np.random.default_rng(seed)
-    lattice = ensemble.lattice
-    params = ensemble.params
-    nn = ensemble.particle_count
-    state = lattice.points.copy()
-    h = hamiltonian(ensemble.kind, lattice, params,
-                    EmpiricalConfig(points=state))
-    dens = np.array([ensemble.mu0.density_at(p) for p in state])
-    kept = []
-    accepted = 0
-    for step in range(steps):
-        i = int(rng.integers(nn))
-        proposal = rng.random(ensemble.d)
-        new_dens = ensemble.mu0.density_at(proposal)
-        u = rng.random()
-        if new_dens > 0.0:
-            trial = state.copy()
-            trial[i] = proposal
-            h_trial = hamiltonian(ensemble.kind, lattice, params,
-                                  EmpiricalConfig(points=trial))
-            if dens[i] == 0.0:
-                log_ratio = math.inf
-            else:
-                log_ratio = (-ensemble.beta * (h_trial - h)
-                             + math.log(new_dens / dens[i]))
-            accept = True if u <= 0.0 else math.log(u) < log_ratio
-            if accept:
-                state = trial
-                h = h_trial
-                dens[i] = new_dens
-                accepted += 1
-        if step >= burn_in:
-            kept.append(state.copy())
-    return McmcRun(configs=np.array(kept), acceptance_rate=accepted / steps,
-                   seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # Partition functions
 # ---------------------------------------------------------------------------
@@ -480,28 +397,22 @@ def partition_function(ensemble: GibbsEnsemble, quadrature_resolution: int) -> f
     z = float(np.exp(log_z))
 
     if ensemble.kind.tag == "permanental" and ensemble.beta == ensemble.n:
-        z_prod = partition_function_product(ensemble, quadrature_resolution)
+        z_prod = float(np.exp(log_partition_product(ensemble,
+                                                    quadrature_resolution)))
         if abs(z - z_prod) > 1e-8 * max(1.0, abs(z_prod)):
             raise RuntimeError(
                 f"quadrature {z!r} disagrees with product formula {z_prod!r}")
     return z
 
 
-def partition_function_product(ensemble: GibbsEnsemble,
-                               quadrature_resolution: int) -> float:
-    """Zero-temperature product formula N! prod_i (integral of phi_i mu0).
+def log_partition_product(ensemble: GibbsEnsemble,
+                          quadrature_resolution: int) -> float:
+    """log of the zero-temperature product formula N! prod_i (integral of
+    phi_i mu0), stable for large n.
 
     Valid for the permanental kind at beta = n, where e^{-beta H} is the
     permanent itself and the tensor integral factorizes exactly.
     """
-    if ensemble.kind.tag != "permanental" or ensemble.beta != ensemble.n:
-        raise ValueError("product formula needs permanental kind and beta = n")
-    return float(np.exp(log_partition_product(ensemble, quadrature_resolution)))
-
-
-def log_partition_product(ensemble: GibbsEnsemble,
-                          quadrature_resolution: int) -> float:
-    """log of the product formula, stable for large n."""
     if ensemble.kind.tag != "permanental" or ensemble.beta != ensemble.n:
         raise ValueError("product formula needs permanental kind and beta = n")
     pts, weights = _quadrature(ensemble.mu0, quadrature_resolution)

@@ -4,11 +4,9 @@ Contents:
 
 - ``GridFunction``: scalar samples on a regular grid, with an explicit
   +infinity sentinel mask (never -infinity).
-- ``legendre_transform``: conjugate f*(y) = max over nodes of <x,y> - f(x),
-  direct scan, exact per-axis decomposition in dimension 2.
+- ``legendre_transform``: conjugate f*(y) = max over nodes of <x,y> - f(x)
+  of a 1-d function, direct scan onto a dual grid.
 - ``conjugate_at``: the same scan evaluated at arbitrary dual points.
-- ``duality_gap``: the two-point Young inequality residual.
-- ``biconjugate_check``: double-transform sanity report.
 - ``ent_dual_check``: relative entropy against the supremum of
   <theta, nu> - log integral exp(theta) d mu0 over a refined theta grid.
 """
@@ -18,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -114,34 +112,9 @@ class GridFunction:
     def finite_count(self) -> int:
         return int(np.sum(~self.is_inf))
 
-    def value_at_node(self, index: tuple) -> float:
-        if self.is_inf[index]:
-            return float("inf")
-        return float(self.values[index])
-
-    def nearest_node_index(self, point: np.ndarray) -> tuple:
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        idx = []
-        for a in range(self.dim):
-            nodes = self.axis_nodes(a)
-            coordinate = point[a] % 1.0 if self.kind == "torus" else point[a]
-            idx.append(int(np.argmin(np.abs(nodes - coordinate))))
-        return tuple(idx)
-
     def shifted(self, constant: float) -> "GridFunction":
         return dataclasses.replace(self, values=self.values + constant,
                                    is_inf=self.is_inf)
-
-    @staticmethod
-    def from_callable(fn, dim: int, resolution: int, kind: str = "box",
-                      bounds: tuple = ()) -> "GridFunction":
-        probe = GridFunction(dim=dim, resolution=resolution,
-                             values=np.zeros((resolution,) * dim),
-                             kind=kind, bounds=bounds)
-        points = probe.nodes()
-        values = np.asarray([fn(p) for p in points], dtype=float)
-        return dataclasses.replace(probe,
-                                   values=values.reshape((resolution,) * dim))
 
 
 # ---------------------------------------------------------------------------
@@ -224,130 +197,23 @@ def interpolate_at(f: GridFunction, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def default_dual_box(f: GridFunction, padding: float = 0.1) -> tuple:
-    """Heuristic dual domain: discrete gradient range padded by 10%."""
-    bounds = []
-    values = _masked_values(f)
-    for axis in range(f.dim):
-        step = f.step(axis)
-        diffs = np.diff(values, axis=axis) / step
-        finite = diffs[np.isfinite(diffs)]
-        if finite.size == 0:
-            lo, hi = -1.0, 1.0
-        else:
-            lo, hi = float(np.min(finite)), float(np.max(finite))
-        width = max(hi - lo, 1e-9)
-        bounds.append((lo - padding * width, hi + padding * width))
-    return tuple(bounds)
-
-
-def legendre_transform(f: GridFunction, dual_bounds: Optional[tuple] = None,
-                       dual_resolution: Optional[int] = None) -> GridFunction:
-    """Discrete conjugate of ``f`` on a box grid of dual points.
+def legendre_transform(f: GridFunction, dual_bounds: tuple,
+                       dual_resolution: int) -> GridFunction:
+    """Discrete conjugate of a 1-d ``f`` on a box grid of dual points.
 
     f*(y_j) = max over grid nodes x_i of <x_i, y_j> - f(x_i). Nodes under
-    the infinity mask never participate. In dimension 2 the scan runs
-    per axis (exact two-pass decomposition of the joint maximum).
+    the infinity mask never participate.
     """
+    if f.dim != 1:
+        raise ValueError("legendre_transform is 1-d; use conjugate_at")
     if f.finite_count() == 0:
         raise ValueError("empty effective domain")
-    if dual_bounds is None:
-        dual_bounds = default_dual_box(f)
-    if dual_resolution is None:
-        dual_resolution = f.resolution
-    dual = GridFunction(dim=f.dim, resolution=dual_resolution,
-                        values=np.zeros((dual_resolution,) * f.dim),
+    dual = GridFunction(dim=1, resolution=dual_resolution,
+                        values=np.zeros(dual_resolution),
                         kind="box", bounds=dual_bounds)
-    if f.dim == 1:
-        x = f.axis_nodes(0)
-        y = dual.axis_nodes(0)
-        scores = np.outer(y, x) - _masked_values(f)[None, :]
-        values = np.max(scores, axis=1)
-        return dataclasses.replace(dual, values=values)
-
-    # dimension 2: conjugate along axis 1 first, then axis 0
-    x0 = f.axis_nodes(0)
-    x1 = f.axis_nodes(1)
-    y0 = dual.axis_nodes(0)
-    y1 = dual.axis_nodes(1)
-    masked = _masked_values(f)
-    # partial[i0, j1] = max_{x1} (x1 * y1_j - f(x0_i, x1))
-    partial = np.max(x1[None, :, None] * y1[None, None, :] -
-                     masked[:, :, None], axis=1)
-    if np.any(np.isneginf(partial)):
-        # rows that are entirely infinite drop out of the outer maximum
-        partial = np.where(np.isneginf(partial), -np.inf, partial)
-    values = np.max(x0[:, None, None] * y0[None, :, None] +
-                    partial[:, None, :], axis=0)
-    if np.any(~np.isfinite(values)):
-        raise ValueError("empty effective domain")
-    return dataclasses.replace(dual, values=values.reshape(dual.values.shape))
-
-
-def duality_gap(f: GridFunction, fstar: GridFunction, x, y) -> float:
-    """f(x) + f*(y) - <x, y> at grid nodes x of f and y of f*.
-
-    Nonnegative up to discretization slack of order Lipschitz(f) * step.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    fx = f.value_at_node(f.nearest_node_index(x))
-    fy = fstar.value_at_node(fstar.nearest_node_index(y))
-    return float(fx + fy - float(np.dot(x, y)))
-
-
-def is_midpoint_convex(f: GridFunction, tol: float = 1e-9) -> bool:
-    """Discrete midpoint convexity along every grid axis."""
-    values = f.values.copy()
-    values[f.is_inf] = np.inf
-    for axis in range(f.dim):
-        v = np.moveaxis(values, axis, 0)
-        left, mid, right = v[:-2], v[1:-1], v[2:]
-        with np.errstate(invalid="ignore"):
-            bad = mid > (left + right) / 2.0 + tol
-        bad &= np.isfinite(left) & np.isfinite(mid) & np.isfinite(right)
-        if np.any(bad):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class BiconjugateReport:
-    """Sup-norm gaps between f and its double conjugate.
-
-    ``above`` is max(0, f** - f) in sup norm (must be grid slack only);
-    ``below`` is the sup norm of f - f** and is reported only when f passes
-    the discrete midpoint convexity test; ``total`` is their sum.
-    """
-
-    above: float
-    below: Optional[float]
-    dual_bounds: tuple
-
-    @property
-    def total(self) -> float:
-        return self.above + (self.below or 0.0)
-
-    def __float__(self) -> float:
-        return self.total
-
-
-def biconjugate_check(f: GridFunction, dual_bounds: Optional[tuple] = None,
-                      dual_resolution: Optional[int] = None) -> BiconjugateReport:
-    """Double-transform report; records the dual truncation box it used."""
-    if dual_resolution is None:
-        dual_resolution = 4 * f.resolution
-    fstar = legendre_transform(f, dual_bounds=dual_bounds,
-                               dual_resolution=dual_resolution)
-    back = conjugate_at(fstar, f.nodes()).reshape(f.values.shape)
-    finite = ~f.is_inf
-    above = float(np.max(np.maximum(back[finite] - f.values[finite], 0.0),
-                         initial=0.0))
-    below = None
-    if is_midpoint_convex(f):
-        below = float(np.max(f.values[finite] - back[finite], initial=0.0))
-    return BiconjugateReport(above=above, below=below,
-                             dual_bounds=fstar.bounds)
+    scores = (np.outer(dual.axis_nodes(0), f.axis_nodes(0))
+              - _masked_values(f)[None, :])
+    return dataclasses.replace(dual, values=np.max(scores, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -76,16 +76,6 @@ class Domain:
         if self.kind == "alphabet" and self.size < 1:
             raise ValueError("alphabet domain needs size >= 1")
 
-    def contains(self, point: np.ndarray) -> bool:
-        if self.kind == "torus":
-            return bool(np.all(point >= 0.0) and np.all(point < 1.0))
-        if self.kind == "box":
-            lows = np.array([b[0] for b in self.bounds])
-            highs = np.array([b[1] for b in self.bounds])
-            return bool(np.all(point >= lows) and np.all(point <= highs))
-        idx = int(point)
-        return 0 <= idx < self.size
-
 
 def torus_domain(dim: int) -> Domain:
     return Domain(kind="torus", dim=dim)

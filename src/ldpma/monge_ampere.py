@@ -365,17 +365,6 @@ def ma_operator(theta: Union[Potential, GridFunction],
     return _from_masses(_transport(f, nu)[0], f.dim, f.resolution)
 
 
-def transport_map_1d(theta: Union[Potential, GridFunction],
-                     points: np.ndarray) -> np.ndarray:
-    """T_f at given torus points: the owning node of each point, mod 1."""
-    f = _as_grid_function(theta)
-    if f.kind != "torus" or f.dim != 1:
-        raise ValueError("transport map helper is 1-d torus only")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    _, owners = _lifted_conjugate_scan(f, pts)
-    return f.nodes()[owners]
-
-
 # ---------------------------------------------------------------------------
 # Functionals
 # ---------------------------------------------------------------------------
@@ -430,6 +419,12 @@ class MasterParams:
     scheme: str = "auto"
 
     def __post_init__(self):
+        if not math.isfinite(self.beta):
+            raise ValueError("beta must be finite")
+        if not self.residual_tol > 0.0:
+            raise ValueError("residual_tol must be > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         if not self.mu0.is_probability:
             raise ValueError("mu0 must be a probability measure")
         nu = self.nu

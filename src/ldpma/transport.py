@@ -1,8 +1,8 @@
 """Discrete and semi-discrete optimal transport.
 
 Assignments between equal-size point sets, coupling matrices with prescribed
-marginals, squared Wasserstein values, cyclical monotonicity certificates,
-and potentials reconstructed from monotone supports.
+marginals, squared Wasserstein values and cyclical monotonicity
+certificates.
 """
 
 from __future__ import annotations
@@ -10,13 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .legendre import GridFunction, conjugate_at, interpolate_at
 from .measures import DiscreteMeasure, GridMeasure, torus_domain
 
 MARGINAL_TOL = 1e-10
@@ -75,26 +74,6 @@ def _all_permutations(n: int) -> np.ndarray:
         _PERM_CACHE[n] = np.array(list(itertools.permutations(range(n))),
                                   dtype=np.int64)
     return _PERM_CACHE[n]
-
-
-def brute_force_assignment(cost: np.ndarray) -> Assignment:
-    """Exhaustive minimum over all permutations, N <= 9.
-
-    Ties resolve to the lexicographically smallest permutation because the
-    enumeration is lexicographic and only strict improvements replace the
-    incumbent.
-    """
-    cost = np.asarray(cost, dtype=float)
-    n = cost.shape[0]
-    if cost.shape != (n, n):
-        raise ValueError("cost matrix must be square")
-    if n > BRUTE_FORCE_MAX:
-        raise ValueError("use hungarian")
-    perms = _all_permutations(n)
-    totals = cost[np.arange(n)[None, :], perms].sum(axis=1)
-    best = int(np.argmin(totals))  # argmin returns the first, ties stay lex
-    return Assignment(permutation=tuple(int(j) for j in perms[best]),
-                      cost=float(totals[best]))
 
 
 def hungarian(cost: np.ndarray) -> Assignment:
@@ -296,7 +275,7 @@ def w2_semidiscrete(nu: GridMeasure, mu: DiscreteMeasure) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cyclical monotonicity and potentials
+# Cyclical monotonicity
 # ---------------------------------------------------------------------------
 
 
@@ -339,64 +318,3 @@ def cyclical_monotonicity_check(
                 if shifted < base - tol:
                     return False, list(cycle)
     return True, None
-
-
-def rockafellar_potential(
-    pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
-    base: Union[int, Tuple[np.ndarray, np.ndarray]],
-    query: np.ndarray,
-) -> float:
-    """Potential from a cyclically monotone support, zero at the base pair.
-
-    f(x) = max over chains of pairs starting at the base of the telescoping
-    sum of <y_j, x_{j+1} - x_j>, closed with <y_last, x - x_last>. The chain
-    maximum is computed by value relaxation over at most len(pairs) rounds,
-    which matches the distinct-pair chain maximum when the input is
-    cyclically monotone (the caller certifies that).
-    """
-    xs = np.atleast_2d(np.asarray([p[0] for p in pairs], dtype=float))
-    ys = np.atleast_2d(np.asarray([p[1] for p in pairs], dtype=float))
-    n = len(pairs)
-    if isinstance(base, (int, np.integer)):
-        base_idx = int(base)
-        if not 0 <= base_idx < n:
-            raise ValueError("base index out of range")
-    else:
-        bx = np.atleast_1d(np.asarray(base[0], dtype=float))
-        by = np.atleast_1d(np.asarray(base[1], dtype=float))
-        matches = np.where(np.all(xs == bx, axis=1) &
-                           np.all(ys == by, axis=1))[0]
-        if len(matches) == 0:
-            raise ValueError("base pair must belong to the support")
-        base_idx = int(matches[0])
-
-    # gains[p, q] = <y_p, x_q - x_p>, the telescoping step from pair p to q
-    gains = ys @ xs.T - np.sum(ys * xs, axis=1)[:, None]
-    value = np.full(n, -np.inf)
-    value[base_idx] = 0.0
-    for _ in range(n):
-        relaxed = np.max(value[:, None] + gains, axis=0)
-        relaxed[base_idx] = max(relaxed[base_idx], 0.0)
-        new_value = np.maximum(value, relaxed)
-        if np.array_equal(new_value, value):
-            break
-        value = new_value
-
-    query = np.atleast_1d(np.asarray(query, dtype=float))
-    closing = value + ys @ query - np.sum(ys * xs, axis=1)
-    return float(np.max(closing))
-
-
-def dual_pair_value(f: GridFunction, mu: DiscreteMeasure,
-                    nu: GridMeasure) -> float:
-    """Weak-duality value: integral of f against mu plus f* against nu.
-
-    f is interpolated at the atoms of mu (exact when atoms sit on nodes);
-    the conjugate is the direct node scan evaluated at nu's cell centers.
-    Adding a constant to f leaves the value unchanged.
-    """
-    f_at_atoms = interpolate_at(f, mu.points)
-    left = float(np.dot(f_at_atoms, mu.weights))
-    star_at_cells = conjugate_at(f, nu.centers())
-    right = float(np.dot(star_at_cells, nu.masses()))
-    return left + right

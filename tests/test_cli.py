@@ -154,11 +154,29 @@ def test_gibbs_ldp_refuses_bad_ball(tmp_path, capsys, arg, message):
     (["zero-temp-mgf", "quad=0"], "quad"),
     (["cramer-demo", "t_res=0"], "t_res"),
     (["cramer-demo", "x_res=0"], "x_res"),
+    (["solve-ma", "max_iter=-3"], "max_iter"),
 ])
 def test_non_positive_counts_are_usage_errors(tmp_path, capsys, args, name):
     assert main(["run", *args, f"out={tmp_path / 'r'}"]) == 2
     err = capsys.readouterr().err
     assert f"for {name}: " in err and "must be >= 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("args, name, message", [
+    (["solve-ma", "beta=inf"], "beta", "must be finite"),
+    (["solve-ma", "beta=-inf"], "beta", "must be finite"),
+    (["gibbs-ldp", "betas=nan,1"], "betas", "must be finite"),
+    (["cramer-demo", "points=-1,inf,2"], "points", "must be finite"),
+    (["solve-ma", "tol=-1"], "tol", "must be > 0"),
+    (["solve-ma", "tol=0"], "tol", "must be > 0"),
+])
+def test_non_finite_and_non_positive_reals_are_usage_errors(
+        tmp_path, capsys, args, name, message):
+    assert main(["run", *args, f"out={tmp_path / 'r'}"]) == 2
+    err = capsys.readouterr().err
+    assert f"for {name}: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
 
@@ -215,13 +233,3 @@ def test_report_warns_and_skips_missing(tmp_path, capsys):
 def test_report_empty_is_header_only(capsys):
     assert main(["report"]) == 0
     assert capsys.readouterr().out == "anchor,experiment,seed,point\n"
-
-
-def test_run_report_spelling(tmp_path, capsys):
-    a = tmp_path / "a"
-    assert run_theta(a) == 0
-    capsys.readouterr()  # drop the run summary
-    assert main(["run", "report", f"dirs={a}"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "anchor,experiment,seed,point"
-    assert len(out.splitlines()) == 3

@@ -36,7 +36,7 @@ GOLDEN = {
     "ot/results.csv":
         "e04eaf5da5ca6f42df4c58ae3ec9f41ca8426637d492dcb5950782021d47d5c8",
     "report.csv":
-        "2eedd6fa68e0e980dce25f171d953e22c8a5961262ace572c4dc2d365e5e5188",
+        "5d9efbd8115e613ce0c3e76d246cc9b9947c3069317334fc9f30e05b778d8a29",
     "sanov-demo/results.csv":
         "9b8c1dd573e71de34a2a8fa49aad45d860641d94af0167c1b44aa566d6fb39f0",
     "solve-ma/potential.csv":
@@ -46,7 +46,7 @@ GOLDEN = {
     "solve-ma/residuals.csv":
         "eecf3570056264529c954b3d6c8ba7fb03783aafcdda4248dcf98ce8f926ebf7",
     "solve-ma/results.csv":
-        "383d16f3aef078f3a151e59f780a47bbcc3724132f88191df33fb4ebddf01ed2",
+        "fa55b550687cbd4cd1ac7e7aaf6f53e7a0b3fe2ccbe8dea2cf2cfbf342e78955",
     "verify-hamiltonian/results.csv":
         "97b44b72ab7412eb0eb96f6428396d12e5efed71886cff2003de8b0ea65219f6",
     "verify-theta/results.csv":

@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 
 from ldpma.legendre import (
     GridFunction,
-    biconjugate_check,
     conjugate_at,
-    default_dual_box,
-    duality_gap,
     ent_dual_check,
     interpolate_at,
-    is_midpoint_convex,
     legendre_transform,
 )
 from ldpma.measures import DiscreteMeasure
@@ -22,13 +18,10 @@ from oracles import ent_dual_sup_scan, relative_entropy
 
 
 def parabola(resolution=64, half_width=2.0):
-    return GridFunction.from_callable(
-        lambda p: 0.5 * float(p[0]) ** 2,
-        dim=1,
-        resolution=resolution,
-        kind="box",
-        bounds=((-half_width, half_width),),
-    )
+    step = 2.0 * half_width / resolution
+    x = -half_width + (np.arange(resolution) + 0.5) * step
+    return GridFunction(dim=1, resolution=resolution, values=0.5 * x ** 2,
+                        kind="box", bounds=((-half_width, half_width),))
 
 
 def test_conjugate_of_half_square_is_half_square():
@@ -60,14 +53,18 @@ def test_conjugate_is_convex_in_dual_variable(vals):
                      kind="box", bounds=((0.0, 1.0),))
     fstar = legendre_transform(f, dual_bounds=((-3.0, 3.0),),
                                dual_resolution=33)
-    assert is_midpoint_convex(fstar, tol=1e-9)
+    v = fstar.values
+    assert np.all(v[1:-1] <= (v[:-2] + v[2:]) / 2.0 + 1e-9)
 
 
 def test_biconjugate_below_original_and_tight_for_convex():
     f = parabola(resolution=96)
-    report = biconjugate_check(f)
-    assert report.above <= 1e-12
-    assert report.below is not None and report.below <= 5e-3
+    # the slopes of f span [-2, 2]; the dual grid pads them by 10%
+    fstar = legendre_transform(f, dual_bounds=((-2.4, 2.4),),
+                               dual_resolution=4 * 96)
+    back = conjugate_at(fstar, f.nodes())
+    assert np.max(back - f.values) <= 1e-12
+    assert np.max(f.values - back) <= 5e-3
 
 
 def test_conjugate_at_matches_transform_nodes():
@@ -88,24 +85,11 @@ def test_constant_shift_moves_conjugate_oppositely():
     assert np.allclose(gstar.values, fstar.values - 0.7, atol=1e-14)
 
 
-def test_duality_gap_nonnegative_and_zero_at_touch():
-    f = parabola(resolution=128, half_width=1.0)
-    fstar = legendre_transform(f)
-    # the gap f(x) + f*(y) - x y is nonnegative for any pair
-    assert duality_gap(f, fstar, 0.3, 0.9) >= -1e-12
-
-
 def test_interpolate_at_hits_nodes():
     f = parabola(resolution=16)
     xs = f.axis_nodes(0)
     vals = interpolate_at(f, xs[:, None])
     assert np.allclose(vals, f.values, atol=1e-14)
-
-
-def test_default_dual_box_covers_difference_quotients():
-    f = parabola(resolution=32)
-    (lo, hi), = default_dual_box(f)
-    assert lo < -1.0 and hi > 1.0
 
 
 def test_grid_function_validation():
@@ -157,3 +141,11 @@ def test_ent_dual_refuses_alphabets_past_the_candidate_cap():
     mu0 = DiscreteMeasure.from_alphabet_weights(np.full(8, 1.0 / 8.0))
     with pytest.raises(ValueError, match="4782969 candidates"):
         ent_dual_check(mu0, mu0)
+
+
+def test_legendre_transform_is_one_dimensional():
+    f = GridFunction(dim=2, resolution=4, values=np.zeros((4, 4)),
+                     kind="box", bounds=((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(ValueError, match="1-d"):
+        legendre_transform(f, dual_bounds=((-1.0, 1.0), (-1.0, 1.0)),
+                           dual_resolution=4)

@@ -22,7 +22,6 @@ from ldpma.monge_ampere import (
     rate_function_g,
     solve_master,
     tilt_measure,
-    transport_map_1d,
     w2_circle,
     w2_to_reference,
 )
@@ -92,9 +91,11 @@ def test_operator_refuses_box_potentials():
 
 
 def test_transport_map_zero_potential_snaps_to_nodes():
+    # the transport map sends each point to the node owning it in the scan
     f = torus_grid_function(np.zeros(8))
     queries = np.array([[0.13], [0.49], [0.96]])
-    mapped = transport_map_1d(f, queries).ravel()
+    _, owners = monge_ampere._lifted_conjugate_scan(f, queries)
+    mapped = f.nodes()[owners].ravel()
     assert mapped == pytest.approx([0.1875, 0.4375, 0.9375], abs=1e-15)
 
 
@@ -327,6 +328,13 @@ def test_master_params_validation():
                      nu=GridMeasure.uniform(dim=1, resolution=8))
     with pytest.raises(ValueError):
         MasterParams(beta=1.0, mu0=mu0, scheme="newton")
+    for bad, message in [({"beta": math.inf}, "beta must be finite"),
+                         ({"beta": math.nan}, "beta must be finite"),
+                         ({"residual_tol": 0.0}, "residual_tol must be > 0"),
+                         ({"residual_tol": -1.0}, "residual_tol must be > 0"),
+                         ({"max_iter": 0}, "max_iter must be >= 1")]:
+        with pytest.raises(ValueError, match=message):
+            MasterParams(**{"beta": 1.0, "mu0": mu0, **bad})
 
 
 def test_solver_zero_beta_uniform_is_identity():
