@@ -39,6 +39,7 @@ from .measures import (
     DiscreteMeasure,
     Domain,
     GridMeasure,
+    grid_points,
     load_discrete_csv,
     load_grid_csv,
     log_mgf,
@@ -268,6 +269,18 @@ def _parse_str(text: str) -> str:
     return text
 
 
+def _parse_dim(*supported: int) -> Callable[[str], int]:
+    """Parser for a torus dimension the experiment supports."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value not in supported:
+            raise ValueError("must be " + " or ".join(map(str, supported)))
+        return value
+
+    return parse
+
+
 def _spawn_seeds(seed: int, count: int):
     """Independent integer seeds derived from the one run seed."""
     children = np.random.SeedSequence(seed).spawn(count)
@@ -285,8 +298,6 @@ def _fmt(value: float) -> str:
 def _run_verify_theta(params: dict, seed: int) -> ExperimentResult:
     del seed  # deterministic sweep, kept for the uniform runner signature
     dim = params["d"]
-    if dim not in (1, 2):
-        raise ValueError("d must be 1 or 2")
     rows = []
     one_sided_worst = -math.inf
     for n in sorted(set(params["n"])):
@@ -439,11 +450,8 @@ def _run_gibbs_ldp(params: dict, seed: int) -> ExperimentResult:
     # in for the continuum (the coarse site-uniform is already 0.153 away
     # from the best configuration and would leave the ball empty).
     cres = params["center_res"]
-    axes = [np.arange(cres) / cres] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cpts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     center = DiscreteMeasure(
-        points=cpts,
+        points=grid_points([np.arange(cres) / cres] * dim),
         weights=np.full(cres ** dim, 1.0 / cres ** dim),
         domain=Domain(kind="torus", dim=dim),
     )
@@ -695,8 +703,6 @@ def _test_functions(resolution: int) -> Tuple[Tuple[str, GridFunction], ...]:
 
 def _run_zero_temp_mgf(params: dict, seed: int) -> ExperimentResult:
     del seed
-    if params["d"] != 1:
-        raise ValueError("the scaled moment sweep is 1-d")
     k, quad = params["k"], params["quad"]
     mu0 = _load_torus_grid(params["mu0"], 1, k)
     ns = sorted(set(params["n"]))
@@ -756,19 +762,21 @@ def _run_zero_temp_mgf(params: dict, seed: int) -> ExperimentResult:
 def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
     del seed
     dim = params["d"]
-    if params["mu0"] == "uniform":
-        mu0 = GridMeasure.uniform(dim=dim, resolution=params["k"])
-    else:
+    mu0 = nu = None
+    if params["mu0"] != "uniform":
         mu0 = load_grid_csv(params["mu0"])
-        if params["k"] != mu0.resolution:
-            raise ValueError("k must match the mu0 grid resolution")
-    nu = None
     if params["nu"] != "uniform":
         nu = load_grid_csv(params["nu"])
+    for name, grid in (("mu0", mu0), ("nu", nu)):
+        if grid is not None and grid.dim != dim:
+            raise ValueError(f"{name} is a {grid.dim}-d grid but d={dim}")
+    if mu0 is None:
+        mu0 = GridMeasure.uniform(dim=dim, resolution=params["k"])
+    elif params["k"] != mu0.resolution:
+        raise ValueError("k must match the mu0 grid resolution")
     mp = MasterParams(beta=params["beta"], mu0=mu0, nu=nu,
                       max_iter=params["max_iter"],
-                      residual_tol=params["tol"],
-                      scheme=params["scheme"])
+                      residual_tol=params["tol"])
 
     artifacts = []
     try:
@@ -785,11 +793,11 @@ def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
         ))
         residual = err.residuals[-1] if err.residuals else math.inf
         # the trace starts with the initial potential; count accepted steps
-        row = (mp.beta, mp.resolution, dim, mp.effective_scheme(),
-               max(len(err.residuals) - 1, 0), residual, math.inf, math.inf,
-               math.inf, "master-equation-fixed-point")
+        row = (mp.beta, mp.resolution, dim, max(len(err.residuals) - 1, 0),
+               residual, math.inf, math.inf, math.inf,
+               "master-equation-fixed-point")
         table = ResultTable(
-            columns=("beta", "resolution", "dim", "scheme", "iterations",
+            columns=("beta", "resolution", "dim", "iterations",
                      "residual", "free_energy", "constant", "bracket_abs",
                      "provenance"),
             rows=(row,),
@@ -832,11 +840,10 @@ def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
     ))
 
     steps = len(phi.log) - 1  # the log starts with the initial potential
-    row = (mp.beta, mp.resolution, dim, mp.effective_scheme(), steps,
-           residual, free_energy, constant, bracket,
-           "master-equation-fixed-point")
+    row = (mp.beta, mp.resolution, dim, steps, residual, free_energy,
+           constant, bracket, "master-equation-fixed-point")
     table = ResultTable(
-        columns=("beta", "resolution", "dim", "scheme", "iterations",
+        columns=("beta", "resolution", "dim", "iterations",
                  "residual", "free_energy", "constant", "bracket_abs",
                  "provenance"),
         rows=(row,),
@@ -960,7 +967,7 @@ _register(ExperimentSpec(
     params=(
         ParamSpec("n", "8,16,32,64", _parse_count_list,
                   "comma list of lattice sharpness values"),
-        ParamSpec("d", "1", _parse_int, "torus dimension, 1 or 2"),
+        ParamSpec("d", "1", _parse_dim(1, 2), "torus dimension, 1 or 2"),
         ParamSpec("grid", "256", _parse_count,
                   "argument grid resolution per axis"),
         ParamSpec("r", "2", _parse_int, "kernel truncation radius"),
@@ -1002,7 +1009,7 @@ _register(ExperimentSpec(
     summary="exact Gibbs concentration around the rate minimizer",
     params=(
         ParamSpec("n", "2", _parse_count, "per-axis particle count"),
-        ParamSpec("d", "1", _parse_int, "torus dimension"),
+        ParamSpec("d", "1", _parse_dim(1, 2), "torus dimension, 1 or 2"),
         ParamSpec("refine", "4", _parse_count, "sites per lattice cell axis"),
         ParamSpec("betas", "0,1000,10000,100000,300000", _parse_float_list,
                   "inverse temperatures; the n=2 energy spread is about "
@@ -1079,7 +1086,7 @@ _register(ExperimentSpec(
                   "lattice sharpness sweep"),
         ParamSpec("k", "64", _parse_count, "test-function grid resolution"),
         ParamSpec("quad", "512", _parse_count, "quadrature resolution"),
-        ParamSpec("d", "1", _parse_int, "torus dimension (1 only)"),
+        ParamSpec("d", "1", _parse_dim(1), "torus dimension (1 only)"),
         ParamSpec("mu0", "uniform", _parse_str,
                   "base measure: uniform or a torus grid CSV path"),
         ParamSpec("shift", "0.37", _parse_float,
@@ -1103,13 +1110,11 @@ _register(ExperimentSpec(
         ParamSpec("k", "64", _parse_count, "torus grid resolution"),
         ParamSpec("nu", "uniform", _parse_str,
                   "reference measure: uniform or a torus grid CSV path"),
-        ParamSpec("d", "1", _parse_int, "torus dimension"),
+        ParamSpec("d", "1", _parse_dim(1),
+                  "torus dimension (1 only, until an exact 2-d operator)"),
         ParamSpec("tol", "1e-9", _parse_positive_float,
                   "solver residual target"),
         ParamSpec("max_iter", "400", _parse_count, "accepted-step budget"),
-        ParamSpec("scheme", "auto", _parse_str,
-                  "auto, cells (1-d Newton on exact power-cell masses), "
-                  "or descent (2-d)"),
     ),
     claims=("master-equation-fixed-point", "duality-bracket-zero"),
     tolerances={

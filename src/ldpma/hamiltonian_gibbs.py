@@ -27,7 +27,7 @@ from scipy.special import gammaln, logsumexp
 
 from .legendre import GridFunction, conjugate_at, interpolate_at
 from .measures import (DiscreteMeasure, EmpiricalConfig, GridMeasure,
-                       empirical, entropy)
+                       empirical, entropy, grid_points)
 from .torus_theta import ThetaParams, TorusLattice, log_theta_grid
 from .transport import (BRUTE_FORCE_MAX, _all_permutations, cost_matrix,
                         hungarian, w2_circle_atoms, w2_empirical)
@@ -231,9 +231,7 @@ class GibbsEnsemble:
 
     def site_points(self) -> np.ndarray:
         k = self.sites_per_axis
-        axes = [np.arange(k) / k] * self.d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return grid_points([np.arange(k) / k] * self.d)
 
     def site_log_weights(self) -> np.ndarray:
         """log of the mu0 site masses, normalized to a probability vector.
@@ -332,12 +330,8 @@ def gibbs_exact(ensemble: GibbsEnsemble) -> GibbsTable:
     log_phi = _site_log_phi(ensemble, sites)
     hams = _tuple_hamiltonians(ensemble, log_phi)
 
-    nn = ensemble.particle_count
-    m = ensemble.site_count
-    log_base = log_w
-    for _ in range(nn - 1):
-        log_base = (log_base[:, None] + log_w[None, :]).reshape(-1)
-    raw = -ensemble.beta * hams + log_base
+    raw = -ensemble.beta * hams + _tuple_log_weights(
+        log_w, ensemble.particle_count)
     # center before normalizing: at large beta the raw logs are huge and
     # subtracting log_z directly loses the 1e-12 the check below demands
     shift = float(raw.max())
@@ -357,11 +351,19 @@ def gibbs_exact(ensemble: GibbsEnsemble) -> GibbsTable:
 # ---------------------------------------------------------------------------
 
 
+def _tuple_log_weights(log_w: np.ndarray, count: int) -> np.ndarray:
+    """Log weight of every count-tuple of nodes: the row-major outer sum
+    of count copies of the per-node log weights."""
+    log_base = log_w
+    for _ in range(count - 1):
+        log_base = (log_base[:, None] + log_w[None, :]).reshape(-1)
+    return log_base
+
+
 def _quadrature(mu0: GridMeasure, resolution: int):
-    """Cell-center nodes of a k-grid weighted by mu0, as a probability."""
-    axes = [(np.arange(resolution) + 0.5) / resolution] * mu0.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    """Cell-center nodes of a k-grid and the logs of their mu0 weights,
+    normalized to a probability (-inf where mu0 vanishes)."""
+    pts = grid_points([(np.arange(resolution) + 0.5) / resolution] * mu0.dim)
     # center (2j + 1) / 2k lies in mu0 cell ((2j + 1) R) // 2k, R cells per axis
     cells = ((2 * np.arange(resolution) + 1) * mu0.resolution) // (2 * resolution)
     dens = mu0.density[np.ix_(*[cells] * mu0.dim)].reshape(-1)
@@ -370,7 +372,8 @@ def _quadrature(mu0: GridMeasure, resolution: int):
     if total <= 0.0:
         raise ValueError("mu0 vanishes on the quadrature grid")
     weights = weights / total
-    return pts, weights
+    return pts, np.log(weights, where=weights > 0.0,
+                       out=np.full_like(weights, -np.inf))
 
 
 def partition_function(ensemble: GibbsEnsemble, quadrature_resolution: int) -> float:
@@ -385,15 +388,11 @@ def partition_function(ensemble: GibbsEnsemble, quadrature_resolution: int) -> f
     m = quadrature_resolution ** ensemble.d
     if m ** nn > TENSOR_QUAD_MAX:
         raise ValueError("tensor quadrature budget exceeded; lower k or n")
-    pts, weights = _quadrature(ensemble.mu0, quadrature_resolution)
-    log_w = np.log(weights, where=weights > 0.0,
-                   out=np.full_like(weights, -np.inf))
+    pts, log_w = _quadrature(ensemble.mu0, quadrature_resolution)
     log_phi = log_theta_grid(ensemble.params, ensemble.lattice.points, pts)
     hams = _tuple_hamiltonians(ensemble, log_phi)
-    log_base = log_w
-    for _ in range(nn - 1):
-        log_base = (log_base[:, None] + log_w[None, :]).reshape(-1)
-    log_z = float(logsumexp(-ensemble.beta * hams + log_base))
+    log_z = float(logsumexp(-ensemble.beta * hams
+                            + _tuple_log_weights(log_w, nn)))
     z = float(np.exp(log_z))
 
     if ensemble.kind.tag == "permanental" and ensemble.beta == ensemble.n:
@@ -415,9 +414,7 @@ def log_partition_product(ensemble: GibbsEnsemble,
     """
     if ensemble.kind.tag != "permanental" or ensemble.beta != ensemble.n:
         raise ValueError("product formula needs permanental kind and beta = n")
-    pts, weights = _quadrature(ensemble.mu0, quadrature_resolution)
-    log_w = np.log(weights, where=weights > 0.0,
-                   out=np.full_like(weights, -np.inf))
+    pts, log_w = _quadrature(ensemble.mu0, quadrature_resolution)
     log_phi = log_theta_grid(ensemble.params, ensemble.lattice.points, pts)
     log_integrals = logsumexp(log_phi + log_w[None, :], axis=1)
     nn = ensemble.particle_count
@@ -558,9 +555,7 @@ def zero_temp_mgf(theta: GridFunction, n: int, d: int, mu0: GridMeasure,
     lattice = TorusLattice(n=n, d=d)
     params = ThetaParams(n=n)
 
-    pts, weights = _quadrature(mu0, quadrature_resolution)
-    log_w = np.log(weights, where=weights > 0.0,
-                   out=np.full_like(weights, -np.inf))
+    pts, log_w = _quadrature(mu0, quadrature_resolution)
     theta_q = interpolate_at(theta, pts)
     log_phi = log_theta_grid(params, lattice.points, pts)
     log_integrals = logsumexp(n * theta_q[None, :] + log_phi + log_w[None, :],
@@ -573,9 +568,7 @@ def zero_temp_mgf(theta: GridFunction, n: int, d: int, mu0: GridMeasure,
                      values=(np.sum(nodes * nodes, axis=1)
                              - theta.values.reshape(-1)).reshape(theta.values.shape),
                      kind="torus")
-    offsets = np.array(
-        np.meshgrid(*([[-1.0, 0.0, 1.0]] * d), indexing="ij")
-    ).reshape(d, -1).T
+    offsets = grid_points([np.array([-1.0, 0.0, 1.0])] * d)
     shifted = lattice.points[:, None, :] + offsets[None, :, :]
     flat = shifted.reshape(-1, d)
     conj = conjugate_at(g, 2.0 * flat).reshape(len(lattice.points), -1)

@@ -21,7 +21,7 @@ from typing import Tuple
 import numpy as np
 from scipy.special import logsumexp
 
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, grid_points
 
 MAX_DIM = 2
 
@@ -99,9 +99,7 @@ class GridFunction:
         return lo + (np.arange(self.resolution) + 0.5) * step
 
     def nodes(self) -> np.ndarray:
-        axes = [self.axis_nodes(a) for a in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return grid_points([self.axis_nodes(a) for a in range(self.dim)])
 
     def step(self, axis: int = 0) -> float:
         lo, hi = self.bounds[axis]

@@ -226,6 +226,16 @@ def empirical(config: EmpiricalConfig) -> DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 
+def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Every point of the product of per-axis coordinates, row-major.
+
+    Shape (product of the axis lengths, number of axes); the last axis
+    varies fastest.
+    """
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class GridMeasure:
     """A density on the regular grid of cells tiling the torus [0,1)^dim.
@@ -296,8 +306,7 @@ class GridMeasure:
     def centers(self) -> np.ndarray:
         """All cell centers, shape (resolution**dim, dim), row-major order."""
         axis = (np.arange(self.resolution) + 0.5) * (1.0 / self.resolution)
-        mesh = np.meshgrid(*([axis] * self.dim), indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return grid_points([axis] * self.dim)
 
     # ---- mass ----
 

@@ -1,16 +1,17 @@
 """Transport operator, master equation, and the transport-entropy rate function.
 
-Everything here lives on the flat torus chart [0,1)^d. The central object
-is the operator
+Everything here lives on the circle, the one-dimensional torus [0,1). The
+central object is the operator
 
     MA_nu f = (T_f)_# nu,    T_f(y) = argmin_x [ d(x,y)^2 + f(x) ],
 
 the pushforward of a reference density nu under the transport map of the
-potential f. In one dimension the argmin regions are computed exactly: they
-form a power diagram of the grid nodes (lifted by integer shifts for the
-wrap), each cell an interval whose nu-mass has a closed form. That keeps
-the master-equation residual at solver precision instead of at histogram
-granularity.
+potential f. The argmin regions are computed exactly: they form a power
+diagram of the grid nodes (lifted by integer shifts for the wrap), each
+cell an interval whose nu-mass has a closed form. That keeps the
+master-equation residual at solver precision instead of at histogram
+granularity. Potentials on higher-dimensional tori are refused until an
+exact operator for them exists.
 
 The same scan gives the dual energy J_nu(f), the nu-integral of
 -min_x [d(x,y)^2 + f(x)], and its envelope identity dJ/df_i = -(MA_nu f)_i
@@ -22,13 +23,11 @@ The master equation couples the operator to a Gibbs tilt,
 
     MA_nu f = e^{beta f} mu0 / integral(e^{beta f} mu0),
 
-which `solve_master` solves. In one dimension it runs damped
-Newton on the cell masses m: the potential is the exact power-cell
-inversion Inv(m), and the residual m - tilt(Inv(m)) has a dense k x k
-Jacobian built from the inversion's quantile slopes, so a solve takes a
-few steps at every beta. In two dimensions a Fourier-preconditioned
-descent steps against the density mismatch. The solution phi_min
-calibrates the rate function
+which `solve_master` solves by damped Newton on the cell masses m: the
+potential is the exact power-cell inversion Inv(m), and the residual
+m - tilt(Inv(m)) has a dense k x k Jacobian built from the inversion's
+quantile slopes, so a solve takes a few steps at every beta. The solution
+phi_min calibrates the rate function
 
     G(mu) = beta W2^2(mu, nu) + Ent(mu0, mu) + beta F(phi_min),
 
@@ -49,11 +48,6 @@ from .measures import DiscreteMeasure, GridMeasure, entropy, log_mgf
 from .transport import circle_primitives, w2_circle_atoms
 
 NORMALIZATION_TOL = 1e-10
-# d >= 2 torus quadrature: subpoints per nu-cell axis for the transport
-# assignment (mass quantum = cell mass / D2_SUBSAMPLE^d)
-D2_SUBSAMPLE = 3
-# d >= 2 descent scheme: initial step fraction of the lifted mismatch
-DESCENT_STEP = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -252,58 +246,16 @@ def w2_circle(mu, nu) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lifted_conjugate_scan(f: GridFunction, points: np.ndarray):
-    """(values, argmin nodes) of min over x of [d(x,y)^2 + f(x)] on the torus.
-
-    The minimum over integer shifts is folded into a classical scan over
-    3^d lifted copies of the nodes; ties break by the first (lexicographic)
-    lifted node, so the map is deterministic.
-    """
-    nodes = f.nodes()
-    k_total = len(nodes)
-    d = f.dim
-    shifts = np.array(
-        np.meshgrid(*([[-1.0, 0.0, 1.0]] * d), indexing="ij")
-    ).reshape(d, -1).T
-    lifted = (nodes[None, :, :] + shifts[:, None, :]).reshape(-1, d)
-    owner = np.tile(np.arange(k_total), len(shifts)).reshape(len(shifts), -1)
-    owner = owner.reshape(-1)
-    fvals = np.tile(f.values.reshape(-1), len(shifts))
-
-    points = np.atleast_2d(points)
-    sq = np.sum(lifted * lifted, axis=1)
-    out_val = np.empty(len(points))
-    out_node = np.empty(len(points), dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(len(lifted), 1))
-    for lo in range(0, len(points), chunk):
-        ys = points[lo:lo + chunk]
-        # |y - x|^2 + f = |y|^2 - 2<x,y> + |x|^2 + f
-        scores = (np.sum(ys * ys, axis=1)[:, None]
-                  - 2.0 * ys @ lifted.T + (sq + fvals)[None, :])
-        pick = np.argmin(scores, axis=1)
-        out_val[lo:lo + chunk] = scores[np.arange(len(ys)), pick]
-        out_node[lo:lo + chunk] = owner[pick]
-    return out_val, out_node
-
-
-def _torus_subsample(nu: GridMeasure, r: int):
-    """Symmetric r^d-point quadrature cloud inside each nu cell."""
-    centers = nu.centers()
-    h = 1.0 / nu.resolution
-    offs1 = ((np.arange(r) + 0.5) / r - 0.5) * h
-    offs = np.array(np.meshgrid(*([offs1] * nu.dim), indexing="ij"))
-    offs = offs.reshape(nu.dim, -1).T
-    pts = (centers[:, None, :] + offs[None, :, :]).reshape(-1, nu.dim) % 1.0
-    weights = np.repeat(nu.masses(), r ** nu.dim) / float(r ** nu.dim)
-    return pts, weights
-
-
 def _torus_pair(theta: Union[Potential, GridFunction],
                 nu: GridMeasure) -> GridFunction:
-    """The potential's grid function, once it lives on nu's torus."""
+    """The potential's grid function, once it is a circle potential on
+    nu's torus: the one place the operator refuses other dimensions."""
     f = _as_grid_function(theta)
     if f.kind != "torus":
         raise ValueError("the potential must live on the torus")
+    if f.dim != 1:
+        raise ValueError(f"the transport operator is exact in dimension 1 "
+                         f"only, not in dimension {f.dim}")
     if nu.dim != f.dim:
         raise ValueError("nu must be a measure of matching dimension")
     return f
@@ -316,26 +268,16 @@ def _from_masses(masses: np.ndarray, dim: int, k: int) -> GridMeasure:
 
 
 def _transport(f: GridFunction, nu: GridMeasure):
-    """(cell masses of MA_nu f, J_nu(f)) from one argmin scan.
+    """(cell masses of MA_nu f, J_nu(f)) from one scan of the power cells.
 
-    d = 1: the exact power-diagram intervals. A cell's nu-mass is a
-    closed-form CDF difference; J integrates the piecewise-quadratic
-    integrand over each interval split at nu's cell edges (cubic
-    antiderivative per piece). d = 2: nu cells are subsampled at 3^d
-    symmetric points each and every subpoint goes to its argmin node (mass
-    quantum cellmass/3^d; the subsampling keeps the assignment responsive
-    to sub-cell boundary moves, which the descent solver needs). J is the
-    same quadrature of the scanned minimum, so dJ/df_i = -mass_i holds at
-    quadrature level.
+    The argmin regions are the exact power-diagram intervals of the
+    circle. A cell's nu-mass is a closed-form CDF difference; J integrates
+    the piecewise-quadratic integrand over each interval split at nu's
+    cell edges (cubic antiderivative per piece), so dJ/df_i = -mass_i
+    holds exactly.
     """
-    k = f.resolution
-    masses = np.zeros(k ** f.dim)
-    if f.dim != 1:
-        pts, weights = _torus_subsample(nu, D2_SUBSAMPLE)
-        vals, owners = _lifted_conjugate_scan(f, pts)
-        np.add.at(masses, owners, weights)
-        return masses, float(np.sum(-vals * weights))
-    values = f.values.reshape(-1)
+    masses = np.zeros(f.resolution)
+    values = f.values
     node_idx, sites, lows, highs = _power_cells_1d(values)
     np.add.at(masses, node_idx, _cdf_eval(nu, highs) - _cdf_eval(nu, lows))
     # the cells tile [0, 1): split them all at nu's cell edges at once,
@@ -357,9 +299,10 @@ def ma_operator(theta: Union[Potential, GridFunction],
                 nu: GridMeasure) -> GridMeasure:
     """Pushforward of nu under the transport map of the potential.
 
-    The cell masses come from the scan of :func:`_transport`: exact in
-    d = 1, a subsampled cell quadrature in d = 2. The output lives on the
-    potential's grid and carries total mass 1.
+    The cell masses are the exact nu-masses of the potential's power
+    cells on the circle (see :func:`_transport`); a potential of another
+    dimension raises ValueError. The output lives on the potential's grid
+    and carries total mass 1.
     """
     f = _torus_pair(theta, nu)
     return _from_masses(_transport(f, nu)[0], f.dim, f.resolution)
@@ -405,10 +348,10 @@ class MasterParams:
     sign; existence for beta < 0 is not claimed, the solver simply reports
     non-convergence outside its range. Both measures must share one torus
     grid (the solver's state space). max_iter caps the accepted steps and
-    residual_tol is the TV residual to reach; scheme picks cells (1-d
-    Newton on the cell masses) or descent, auto choosing by dimension.
-    The step lengths are not parameters: Newton starts each step at 1,
-    descent at DESCENT_STEP, and both halve on rejection.
+    residual_tol is the TV residual to reach. The step length is not a
+    parameter: each Newton step starts at 1 and halves on rejection.
+    Grids of any dimension are accepted here; the operator refuses all
+    but the circle when the solver or a certificate first evaluates it.
     """
 
     beta: float
@@ -416,7 +359,6 @@ class MasterParams:
     nu: Optional[GridMeasure] = None
     max_iter: int = 400
     residual_tol: float = 1e-9
-    scheme: str = "auto"
 
     def __post_init__(self):
         if not math.isfinite(self.beta):
@@ -436,8 +378,6 @@ class MasterParams:
             raise ValueError("mu0 and nu must share one torus grid")
         if not nu.is_probability:
             raise ValueError("nu must be a probability measure")
-        if self.scheme not in ("auto", "cells", "descent"):
-            raise ValueError("scheme must be auto, cells, or descent")
 
     @property
     def dim(self) -> int:
@@ -446,11 +386,6 @@ class MasterParams:
     @property
     def resolution(self) -> int:
         return self.mu0.resolution
-
-    def effective_scheme(self) -> str:
-        if self.scheme != "auto":
-            return self.scheme
-        return "cells" if self.dim == 1 else "descent"
 
 
 class _Evaluation(NamedTuple):
@@ -587,37 +522,6 @@ def _inversion_jacobian(slopes: np.ndarray) -> np.ndarray:
                         + np.maximum(prefix[:, None] - prefix[None, :], 0.0))
 
 
-def _descent_lift(mismatch: np.ndarray, beta: float) -> np.ndarray:
-    """Potential-space lift of the density mismatch (descent scheme).
-
-    Cell masses respond to the potential through the second-difference
-    boundary operator: a face between axis neighbors carries nu-measure
-    ~ h^{d-1} and shifts by (df_j - df_i)/(2h), so the per-axis eigenvalue
-    is -2 k^{2-d} sin^2. The Gibbs tilt responds through beta times its
-    own mass. The lift inverts that linearized response in Fourier space,
-    which is a convolution with the operator's Green kernel. A bare
-    one-cell average in place of the inverse is unstable: the high modes
-    of the boundary response grow like the resolution, so any step large
-    enough to move the low modes scrambles the assignment.
-    """
-    k = mismatch.shape[0]
-    dim = mismatch.ndim
-    sq = np.sin(np.pi * np.fft.fftfreq(k)) ** 2
-    lam = np.zeros(mismatch.shape)
-    for axis in range(dim):
-        shape = [1] * dim
-        shape[axis] = k
-        lam = lam + sq.reshape(shape)
-    lam = -2.0 * float(k) ** (2 - dim) * lam - beta / float(k ** dim)
-    # beta < 0 can push low modes toward singularity; clamp keeps the
-    # lift finite and the step halving does the rest
-    lam = np.minimum(lam, -1e-12)
-    hat = np.fft.fftn(mismatch) / lam
-    hat[(0,) * dim] = 0.0
-    delta = np.real(np.fft.ifftn(hat))
-    return -delta
-
-
 def _newton_direction(masses: np.ndarray, slopes: np.ndarray,
                       tilt: np.ndarray, beta: float) -> np.ndarray:
     """Newton step for R(m) = m - tilt(Inv(m)) on the cell masses m.
@@ -637,19 +541,18 @@ def solve_master(params: MasterParams,
                  initial: Optional[Potential] = None) -> Potential:
     """Solve MA_nu f = e^{beta f} mu0 / Z to the requested residual.
 
-    The cells scheme (1-d) runs damped Newton on the cell masses m, the
-    potential being the exact power-cell inversion Inv(m): its first step
-    blends the pushforward halfway toward the tilt (positive wherever
-    either is), every later one solves the Jacobian of m - tilt(Inv(m))
-    (Kitagawa, Merigot & Thibert 2019). A step is halved until the masses
-    stay positive and either the residual or the free energy does not
-    increase. The descent scheme steps against the smoothed density
-    mismatch and insists on residual progress. Each trial potential is
+    Damped Newton on the cell masses m, the potential being the exact
+    power-cell inversion Inv(m): the first step blends the pushforward
+    halfway toward the tilt (positive wherever either is), every later one
+    solves the Jacobian of m - tilt(Inv(m)) (Kitagawa, Merigot & Thibert
+    2019). A step is halved until the masses stay positive and either the
+    residual or the free energy does not increase. Each trial potential is
     evaluated once, and the accepted trial's evaluation seeds the next
     iteration. Output is mean-zero under nu and carries the iteration log
     as (iteration, residual, free energy, accepted step) tuples, the start
-    logged with step 0. Non-convergence raises :class:`SolverError` with
-    the residual trace.
+    logged with step 0. A grid of dimension other than 1 raises ValueError
+    before the first evaluation; non-convergence raises
+    :class:`SolverError` with the residual trace.
     """
     k = params.resolution
     if initial is None:
@@ -658,14 +561,10 @@ def solve_master(params: MasterParams,
         current = normalize_potential(f, params.nu)
     else:
         current = normalize_potential(initial.f, params.nu)
-    scheme = params.effective_scheme()
-    if scheme == "cells" and params.dim != 1:
-        raise ValueError("the cells scheme is 1-d only")
 
     ev = _evaluate(current, params)
     log = [(0, ev.residual, ev.free_energy, 0.0)]
-    masses = slopes = None  # cells: the masses the current potential inverts
-    best_residual, best_iter = ev.residual, 0
+    masses = slopes = None  # the masses the current potential inverts
     while ev.residual > params.residual_tol:
         it = len(log) - 1
         if it >= params.max_iter:
@@ -673,60 +572,34 @@ def solve_master(params: MasterParams,
                 f"master equation not converged after {params.max_iter} "
                 f"iterations (residual {ev.residual:.3e}, tolerance "
                 f"{params.residual_tol:.1e})", [r for _, r, _, _ in log])
-        if scheme == "descent":
-            mismatch = (ev.tilt - ev.push.masses()).reshape((k,) * params.dim)
-            direction = -_descent_lift(mismatch, params.beta)
-            step = DESCENT_STEP
-        elif masses is None:  # the start is no inversion: blend toward the tilt
+        if masses is None:  # the start is no inversion: blend toward the tilt
             masses = ev.push.masses()
             direction, step = ev.tilt - masses, 0.5
         else:
             direction = _newton_direction(masses, slopes, ev.tilt, params.beta)
             step = 1.0
         for _ in range(40):
-            if scheme == "descent":
-                values = current.values + step * direction
-                trial_masses = trial_slopes = None
-            else:
-                trial_masses = masses + step * direction
-                if np.any(trial_masses <= 0.0):
-                    step *= 0.5
-                    continue
-                trial_masses = trial_masses / trial_masses.sum()
-                values, trial_slopes = _invert_cells_1d(trial_masses, params.nu)
+            trial_masses = masses + step * direction
+            if np.any(trial_masses <= 0.0):
+                step *= 0.5
+                continue
+            trial_masses = trial_masses / trial_masses.sum()
+            values, trial_slopes = _invert_cells_1d(trial_masses, params.nu)
             trial = normalize_potential(
-                GridFunction(dim=params.dim, resolution=k, values=values,
+                GridFunction(dim=1, resolution=k, values=values,
                              kind="torus"), params.nu)
             trial_ev = _evaluate(trial, params)
-            if scheme == "cells":
-                accept = (trial_ev.residual <= ev.residual
-                          or trial_ev.free_energy <= ev.free_energy + 1e-15)
-            else:
-                # assignment masses are quantized, so the free energy is
-                # too flat to arbitrate; insist on residual progress
-                accept = trial_ev.residual <= ev.residual
-            if accept:
+            if (trial_ev.residual <= ev.residual
+                    or trial_ev.free_energy <= ev.free_energy + 1e-15):
                 break
             step *= 0.5
         else:
-            message = (f"no admissible step at iteration {it} "
-                       f"(residual {ev.residual:.3e})")
-            if scheme == "descent":
-                floor = (1.0 / D2_SUBSAMPLE) ** params.dim
-                message += (f"; the subsampled assignment cannot resolve "
-                            f"residuals much below {floor:.2f}, raise "
-                            f"residual_tol or D2_SUBSAMPLE")
-            raise SolverError(message, [r for _, r, _, _ in log])
+            raise SolverError(f"no admissible step at iteration {it} "
+                              f"(residual {ev.residual:.3e})",
+                              [r for _, r, _, _ in log])
         current, ev = trial, trial_ev
         masses, slopes = trial_masses, trial_slopes
         log.append((it + 1, ev.residual, ev.free_energy, step))
-        if ev.residual < best_residual * (1.0 - 1e-6):
-            best_residual, best_iter = ev.residual, it + 1
-        elif scheme == "descent" and it + 1 - best_iter >= 40:
-            raise SolverError(
-                f"stalled at residual {ev.residual:.3e} (quantized assignment "
-                f"floor; raise residual_tol above it)",
-                [r for _, r, _, _ in log])
     return dataclasses.replace(current, log=tuple(log))
 
 
@@ -774,23 +647,21 @@ def _as_grid_measure(mu, like: GridMeasure) -> GridMeasure:
 
 
 def w2_to_reference(mu, nu: GridMeasure) -> float:
-    """W2^2 between a probability measure and a 1-d/2-d torus grid density.
+    """W2^2 between a probability measure and a circle grid density.
 
     Grid arguments are read as atoms at their cell centers: the transport
     machinery places mass exactly on the node lattice, and the duality
     bracket is an identity only under that convention (spreading the mass
-    over cells shifts the cost by an O(h^2) quantization term).
+    over cells shifts the cost by an O(h^2) quantization term). The
+    distance is the exact circle W2 of :func:`w2_circle`, which refuses a
+    nu of another dimension.
     """
     if isinstance(mu, GridMeasure):
         from .measures import torus_domain
 
         mu = DiscreteMeasure(points=mu.centers(), weights=mu.masses(),
                              domain=torus_domain(mu.dim))
-    if nu.dim == 1:
-        return w2_circle(mu, nu)
-    from .transport import w2_semidiscrete
-
-    return w2_semidiscrete(nu, mu)
+    return w2_circle(mu, nu)
 
 
 def rate_function_g(mu, params: MasterParams, phi_min: Potential) -> RateValue:

@@ -22,6 +22,7 @@ from typing import Tuple
 import numpy as np
 from scipy.special import logsumexp
 
+from .measures import grid_points
 from .transport import cost_matrix
 
 DEFECT_MAX = 1 << 23  # (centers, grid points) entries per defect array
@@ -44,9 +45,7 @@ class TorusLattice:
 
     @property
     def points(self) -> np.ndarray:
-        axes = [np.arange(self.n) / self.n] * self.d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        return grid_points([np.arange(self.n) / self.n] * self.d)
 
 
 @dataclass(frozen=True)
@@ -116,9 +115,8 @@ def theta_rate_error(params: ThetaParams, lattice: TorusLattice,
     if lattice.size * grid_resolution ** lattice.d > DEFECT_MAX:
         raise ValueError(
             "defect grid too large; lower grid resolution or the lattice n")
-    axes = [np.arange(grid_resolution) / grid_resolution] * lattice.d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    grid = grid_points([np.arange(grid_resolution) / grid_resolution]
+                       * lattice.d)
     centers = lattice.points
     defect = log_theta_grid(params, centers, grid)
     np.negative(defect, out=defect)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from ldpma.cli import main
-from ldpma.measures import DiscreteMeasure, save_csv, torus_domain
+from ldpma.measures import (DiscreteMeasure, GridMeasure, save_csv,
+                            torus_domain)
 
 
 def run_theta(out, extra=()):
@@ -179,6 +180,45 @@ def test_non_finite_and_non_positive_reals_are_usage_errors(
     assert f"for {name}: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("args, supported", [
+    (["gibbs-ldp", "d=0"], "1 or 2"),
+    (["verify-theta", "d=3"], "1 or 2"),
+    (["solve-ma", "d=0"], "1"),
+    (["solve-ma", "d=2", "k=6"], "1"),
+    (["zero-temp-mgf", "d=2"], "1"),
+])
+def test_unsupported_dimension_is_usage_error(tmp_path, capsys, args,
+                                              supported):
+    assert main(["run", *args, f"out={tmp_path / 'r'}"]) == 2
+    err = capsys.readouterr().err
+    assert f"for d: must be {supported}\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("name", ["mu0", "nu"])
+def test_solve_ma_refuses_a_grid_file_of_another_dimension(tmp_path, capsys,
+                                                           name):
+    k = 6
+    x = (np.arange(k) + 0.5) / k
+    grid = GridMeasure.from_density_values(
+        1.0 + 0.5 * np.outer(np.cos(2 * np.pi * x), np.cos(2 * np.pi * x)))
+    path = tmp_path / "grid2d.csv"
+    save_csv(grid, path)
+    rc = main(["run", "solve-ma", f"{name}={path}", f"k={k}",
+               f"out={tmp_path / 'r'}"])
+    assert rc == 2
+    assert f"{name} is a 2-d grid but d=1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_solve_ma_has_no_scheme_parameter(tmp_path, capsys):
+    rc = main(["run", "solve-ma", "scheme=cells", f"out={tmp_path / 'r'}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown parameter(s) scheme for solve-ma" in err
 
 
 def test_ot_requires_both_measures(capsys):

@@ -36,7 +36,7 @@ GOLDEN = {
     "ot/results.csv":
         "e04eaf5da5ca6f42df4c58ae3ec9f41ca8426637d492dcb5950782021d47d5c8",
     "report.csv":
-        "5d9efbd8115e613ce0c3e76d246cc9b9947c3069317334fc9f30e05b778d8a29",
+        "09a209431a3ba2c9a6b484d47efcfdac8c693f30e54a6179c7549dda677ceefd",
     "sanov-demo/results.csv":
         "9b8c1dd573e71de34a2a8fa49aad45d860641d94af0167c1b44aa566d6fb39f0",
     "solve-ma/potential.csv":
@@ -46,7 +46,7 @@ GOLDEN = {
     "solve-ma/residuals.csv":
         "eecf3570056264529c954b3d6c8ba7fb03783aafcdda4248dcf98ce8f926ebf7",
     "solve-ma/results.csv":
-        "fa55b550687cbd4cd1ac7e7aaf6f53e7a0b3fe2ccbe8dea2cf2cfbf342e78955",
+        "b12aefc2186bc94adf8baa71749ac0d06b0ac8f3495a12a9622098a681a50a21",
     "verify-hamiltonian/results.csv":
         "97b44b72ab7412eb0eb96f6428396d12e5efed71886cff2003de8b0ea65219f6",
     "verify-theta/results.csv":

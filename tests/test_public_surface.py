@@ -1,10 +1,13 @@
-"""Every public function and class of ldpma has a caller outside unit tests.
+"""Every public function and class of ldpma, and every module constant,
+has a caller outside unit tests.
 
-A module-level public name (no leading underscore) in ``src/ldpma`` must be
-read by another statement of ``src/``, by ``bench/``, by ``scripts/`` or by
-the acceptance sweep; the few that stay for another reason are listed in
+A module-level public name (no leading underscore) in ``src/ldpma``, and a
+module-level UPPER_CASE constant whether private or not, must be read by
+another statement of ``src/``, by ``bench/``, by ``scripts/`` or by the
+acceptance sweep; the few that stay for another reason are listed in
 ALLOWED with that reason. Unit tests do not count: a function whose only
-caller is its own test is code no experiment reaches.
+caller is its own test is code no experiment reaches, and a constant whose
+only reader was deleted tunes nothing.
 """
 
 import ast
@@ -17,6 +20,7 @@ READERS = [*sorted((ROOT / "bench").glob("*.py")),
            *sorted((ROOT / "scripts").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 # public name -> why it stays although none of the readers above reads it
 ALLOWED = {
@@ -42,16 +46,27 @@ def read_names(tree: ast.AST) -> set:
     return names
 
 
+def defined_name(stmt: ast.stmt):
+    """The name a module-level def, class or constant defines, else None."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return None if stmt.name.startswith("_") else stmt.name
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    names = [t.id for t in targets if isinstance(t, ast.Name)]
+    if len(names) == 1 and CONSTANT.fullmatch(names[0]):
+        return names[0]
+    return None
+
+
 def public_definitions():
-    """(module, name, names the rest of src reads) per public def/class."""
+    """(module, name, names the rest of src reads) per public def/class and
+    per module constant."""
     pieces = []  # (module, defined name or None, names the statement reads)
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            defined = (stmt.name if isinstance(
-                stmt, (ast.FunctionDef, ast.ClassDef)) else None)
-            pieces.append((path.stem, defined, read_names(stmt)))
+            pieces.append((path.stem, defined_name(stmt), read_names(stmt)))
     for module, defined, _ in pieces:
-        if defined is None or defined.startswith("_"):
+        if defined is None:
             continue
         others = set().union(*(reads for m, d, reads in pieces
                                if (m, d) != (module, defined)))
@@ -65,7 +80,7 @@ def test_every_public_name_has_a_caller():
     orphans = [f"{module}.{name}" for module, name, src_reads in definitions
                if name not in src_reads | outside | set(ALLOWED)]
     assert not orphans, (
-        f"public names that no definition in src/, bench/, scripts/ or the "
-        f"acceptance sweep reads: {orphans}; delete them or list them in "
-        f"ALLOWED with a reason")
+        f"public names and constants that no definition in src/, bench/, "
+        f"scripts/ or the acceptance sweep reads: {orphans}; delete them or "
+        f"list them in ALLOWED with a reason")
     assert set(ALLOWED) <= {name for _, name, _ in definitions}
