@@ -26,6 +26,7 @@ import configparser
 import csv
 import dataclasses
 import datetime
+import functools
 import json
 import subprocess
 import sys
@@ -146,7 +147,9 @@ def _build_run_config(experiment: str, args: argparse.Namespace) -> RunConfig:
                      outdir=reserved.get("out"))
 
 
+@functools.lru_cache(maxsize=None)
 def _git_describe() -> str:
+    """The checkout's ``git describe``, asked once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

@@ -15,6 +15,10 @@ e^{-beta H} against mu0^(x)N. `gibbs_exact` enumerates it over a site
 discretization (the n-lattice refined by an integer factor, so every
 lattice point is a representable site), up to EXACT_TABLE_MAX site tuples.
 Rate estimates read off -(1/r_n) log(ball probability) with r_n = n^d.
+
+``gammaln`` is imported from scipy inside the two functions that call it.
+``math.lgamma`` is no substitute: it differs from ``gammaln(n + 1)`` in
+the last bit from n = 2 on.
 """
 
 from __future__ import annotations
@@ -23,11 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .legendre import GridFunction, conjugate_at, interpolate_at
 from .measures import (DiscreteMeasure, EmpiricalConfig, GridMeasure,
-                       empirical, entropy, grid_points)
+                       _logsumexp, empirical, entropy, grid_points)
 from .torus_theta import ThetaParams, TorusLattice, log_theta_grid
 from .transport import (BRUTE_FORCE_MAX, _all_permutations, cost_matrix,
                         hungarian, w2_circle_atoms, w2_empirical)
@@ -244,7 +247,7 @@ class GibbsEnsemble:
         if np.all(dens == 0.0):
             raise ValueError("mu0 vanishes on every site")
         logs = np.log(dens, where=dens > 0.0, out=np.full_like(dens, -np.inf))
-        return logs - logsumexp(logs)
+        return logs - _logsumexp(logs)
 
 
 def _site_log_phi(ensemble: GibbsEnsemble, points: np.ndarray) -> np.ndarray:
@@ -336,10 +339,10 @@ def gibbs_exact(ensemble: GibbsEnsemble) -> GibbsTable:
     # subtracting log_z directly loses the 1e-12 the check below demands
     shift = float(raw.max())
     centered = raw - shift
-    log_z_centered = float(logsumexp(centered))
+    log_z_centered = float(_logsumexp(centered))
     log_z = log_z_centered + shift
     log_probs = centered - log_z_centered
-    total = float(np.exp(logsumexp(log_probs)))
+    total = float(np.exp(_logsumexp(log_probs)))
     if abs(total - 1.0) > 1e-12:
         raise RuntimeError(f"table normalization off by {total - 1.0:.2e}")
     return GibbsTable(ensemble=ensemble, sites=sites, log_probs=log_probs,
@@ -391,8 +394,8 @@ def partition_function(ensemble: GibbsEnsemble, quadrature_resolution: int) -> f
     pts, log_w = _quadrature(ensemble.mu0, quadrature_resolution)
     log_phi = log_theta_grid(ensemble.params, ensemble.lattice.points, pts)
     hams = _tuple_hamiltonians(ensemble, log_phi)
-    log_z = float(logsumexp(-ensemble.beta * hams
-                            + _tuple_log_weights(log_w, nn)))
+    log_z = float(_logsumexp(-ensemble.beta * hams
+                             + _tuple_log_weights(log_w, nn)))
     z = float(np.exp(log_z))
 
     if ensemble.kind.tag == "permanental" and ensemble.beta == ensemble.n:
@@ -416,8 +419,9 @@ def log_partition_product(ensemble: GibbsEnsemble,
         raise ValueError("product formula needs permanental kind and beta = n")
     pts, log_w = _quadrature(ensemble.mu0, quadrature_resolution)
     log_phi = log_theta_grid(ensemble.params, ensemble.lattice.points, pts)
-    log_integrals = logsumexp(log_phi + log_w[None, :], axis=1)
+    log_integrals = _logsumexp(log_phi + log_w[None, :], axis=1)
     nn = ensemble.particle_count
+    from scipy.special import gammaln
     return float(gammaln(nn + 1) + np.sum(log_integrals))
 
 
@@ -514,6 +518,7 @@ def sanov_exact(alphabet_size: int, mu0_weights, n: int, nu_weights):
     if np.any((counts > 0) & (mu0 <= 0.0)):
         raise ValueError("type charges a letter of mu0-probability zero")
 
+    from scipy.special import gammaln
     log_p = gammaln(n + 1) - np.sum(gammaln(counts + 1))
     log_p += float(np.sum(counts[counts > 0] * np.log(mu0[counts > 0])))
     rate = -log_p / n
@@ -558,8 +563,8 @@ def zero_temp_mgf(theta: GridFunction, n: int, d: int, mu0: GridMeasure,
     pts, log_w = _quadrature(mu0, quadrature_resolution)
     theta_q = interpolate_at(theta, pts)
     log_phi = log_theta_grid(params, lattice.points, pts)
-    log_integrals = logsumexp(n * theta_q[None, :] + log_phi + log_w[None, :],
-                              axis=1)
+    log_integrals = _logsumexp(n * theta_q[None, :] + log_phi + log_w[None, :],
+                               axis=1)
     p_n = float(np.mean(log_integrals) / n)
 
     # sup_x [theta - |x - y|^2] = g*(2y) - |y|^2 with g = |x|^2 - theta

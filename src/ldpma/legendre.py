@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .measures import DiscreteMeasure, grid_points
+from .measures import DiscreteMeasure, _logsumexp, grid_points
 
 MAX_DIM = 2
 
@@ -252,7 +251,7 @@ def ent_dual_check(mu0: DiscreteMeasure, nu: DiscreteMeasure,
     nu_w = nu.weights
 
     def pairing(thetas: np.ndarray) -> np.ndarray:
-        return thetas @ nu_w - logsumexp(thetas + log_mu0, axis=1)
+        return thetas @ nu_w - _logsumexp(thetas + log_mu0, axis=1)
 
     if np.all(nu_w > 0):
         closed = np.log(nu_w / mu0.weights)

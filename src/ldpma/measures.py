@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 # Cells whose reference density does not exceed this are treated as null
 # sets when testing absolute continuity.
@@ -401,6 +400,45 @@ def _theta_values(mu: MeasureLike, theta) -> np.ndarray:
     return flat
 
 
+def _logsumexp(a, axis=None, b=None):
+    """log(sum(b * exp(a))) over ``axis`` for float64 input.
+
+    Follows the real-input algorithm of ``scipy.special.logsumexp`` (1.17)
+    step by step, so the two agree bit for bit. The maxima are split off
+    for precision: with m their total weight and s the weighted sum of
+    exp(a - max) over the rest, the result is log1p(s/m) + log|m| + max,
+    NaN where the sum is negative. An entry of zero weight adds nothing,
+    even where ``a`` is infinite. Where that result is not finite (an
+    all -inf slice, say) the direct log of the sum stands. The reduced
+    axes are dropped; a full reduction returns a numpy scalar.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if b is not None:
+        b = np.asarray(b, dtype=float)
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        weighted = np.exp(a) if b is None else b * np.exp(a)
+        direct = np.log(np.sum(weighted, axis=axis, keepdims=True))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if b is not None:
+            a = np.where(b == 0, -np.inf, a)
+        a_max = np.max(a, axis=axis, keepdims=True)
+        at_max = a == a_max
+        rest = np.where(at_max, -np.inf, a)
+        at_max = at_max.astype(float)
+        m = np.sum(at_max if b is None else b * at_max, axis=axis,
+                   keepdims=True)
+        tail = np.exp(rest - a_max) if b is None else b * np.exp(rest - a_max)
+        s = np.sum(tail, axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        sign = np.sign(s + 1) * np.sign(m)
+        s = np.where(s < -1, -s - 2, s)
+        out = np.log1p(s) + np.log(np.abs(m)) + a_max
+        out[sign < 0] = np.nan
+    out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def log_mgf(mu: MeasureLike, theta) -> float:
     """log of the integral of exp(theta) against mu.
 
@@ -415,7 +453,7 @@ def log_mgf(mu: MeasureLike, theta) -> float:
         raise ValueError("measure has no mass")
     if not np.all(np.isfinite(values[carrying])):
         raise ValueError("potential must be finite on the support")
-    return float(logsumexp(values[carrying], b=masses[carrying]))
+    return float(_logsumexp(values[carrying], b=masses[carrying]))
 
 
 # ---------------------------------------------------------------------------

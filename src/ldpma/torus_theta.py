@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .measures import grid_points
+from .measures import _logsumexp, grid_points
 from .transport import cost_matrix
 
 DEFECT_MAX = 1 << 23  # (centers, grid points) entries per defect array
@@ -93,7 +92,7 @@ def log_theta_grid(params: ThetaParams, centers: np.ndarray,
         pu, pi = np.unique(points[:, axis], return_inverse=True)
         # s[o, a, b] = x_b - p_a - m_o along this axis
         s = (pu[None, None, :] - cu[None, :, None]) - shifts[:, None, None]
-        table = logsumexp(-params.n * (s * s), axis=0)
+        table = _logsumexp(-params.n * (s * s), axis=0)
         out += table[ci[:, None], pi[None, :]]
     return out
 

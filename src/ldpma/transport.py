@@ -3,6 +3,9 @@
 Assignments between equal-size point sets, coupling matrices with prescribed
 marginals, squared Wasserstein values and cyclical monotonicity
 certificates.
+
+scipy is imported inside ``hungarian`` and ``kantorovich_lp``, the only
+functions that call it, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .measures import DiscreteMeasure, GridMeasure, torus_domain
 
@@ -84,6 +85,7 @@ def hungarian(cost: np.ndarray) -> Assignment:
         raise ValueError("cost matrix must be square")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost entries must be finite")
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(cost)
     return Assignment(permutation=tuple(int(c) for c in cols),
                       cost=float(cost[rows, cols].sum()))
@@ -137,6 +139,9 @@ def kantorovich_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
         raise ValueError("plan too large; coarsen the instance")
     if abs(mu.total_mass() - nu.total_mass()) > 1e-9:
         raise ValueError("infeasible: total masses differ")
+
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
 
     # row-sum and column-sum equality constraints over the flattened coupling
     row_idx = np.repeat(np.arange(n), m)

@@ -1,12 +1,16 @@
 """Command-line runner: spellings, precedence, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ldpma.cli import main
+import ldpma
+from ldpma.cli import _git_describe, main
 from ldpma.measures import (DiscreteMeasure, GridMeasure, save_csv,
                             torus_domain)
 
@@ -273,3 +277,54 @@ def test_report_warns_and_skips_missing(tmp_path, capsys):
 def test_report_empty_is_header_only(capsys):
     assert main(["report"]) == 0
     assert capsys.readouterr().out == "anchor,experiment,seed,point\n"
+
+
+# Experiments whose every call path runs on numpy alone.
+NUMPY_ONLY_EXPERIMENTS = ("solve-ma", "verify-theta", "cramer-demo",
+                          "zero-temp-mgf", "gibbs-ldp")
+
+SCIPY_PROBE = """
+import sys
+import ldpma.cli
+
+def report(stage):
+    names = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    print(f"scipy after {stage}: {names}")
+
+report("import")
+for name in sys.argv[2:]:
+    assert ldpma.cli.main(["run", name, f"out={sys.argv[1]}/{name}"]) == 0
+report("runs")
+"""
+
+
+def test_numpy_only_runs_load_no_scipy(tmp_path):
+    src = str(Path(ldpma.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path),
+         *NUMPY_ONLY_EXPERIMENTS],
+        capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    reports = [line for line in done.stdout.splitlines()
+               if line.startswith("scipy after")]
+    assert reports == ["scipy after import: []", "scipy after runs: []"]
+    for name in NUMPY_ONLY_EXPERIMENTS:
+        assert (tmp_path / name / "results.csv").exists()
+
+
+def test_git_describe_runs_once_per_process(monkeypatch):
+    _git_describe.cache_clear()
+    calls = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    first = _git_describe()
+    assert _git_describe() == first
+    assert len(calls) == 1

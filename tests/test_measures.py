@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ldpma.measures import (
     DiscreteMeasure,
     Domain,
+    _logsumexp,
     EmpiricalConfig,
     GridMeasure,
     alphabet_domain,
@@ -131,6 +132,67 @@ def test_entropy_nonnegative(mu0_w, nu_w):
     mu0 = DiscreteMeasure.from_alphabet_weights(mu0_w)
     nu = DiscreteMeasure.from_alphabet_weights(nu_w)
     assert entropy(mu0, nu) >= -1e-12
+
+
+def _ties_and_dead_rows():
+    a = np.log(np.array([[1.0, 2.0, 2.0, 0.5],
+                         [3.0, 3.0, 3.0, 3.0],
+                         [1.0, 1.0, 1.0, 1.0]]))
+    a[2, :] = -np.inf
+    return a
+
+
+LOGSUMEXP_CASES = [
+    # ties at the maximum; one row all -inf
+    (_ties_and_dead_rows(), None, None),
+    (_ties_and_dead_rows(), 0, None),
+    (_ties_and_dead_rows(), 1, None),
+    # zero weights, one of them on an infinite entry
+    (np.array([[0.3, np.inf, -1.0], [2.0, 2.0, -np.inf]]), 1,
+     np.array([[0.5, 0.0, 0.25], [0.0, 1.0, 0.3]])),
+    (np.array([[0.3, np.inf, -1.0], [2.0, 2.0, -np.inf]]), None,
+     np.array([[0.5, 0.0, 0.25], [0.0, 1.0, 0.3]])),
+    # weighted 1-d input, as log_mgf passes it
+    (np.array([40.0, -3.5, 40.0, 1e-3, -700.0]), None,
+     np.array([0.1, 0.2, 0.3, 0.15, 0.25])),
+    # a wide dynamic range along axis 0, as log_theta_grid reduces it
+    (-64.0 * np.linspace(-3.0, 3.0, 7)[:, None] ** 2
+     + np.linspace(0.0, 1.0, 5)[None, :], 0, None),
+    (np.full(4, -np.inf), None, None),
+]
+
+
+@pytest.mark.parametrize("a, axis, b", LOGSUMEXP_CASES)
+def test_logsumexp_matches_scipy_bit_for_bit(a, axis, b):
+    from scipy.special import logsumexp
+
+    got = _logsumexp(a, axis=axis, b=b)
+    want = logsumexp(a, axis=axis, b=b)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_logsumexp_matches_scipy_on_random_tables():
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        a = np.round(rng.normal(scale=30.0, size=(4, 6)))
+        a[rng.random(a.shape) < 0.2] = -np.inf
+        b = rng.random(a.shape) * (rng.random(a.shape) > 0.3)
+        for axis in (None, 0, 1):
+            for weights in (None, b):
+                got = _logsumexp(a, axis=axis, b=weights)
+                want = logsumexp(a, axis=axis, b=weights)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_logsumexp_full_reduction_is_a_numpy_scalar():
+    value = _logsumexp(np.zeros(2))
+    assert isinstance(value, np.float64) and np.ndim(value) == 0
+    assert value == np.log(2.0)
+    assert _logsumexp(np.full((2, 3), -np.inf)) == -np.inf
 
 
 def test_log_mgf_matches_direct_sum():
