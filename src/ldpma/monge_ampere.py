@@ -107,48 +107,33 @@ def normalize_potential(theta: Union[Potential, GridFunction],
 def _power_cells_1d(values: np.ndarray):
     """Exact argmin intervals of min_i [ (y - x_i)^2 + f_i ] on [0,1).
 
-    Nodes are lifted by shifts m in {-1,0,1} and scanned left to right;
-    a stack prunes sites whose interval closes before it opens (the pooled
-    cells of nodes beaten everywhere). Returns (node index, serving site
+    Nodes are lifted by shifts m in {-1,0,1}. Each pass computes the
+    equal-cost boundaries of all neighbouring kept sites at once and drops
+    every site whose interval closes before it opens: such a site lies on
+    or above the chord of its neighbours, so it serves no point whatever
+    else is dropped. Passes repeat until none is dropped (the pooled cells
+    of nodes beaten everywhere are gone). Returns (node index, serving site
     position, low, high) arrays with the intervals clipped to [0,1) and
     the lows strictly increasing.
     """
     k = len(values)
     h = 1.0 / k
     nodes = (np.arange(k) + 0.5) * h
-    positions = np.concatenate([nodes - 1.0, nodes, nodes + 1.0]).tolist()
-    weights = np.tile(values, 3).tolist()
-
-    def boundary(i, j):
-        # equal-cost point of sites i (left) and j (right)
-        return 0.5 * (positions[i] + positions[j]) + \
-            (weights[j] - weights[i]) / (2.0 * (positions[j] - positions[i]))
-
-    stack = []  # site index
-    lefts = []  # opening point of the stacked site's interval
-    for s in range(len(positions)):
-        while stack:
-            b = boundary(stack[-1], s)
-            if b <= lefts[-1]:
-                stack.pop()
-                lefts.pop()
-            else:
-                break
-        lefts.append(boundary(stack[-1], s) if stack else -math.inf)
-        stack.append(s)
-
-    node_idx, sites, lows, highs = [], [], [], []
-    for pos_in_stack, site in enumerate(stack):
-        lo = lefts[pos_in_stack]
-        hi = lefts[pos_in_stack + 1] if pos_in_stack + 1 < len(stack) else 1.0
-        lo, hi = max(lo, 0.0), min(hi, 1.0)
-        if hi > lo:
-            node_idx.append(site % k)
-            sites.append(positions[site])
-            lows.append(lo)
-            highs.append(hi)
-    return (np.array(node_idx), np.array(sites),
-            np.array(lows), np.array(highs))
+    positions = np.concatenate([nodes - 1.0, nodes, nodes + 1.0])
+    weights = np.tile(values, 3)
+    kept = np.arange(3 * k)
+    while True:
+        p, w = positions[kept], weights[kept]
+        # equal-cost point of each kept site and its right neighbour
+        b = 0.5 * (p[:-1] + p[1:]) + (w[1:] - w[:-1]) / (2.0 * (p[1:] - p[:-1]))
+        empty = b[1:] <= b[:-1]
+        if not empty.any():
+            break
+        kept = kept[np.concatenate([[True], ~empty, [True]])]
+    lows = np.maximum(np.concatenate([[-math.inf], b]), 0.0)
+    highs = np.minimum(np.concatenate([b, [1.0]]), 1.0)
+    live = highs > lows
+    return kept[live] % k, p[live], lows[live], highs[live]
 
 
 def _cdf_eval(nu: GridMeasure, points: np.ndarray) -> np.ndarray:
@@ -175,11 +160,15 @@ def w2_circle(mu, nu) -> float:
     convex and piecewise quadratic in alpha, with breaks where T_mu(i) +
     alpha meets a knot T_nu(j) + n of nu's cumulative weights. Its slope
     D(alpha) = 1 + 2 Q(alpha) - 2 sum_i x_i [Q(T_i + alpha) - Q(T_{i-1} +
-    alpha)] is nondecreasing and linear on each piece. Bisection jumps to
-    the ends of the piece holding its midpoint until a piece holds the zero
-    of D (or D changes sign at a break); the cost there comes from the
-    wrap-extended primitives of Q and Q^2. Cells with zero density are
-    skipped, which makes Q jump over them.
+    alpha)] is nondecreasing and linear on each piece. The search keeps a
+    bracket and evaluates one piece at a time, starting at alpha = 0: when
+    the zero of the piece's linear D lies outside it, the bracket shrinks
+    to that side of the piece, and the next piece is the one holding that
+    zero if it lies inside the new bracket and the bracket at least
+    halved, else the one holding the bracket's midpoint. It stops when a
+    piece holds the zero of D (or D changes sign at a break); the cost
+    there comes from the wrap-extended primitives of Q and Q^2. Cells with
+    zero density are skipped, which makes Q jump over them.
     """
     if isinstance(mu, GridMeasure):
         mu, nu = nu, mu
@@ -218,24 +207,25 @@ def w2_circle(mu, nu) -> float:
         return (m1[j] + delta * (a + y) / 2,
                 m2[j] + delta * (a * a + a * y + y * y) / 3)
 
-    lo, hi = -1.0, 1.0
+    lo, hi, guess = -1.0, 1.0, 0.0
     while True:
-        mid = 0.5 * (lo + hi)
-        wraps = np.floor(t_mu + mid)
-        u = t_mu + mid - wraps
+        wraps = np.floor(t_mu + guess)
+        u = t_mu + guess - wraps
         j, delta, y = locate(u)
         q, dq = y + wraps, 1.0 / rho[j]
         slope = 2.0 * dq[0] - 2.0 * x @ np.diff(dq)
-        alpha = mid - (1.0 + 2.0 * q[0] - 2.0 * x @ np.diff(q)) / slope
-        lower = max(mid - np.min(delta), lo)
-        upper = min(mid + np.min(t_nu[j + 1] - u), hi)
+        alpha = guess - (1.0 + 2.0 * q[0] - 2.0 * x @ np.diff(q)) / slope
+        lower = max(guess - np.min(delta), lo)
+        upper = min(guess + np.min(t_nu[j + 1] - u), hi)
         if lower <= alpha <= upper:
             break
         bracket = (upper, hi) if alpha > upper else (lo, lower)
         if bracket == (lo, hi) or bracket[0] >= bracket[1]:
             alpha = min(max(alpha, lo), hi)
             break
+        halved = bracket[1] - bracket[0] <= 0.5 * (hi - lo)
         lo, hi = bracket
+        guess = alpha if halved and lo < alpha < hi else 0.5 * (lo + hi)
     p1, p2 = circle_primitives(t_mu + alpha, inner)
     cost = (x * x) @ np.diff(t_mu) - 2.0 * x @ np.diff(p1) + p2[-1] - p2[0]
     return max(float(cost), 0.0)
@@ -453,15 +443,26 @@ def _invert_cells_1d(masses: np.ndarray, nu: GridMeasure):
 
     Cyclic consistency pins the quantile anchor s: the boundaries b_j =
     Q_nu(s + c_j), c the cumulative masses, must sum to the node
-    midpoints' sum, a strictly increasing condition solved by bisection.
+    midpoints' sum. The gap g(s) = sum(b) - target is nondecreasing and
+    piecewise linear, its slope the sum of the slopes below, so Newton
+    steps find s to a few ulps of 1 + |s|, bisecting instead when a step
+    leaves the bracket or is not half the last move. A bracket that close
+    around s is then bisected to neighbouring floats with the predicate
+    g < 0. Rounding keeps g nondecreasing, so that pair is unique and s
+    lands on the float that bisection from [-1, 1] reaches: about 12
+    quantile passes on the master path instead of about 65.
+
     The slopes are Q_nu' at each s + c_j, read from the nu cell that
     charges that mass coordinate, so they stay finite where nu has empty
-    cells; :func:`_inversion_jacobian` turns them into the derivative.
-    Needs every target mass positive.
+    cells; :func:`_inversion_jacobian` turns them into the derivative. A
+    zero target mass leaves its node's cell a single point, shared with
+    both neighbours; raising that node's value by h^2 empties the cell
+    strictly, so rounding gives it no mass. The masses must be
+    nonnegative and sum to nu's total mass.
     """
     k = len(masses)
-    if np.any(masses <= 0.0):
-        raise ValueError("cell inversion needs strictly positive masses")
+    if np.any(masses < 0.0):
+        raise ValueError("cell inversion needs nonnegative masses")
     h = 1.0 / k
     mids = (np.arange(k) + 1.0) * h  # boundary targets: node_i + h/2
     target_sum = float(np.sum(mids))
@@ -471,39 +472,67 @@ def _invert_cells_1d(masses: np.ndarray, nu: GridMeasure):
     knots_t = np.concatenate([[0.0], np.cumsum(nu_masses)])
     knots_t[-1] = total
     knots_x = np.arange(nu.resolution + 1) / nu.resolution
+    charged = np.flatnonzero(nu_masses > 0.0)
 
-    def coordinates(s: float):
-        # mass coordinate of each boundary in [0, total], and its wraps
+    def quantile(s: float):
+        # mass coordinates of s + cum in [0, total], and nu's piecewise-linear
+        # quantile there, gaining 1 per wrap
         t = s + cum
         wraps = np.floor(t)
-        return np.clip((t - wraps) * total, 0.0, total), wraps
+        frac = np.clip((t - wraps) * total, 0.0, total)
+        return frac, np.interp(frac, knots_t, knots_x) + wraps
 
-    def boundaries(s: float) -> np.ndarray:
-        # nu's piecewise-linear quantile at s + cum, gaining 1 per wrap
-        frac, wraps = coordinates(s)
-        return np.interp(frac, knots_t, knots_x) + wraps
+    # (s, mass coordinates, boundaries) where g(s) < 0, and where g(s) >= 0;
+    # g(-1) < 0 <= g(1) since g(s + 1) = g(s) + k and Q_nu maps [0, 1] to [0, 1]
+    ends = [(-1.0, None, None), (1.0, None, None)]
 
-    lo, hi = -1.0, 1.0
-    # g(s) = sum b_i(s) - target is nondecreasing with g(s+1) = g(s) + k
-    while np.sum(boundaries(lo)) > target_sum:
-        lo -= 1.0
-    while np.sum(boundaries(hi)) < target_sum:
-        hi += 1.0
+    def probe(s: float):
+        # g(s), moving the bracket end on s's side of the root to s
+        frac, b = quantile(s)
+        gap = float(np.sum(b)) - target_sum
+        ends[gap >= 0.0] = (s, frac, b)
+        return frac, gap
+
+    def slopes(frac: np.ndarray) -> np.ndarray:
+        cell = charged[np.minimum(
+            np.searchsorted(knots_t[charged], frac, side="right") - 1,
+            len(charged) - 1)]
+        return total / (nu.resolution * nu_masses[cell])
+
+    eps = np.finfo(float).eps
+    s, moved = 0.0, 2.0
+    while True:  # safeguarded Newton
+        frac, gap = probe(s)
+        step = gap / np.sum(slopes(frac))
+        reach = 4.0 * eps * (1.0 + abs(s))  # about the rounding noise of g
+        lo, hi = ends[0][0], ends[1][0]
+        if abs(step) <= reach or hi - lo <= 2.0 * reach:
+            break
+        if lo < s - step < hi and abs(step) <= 0.5 * moved:
+            s, moved = s - step, abs(step)
+        else:
+            s, moved = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    if lo < s - step < hi:
+        s -= step
+    for side, sign in ((0, -1.0), (1, 1.0)):
+        # close the bracket to within reach of s, widening until it straddles
+        reach = 4.0 * eps * (1.0 + abs(s))
+        while abs(ends[side][0] - s) > reach:
+            probe(s + sign * reach)
+            reach *= 2.0
     for _ in range(200):
+        (lo, *_), (hi, *_) = ends
         mid = 0.5 * (lo + hi)
-        bracket = (mid, hi) if np.sum(boundaries(mid)) < target_sum else (lo, mid)
-        if bracket == (lo, hi):
-            break  # each step depends only on (lo, hi): a fixed point
-        lo, hi = bracket
+        if mid == lo or mid == hi:
+            break  # neighbouring floats: the fixed point of bisection
+        probe(mid)
     s = 0.5 * (lo + hi)
-    b = boundaries(s)
+    known = [end[1:] for end in ends if end[0] == s and end[2] is not None]
+    frac, b = known[0] if known else quantile(s)
     increments = 2.0 * h * (b - mids)
     values = np.concatenate([[0.0], np.cumsum(increments[:-1])])
-    charged = np.flatnonzero(nu_masses > 0.0)
-    cell = charged[np.minimum(
-        np.searchsorted(knots_t[charged], coordinates(s)[0], side="right") - 1,
-        len(charged) - 1)]
-    return values, total / (nu.resolution * nu_masses[cell])
+    values[masses == 0.0] += h * h
+    return values, slopes(frac)
 
 
 def _inversion_jacobian(slopes: np.ndarray) -> np.ndarray:
@@ -545,8 +574,10 @@ def solve_master(params: MasterParams,
     power-cell inversion Inv(m): the first step blends the pushforward
     halfway toward the tilt (positive wherever either is), every later one
     solves the Jacobian of m - tilt(Inv(m)) (Kitagawa, Merigot & Thibert
-    2019). A step is halved until the masses stay positive and either the
-    residual or the free energy does not increase. Each trial potential is
+    2019). Cells mu0 does not charge get mass exactly 0 (their nodes are
+    hidden: the inversion leaves their cells strictly empty). A step is
+    halved until the other masses stay positive and either the residual
+    or the free energy does not increase. Each trial potential is
     evaluated once, and the accepted trial's evaluation seeds the next
     iteration. Output is mean-zero under nu and carries the iteration log
     as (iteration, residual, free energy, accepted step) tuples, the start
@@ -564,6 +595,7 @@ def solve_master(params: MasterParams,
 
     ev = _evaluate(current, params)
     log = [(0, ev.residual, ev.free_energy, 0.0)]
+    hidden = params.mu0.masses() == 0.0  # the tilt never charges these cells
     masses = slopes = None  # the masses the current potential inverts
     while ev.residual > params.residual_tol:
         it = len(log) - 1
@@ -580,7 +612,8 @@ def solve_master(params: MasterParams,
             step = 1.0
         for _ in range(40):
             trial_masses = masses + step * direction
-            if np.any(trial_masses <= 0.0):
+            trial_masses[hidden] = 0.0
+            if np.any(trial_masses[~hidden] <= 0.0):
                 step *= 0.5
                 continue
             trial_masses = trial_masses / trial_masses.sum()

@@ -101,6 +101,39 @@ def test_transport_map_zero_potential_snaps_to_nodes():
     assert mapped == pytest.approx([0.1875, 0.4375, 0.9375], abs=1e-15)
 
 
+def test_power_cells_prune_many_sites_bit_identical_to_the_stack_scan():
+    # rough potentials leave most nodes beaten everywhere, so each scan drops
+    # many sites over several passes (solver potentials drop none); ties come
+    # from rounded values
+    rng = np.random.default_rng(7)
+    nodes = pruned = 0
+    for trial in range(300):
+        k = int(rng.integers(1, 160))
+        values = rng.normal(0.0, 3.0 * rng.random(), size=k)
+        if trial % 3 == 0:
+            values = np.round(values, 1)
+        out = monge_ampere._power_cells_1d(values)
+        want = power_cells_numpy(values)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(out, want)), (trial, k)
+        nodes += k
+        pruned += k - len(np.unique(out[0]))
+    assert pruned > nodes // 2
+
+
+def count_numpy_calls(monkeypatch, name):
+    """A list that grows by one per call of numpy's `name` in this test."""
+    calls = []
+    real = getattr(np, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, name, counted)
+    return calls
+
+
 def test_operator_refuses_other_dimensions_before_any_iteration(monkeypatch):
     # the 1-d power cells are the only exact operator; a 2-d potential or
     # master problem is refused at the operator, naming the dimension,
@@ -262,6 +295,10 @@ def test_w2_circle_to_a_grid_matches_the_ternary_search(k):
         (seeded_grid(rng, k, zero_share=0.3), rng.random(k)),
         (bump_measure(k), (np.arange(k) + 0.5) / k),  # the grid's own nodes
     ]
+    sweep = np.random.default_rng([k, 1])  # random sizes and empty shares
+    cases += [(seeded_grid(sweep, k, zero_share=sweep.choice([0.0, 0.3, 0.6])),
+               sweep.random(int(sweep.integers(1, 2 * k + 1))))
+              for _ in range(5)]
     for nu, points in cases:
         weights = rng.random(len(points)) + 0.05
         weights /= weights.sum()
@@ -288,6 +325,30 @@ def test_w2_circle_is_symmetric_and_refuses_two_grids():
     with pytest.raises(ValueError, match="two discrete measures, or one "
                                          "discrete and one grid measure"):
         w2_circle(nu, nu)
+
+
+def test_w2_circle_takes_few_pieces_on_the_master_path(monkeypatch):
+    # the minimiser and the probes of the certificates against uniform nu,
+    # where bisecting the cut offset evaluates about 13 pieces per call
+    searches = count_numpy_calls(monkeypatch, "searchsorted")
+    w2 = monge_ampere.w2_circle
+    pieces = []
+
+    def counted(mu, nu):
+        start = len(searches)
+        out = w2(mu, nu)
+        # one search per piece, and two more for the cost at the optimum
+        pieces.append(len(searches) - start - 2)
+        return out
+
+    monkeypatch.setattr(monge_ampere, "w2_circle", counted)
+    rng = np.random.default_rng(11)
+    for k in (64, 256):
+        for beta in (-0.5, 1.0, 4.0):
+            gprop_consistency(MasterParams(beta=beta, mu0=smooth_mu0(rng, k)),
+                              probes=8)
+    assert len(pieces) == 2 * 3 * 9
+    assert max(pieces) <= 6, pieces
 
 
 @pytest.mark.parametrize("beta", [-0.5, 2.0])
@@ -556,5 +617,69 @@ def test_newton_solves_a_reference_with_an_empty_cell():
     phi = solve_master(params)
     assert len(phi.log) - 1 <= 6
     report = gprop_consistency(params, probes=12, phi_min=phi)
+    assert report.passed, (report.residual_tv, report.bracket_gap,
+                           report.entropy_gap, report.rate_at_minimizer)
+
+
+@pytest.mark.parametrize("uniform_nu", [True, False])
+def test_solver_inversions_take_few_quantile_passes(uniform_nu, monkeypatch):
+    # a plain bisection of the anchor from [-1, 1] takes about 65 passes
+    k = 256
+    xs = np.arange(k) / k
+    nu = (GridMeasure.uniform(dim=1, resolution=k) if uniform_nu else
+          GridMeasure.from_density_values(1.0 + 0.3 * np.sin(2 * np.pi * xs)))
+    quantiles = count_numpy_calls(monkeypatch, "interp")
+    invert = monge_ampere._invert_cells_1d
+    passes = []
+
+    def counted(masses, measure):
+        start = len(quantiles)
+        out = invert(masses, measure)
+        passes.append(len(quantiles) - start)
+        return out
+
+    monkeypatch.setattr(monge_ampere, "_invert_cells_1d", counted)
+    rng = np.random.default_rng(k)
+    for beta in (-0.5, 0.0, 1.0, 4.0):
+        solve_master(MasterParams(beta=beta, mu0=smooth_mu0(rng, k), nu=nu))
+    assert len(passes) >= 8
+    assert max(passes) <= 24, passes
+
+
+@pytest.mark.parametrize("case", ["uniform", "wavy", "empty-cell"])
+def test_inversion_leaves_zero_mass_cells_strictly_empty(case):
+    k = 32
+    nu = nu_cases(k)[case]
+    rng = np.random.default_rng(8)
+    masses = rng.random(k) + 0.5
+    zero = [0, 7, 8, 20]
+    masses[zero] = 0.0
+    masses /= masses.sum()
+    values, _ = monge_ampere._invert_cells_1d(masses, nu)
+    for i in zero:  # no cell, not even a point: a margin keeps it empty
+        lowered = values.copy()
+        lowered[i] -= 0.5 / k ** 2
+        assert i not in monge_ampere._power_cells_1d(lowered)[0]
+    push = ma_operator(torus_grid_function(values), nu).masses()
+    assert np.all(push[zero] == 0.0)
+    assert np.abs(push - masses).max() <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [-0.5, 0.0, 1.0])
+def test_cells_mu0_does_not_charge_are_hidden_nodes(beta):
+    # the tilt vanishes there, so a full Newton step zeroes those masses:
+    # they are held at 0 instead of approached by halved steps, and no
+    # rounding mass may land there, or Ent(mu0, mu) is infinite
+    k = 64
+    xs = (np.arange(k) + 0.5) / k
+    dens = 1.0 + 0.4 * np.cos(2 * np.pi * xs)
+    empty = [5, 30, 31, 32]
+    dens[empty] = 0.0
+    params = MasterParams(beta=beta, mu0=GridMeasure.from_density_values(dens))
+    phi = solve_master(params)
+    assert len(phi.log) - 1 <= 3, phi.log
+    report = gprop_consistency(params, probes=12, phi_min=phi)
+    assert np.all(report.pushforward.masses()[empty] == 0.0)
+    assert math.isfinite(report.entropy_gap)
     assert report.passed, (report.residual_tv, report.bracket_gap,
                            report.entropy_gap, report.rate_at_minimizer)
