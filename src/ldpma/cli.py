@@ -203,7 +203,7 @@ def _emit_summary(config: RunConfig, result: ExperimentResult,
     for check in result.checks:
         verdict = "PASS" if check.passed else "FAIL"
         print(f"check {check.name}: {verdict} -- {check.observed}")
-        if not check.passed and check.failing_rows:
+        if check.failing_rows:
             print("  failing rows:")
             for row in check.failing_rows:
                 print(f"    {row}")
@@ -221,11 +221,8 @@ def _cmd_run(config: RunConfig, as_json: bool) -> int:
         raise UsageError(str(err)) from err
     outdir = config.resolved_outdir()
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "results.csv").write_text(result.table.render(),
-                                        encoding="ascii")
-    for artifact in result.artifacts:
-        (outdir / artifact.name).write_text(artifact.render(),
-                                            encoding="ascii")
+    for table in (result.table, *result.artifacts):
+        (outdir / table.name).write_text(table.render(), encoding="ascii")
     _write_manifest(config, outdir)
     _emit_summary(config, result, outdir, as_json)
     return 0 if result.passed else 1

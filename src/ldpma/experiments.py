@@ -1,11 +1,13 @@
 """Experiment drivers behind the command line.
 
-Each experiment turns a parameter dictionary and a seed into one
-:class:`ExperimentResult`: a result table whose final column names the
-claim each row certifies, optional side tables (solver traces, transport
-plans), and a list of named tolerance checks. The command line layer owns
-argument parsing, manifests, and exit codes; everything here is a pure
-function of (params, seed).
+Each experiment turns a parameter dictionary, a seed and its registered
+tolerances into one :class:`ExperimentResult`: a result table whose final
+column names the claim each row certifies, optional side tables (solver
+traces, transport plans), and a list of named checks. Every check reads
+its threshold from the tolerances that ``manifest.json`` lists, and fails
+exactly when some row breaks it; a failed check carries those rows. The
+command line layer owns argument parsing, manifests, and exit codes;
+everything here is a pure function of (params, seed).
 
 Randomness policy: an experiment receives a single integer seed and
 derives every generator it needs from ``np.random.SeedSequence(seed)``,
@@ -17,11 +19,10 @@ random configurations as one stack.
 import dataclasses
 import itertools
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from ._runtime import format_row
 from .hamiltonian_gibbs import (
     PERMANENTAL,
     TROPICAL,
@@ -128,31 +129,84 @@ CLAIMS = {
 }
 
 
+def format_cell(value) -> str:
+    """Render one CSV cell deterministically.
+
+    Floats use repr, the shortest round-trip form (``inf`` and ``-inf``
+    included); everything else is str().
+    """
+    if isinstance(value, float):
+        if value != value:  # NaN never belongs in a result table
+            raise ValueError("refusing to serialize NaN")
+        return repr(float(value))  # plain float: numpy scalars repr verbosely
+    return str(value)
+
+
+def format_row(cells: Iterable) -> str:
+    return ",".join(format_cell(c) for c in cells)
+
+
 @dataclasses.dataclass(frozen=True)
 class Check:
-    """One named pass/fail tolerance evaluation.
+    """One named tolerance evaluation; it passes when no row breaks it.
 
-    failing_rows holds rendered result rows for the command line to print
-    when the check fails; it stays empty on success.
+    failing_rows holds the rendered rows that break the check, for the
+    command line to print. Build checks with :func:`_check`.
     """
 
     name: str
-    passed: bool
     observed: str
-    failing_rows: Tuple[str, ...] = ()
+    failing_rows: Tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failing_rows
+
+
+def _check(name: str, observed: str, failing: Iterable[tuple]) -> Check:
+    """The check called name, failed by each row in failing."""
+    return Check(name, observed, tuple(format_row(r) for r in failing))
+
+
+def _order_breaks(rows, column: int, holds: Callable[[float, float], bool],
+                  series: Optional[int] = None):
+    """Rows whose value in column breaks the order against the row before.
+
+    With series set, rows form one sequence per value in that column.
+    """
+    previous, breaks = {}, []
+    for row in rows:
+        key = None if series is None else row[series]
+        if key in previous and not holds(previous[key][column], row[column]):
+            breaks.append(row)
+        previous[key] = row
+    return breaks
 
 
 @dataclasses.dataclass(frozen=True)
-class ResultTable:
-    """Rectangular results with a trailing provenance column.
+class Artifact:
+    """A CSV table written under its name into the run directory."""
+
+    name: str
+    columns: Tuple[str, ...]
+    rows: Tuple[Tuple[object, ...], ...]
+
+    def render(self) -> str:
+        lines = [",".join(self.columns)]
+        lines.extend(format_row(row) for row in self.rows)
+        return "\n".join(lines) + "\n"
+
+
+@dataclasses.dataclass(frozen=True)
+class ResultTable(Artifact):
+    """results.csv: rectangular results with a trailing provenance column.
 
     Every row names the claim it certifies, so merged reports can anchor
     rows back to the claim registry. Cells must be str, int, or finite or
     infinite float; NaN is rejected at render time.
     """
 
-    columns: Tuple[str, ...]
-    rows: Tuple[Tuple[object, ...], ...]
+    name: str = dataclasses.field(default="results.csv", init=False)
 
     def __post_init__(self):
         if not self.columns or self.columns[-1] != "provenance":
@@ -162,25 +216,6 @@ class ResultTable:
                 raise ValueError("ragged result row")
             if row[-1] not in CLAIMS:
                 raise ValueError(f"unknown claim id {row[-1]!r}")
-
-    def render(self) -> str:
-        lines = [",".join(self.columns)]
-        lines.extend(format_row(row) for row in self.rows)
-        return "\n".join(lines) + "\n"
-
-
-@dataclasses.dataclass(frozen=True)
-class Artifact:
-    """A side table written next to results.csv (traces, plans, grids)."""
-
-    name: str
-    columns: Tuple[str, ...]
-    rows: Tuple[Tuple[object, ...], ...]
-
-    def render(self) -> str:
-        lines = [",".join(self.columns)]
-        lines.extend(format_row(row) for row in self.rows)
-        return "\n".join(lines) + "\n"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -216,17 +251,20 @@ class ExperimentSpec:
     params: Tuple[ParamSpec, ...]
     claims: Tuple[str, ...]
     tolerances: Dict[str, float]
-    runner: Callable[[dict, int], ExperimentResult]
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
+    runner: Callable[[dict, int, Dict[str, float]], ExperimentResult]
 
 
 def _parse_count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise ValueError("must be >= 1")
+    return value
+
+
+def _parse_resolution(text: str) -> int:
+    value = _parse_count(text)
+    if value < 2:
+        raise ValueError("must be >= 2 grid nodes per axis")
     return value
 
 
@@ -265,6 +303,17 @@ def _parse_float_list(text: str) -> Tuple[float, ...]:
     return items
 
 
+def _parse_weight_list(text: str) -> Tuple[float, ...]:
+    items = _parse_float_list(text)
+    if min(items) < 0.0:
+        raise ValueError("every entry must be >= 0")
+    return items
+
+
+def _parse_uniform_or_weights(text: str):
+    return text if text == "uniform" else _parse_weight_list(text)
+
+
 def _parse_str(text: str) -> str:
     return text
 
@@ -295,42 +344,35 @@ def _fmt(value: float) -> str:
 # verify-theta
 
 
-def _run_verify_theta(params: dict, seed: int) -> ExperimentResult:
+def _run_verify_theta(params: dict, seed: int,
+                      tol: Dict[str, float]) -> ExperimentResult:
     del seed  # deterministic sweep, kept for the uniform runner signature
     dim = params["d"]
-    rows = []
-    one_sided_worst = -math.inf
+    rows, defects = [], []
     for n in sorted(set(params["n"])):
         tparams = ThetaParams(n=n, truncation_radius=params["r"])
         lattice = TorusLattice(n=n, d=dim)
         signed_max, sup = theta_rate_error(tparams, lattice, params["grid"])
-        one_sided_worst = max(one_sided_worst, signed_max)
+        defects.append(signed_max)
         bound = float(tparams.bracket_width(dim))
         rows.append((n, sup, bound, "theta-rate-bracket"))
     table = ResultTable(
         columns=("n", "sup_error", "bracket_bound", "provenance"),
         rows=tuple(rows),
     )
-    sups = [r[1] for r in rows]
-    decreasing = all(b < a for a, b in zip(sups, sups[1:]))
-    inside = [r for r in rows if r[1] > r[2] + 1e-6]
     checks = (
-        Check(
-            name="sup-error-monotone",
-            passed=decreasing,
-            observed="sup errors " + " > ".join(_fmt(s) for s in sups),
-        ),
-        Check(
-            name="sup-error-within-bracket",
-            passed=not inside,
-            observed=f"worst margin {_fmt(max(r[1] - r[2] for r in rows))}",
-            failing_rows=tuple(format_row(r) for r in inside),
-        ),
-        Check(
-            name="defect-one-sided",
-            passed=one_sided_worst <= 1e-12,
-            observed=f"max signed defect {_fmt(one_sided_worst)}",
-        ),
+        _check("sup-error-monotone",
+               "sup errors " + " > ".join(_fmt(r[1]) for r in rows),
+               _order_breaks(rows, 1, lambda a, b:
+                             b < a - tol["sup-error-monotone"])),
+        _check("sup-error-within-bracket",
+               f"worst margin {_fmt(max(r[1] - r[2] for r in rows))}",
+               [r for r in rows
+                if r[1] > r[2] + tol["sup-error-within-bracket"]]),
+        _check("defect-one-sided",
+               f"max signed defect {_fmt(max(defects))}",
+               [r for r, s in zip(rows, defects)
+                if s > tol["defect-one-sided"]]),
     )
     return ExperimentResult(table=table, checks=checks)
 
@@ -351,7 +393,8 @@ def _sandwich_row(n: int, trials: int, seed: int):
             "permanent-tropical-sandwich")
 
 
-def _run_verify_hamiltonian(params: dict, seed: int) -> ExperimentResult:
+def _run_verify_hamiltonian(params: dict, seed: int,
+                            tol: Dict[str, float]) -> ExperimentResult:
     ns = sorted(set(params["n"]))
     trials = params["trials"]
     sandwich_ns = list(range(2, 8))
@@ -394,33 +437,23 @@ def _run_verify_hamiltonian(params: dict, seed: int) -> ExperimentResult:
         rows=tuple(rows),
     )
     sandwich_bad = [r for r in rows if r[0] == "sandwich"
-                    and r[4] > r[5] + 1e-12]
+                    and r[4] > r[5] + tol["sandwich-within-bound"]]
     w2_bad = [r for r in rows if r[0].startswith("w2-")
-              and r[4] > r[5] + 1e-12]
-    refine_bad = [r for r in rows if r[0] == "lattice-refinement"
-                  and not r[4] < r[5]]
+              and r[4] > r[5] + tol["w2-within-bracket"]]
+    refinement = [r for r in rows if r[0] == "lattice-refinement"]
     checks = (
-        Check(
-            name="sandwich-within-bound",
-            passed=not sandwich_bad,
-            observed=f"{len(sandwich_bad)} of {len(sandwich_ns)} sizes exceed"
-                     " (1/n) log N!",
-            failing_rows=tuple(format_row(r) for r in sandwich_bad),
-        ),
-        Check(
-            name="w2-within-bracket",
-            passed=not w2_bad,
-            observed=f"{len(w2_bad)} sweep rows exceed the kernel bracket",
-            failing_rows=tuple(format_row(r) for r in w2_bad),
-        ),
-        Check(
-            name="lattice-w2-decreasing",
-            passed=not refine_bad,
-            observed="lattice-to-uniform distances "
-                     + " > ".join(_fmt(r[4]) for r in rows
-                                  if r[0] == "lattice-refinement"),
-            failing_rows=tuple(format_row(r) for r in refine_bad),
-        ),
+        _check("sandwich-within-bound",
+               f"{len(sandwich_bad)} of {len(sandwich_ns)} sizes exceed"
+               " (1/n) log N!",
+               sandwich_bad),
+        _check("w2-within-bracket",
+               f"{len(w2_bad)} sweep rows exceed the kernel bracket",
+               w2_bad),
+        _check("lattice-w2-decreasing",
+               "lattice-to-uniform distances "
+               + " > ".join(_fmt(r[4]) for r in refinement),
+               [r for r in refinement
+                if not r[4] < r[5] - tol["lattice-w2-decreasing"]]),
     )
     return ExperimentResult(table=table, checks=checks)
 
@@ -435,7 +468,8 @@ def _load_torus_grid(spec: str, dim: int, resolution: int) -> GridMeasure:
     return load_grid_csv(spec)
 
 
-def _run_gibbs_ldp(params: dict, seed: int) -> ExperimentResult:
+def _run_gibbs_ldp(params: dict, seed: int,
+                   tol: Dict[str, float]) -> ExperimentResult:
     del seed  # exact ensembles carry no sampling noise
     n, dim, refine = params["n"], params["d"], params["refine"]
     mu0 = _load_torus_grid(params["mu0"], dim, n * refine)
@@ -491,36 +525,21 @@ def _run_gibbs_ldp(params: dict, seed: int) -> ExperimentResult:
         rows=tuple(part_rows),
     )
 
-    masses = [r[4] for r in rows]
-    monotone = all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
-    magnitudes = {}
-    for beta, pn, v, _, _, _ in part_rows:
-        magnitudes.setdefault(beta, []).append(abs(v))
-    part_ok = all(all(b <= a + 1e-12 for a, b in zip(vs, vs[1:]))
-                  for vs in magnitudes.values())
+    grown = _order_breaks(part_rows, 2, lambda a, b: abs(b) <= abs(a)
+                          + tol["partition-scaled-decay"], series=0)
     checks = (
-        Check(
-            name="ball-mass-monotone",
-            passed=monotone,
-            observed="ball masses " + " <= ".join(_fmt(m) for m in masses),
-            failing_rows=() if monotone
-            else tuple(format_row(r) for r in rows),
-        ),
-        Check(
-            name="ball-mass-saturates",
-            passed=masses[-1] >= 0.9,
-            observed=f"mass at beta={betas[-1]} is {_fmt(masses[-1])}",
-            failing_rows=() if masses[-1] >= 0.9
-            else (format_row(rows[-1]),),
-        ),
-        Check(
-            name="partition-scaled-decay",
-            passed=part_ok,
-            observed="per-beta |log Z| / n^d sequences are nonincreasing"
-            if part_ok else "a scaled log partition grew under refinement",
-            failing_rows=() if part_ok
-            else tuple(format_row(r) for r in part_rows),
-        ),
+        _check("ball-mass-monotone",
+               "ball masses " + " <= ".join(_fmt(r[4]) for r in rows),
+               _order_breaks(rows, 4, lambda a, b:
+                             b >= a - tol["ball-mass-monotone"])),
+        _check("ball-mass-saturates",
+               f"mass at beta={betas[-1]} is {_fmt(rows[-1][4])}",
+               [r for r in rows[-1:]
+                if not r[4] >= tol["ball-mass-saturates"]]),
+        _check("partition-scaled-decay",
+               "a scaled log partition grew under refinement" if grown
+               else "per-beta |log Z| / n^d sequences are nonincreasing",
+               grown),
     )
     return ExperimentResult(table=table, checks=checks,
                             artifacts=(partition,))
@@ -552,13 +571,14 @@ def _multinomial_prob(counts: Tuple[int, ...], weights: np.ndarray) -> float:
     return prob
 
 
-def _run_sanov_demo(params: dict, seed: int) -> ExperimentResult:
+def _run_sanov_demo(params: dict, seed: int,
+                    tol: Dict[str, float]) -> ExperimentResult:
     del seed
     k, n = params["k"], params["n"]
     if params["mu0"] == "uniform":
         mu0 = np.full(k, 1.0 / k)
     else:
-        mu0 = np.asarray(_parse_float_list(params["mu0"]), dtype=float)
+        mu0 = np.asarray(params["mu0"], dtype=float)
     if len(mu0) != k or np.any(mu0 <= 0.0):
         raise ValueError("mu0 must put positive mass on all k letters")
     mu0 = mu0 / mu0.sum()
@@ -591,21 +611,15 @@ def _run_sanov_demo(params: dict, seed: int) -> ExperimentResult:
                  "gap", "bound", "provenance"),
         rows=tuple(rows),
     )
-    gap_bad = [r for r in rows if not -1e-12 <= r[6] <= r[7] + 1e-12]
+    slack = tol["type-gap-within-bound"]
     checks = (
-        Check(
-            name="demo-prob-multinomial",
-            passed=abs(prob - recount) <= 1e-12,
-            observed=f"exp(-n rate) = {_fmt(prob)}, recount = {_fmt(recount)}",
-            failing_rows=() if abs(prob - recount) <= 1e-12
-            else (format_row(rows[0]),),
-        ),
-        Check(
-            name="type-gap-within-bound",
-            passed=not gap_bad,
-            observed=f"worst gap margin {_fmt(max(r[6] - r[7] for r in rows))}",
-            failing_rows=tuple(format_row(r) for r in gap_bad),
-        ),
+        _check("demo-prob-multinomial",
+               f"exp(-n rate) = {_fmt(prob)}, recount = {_fmt(recount)}",
+               [] if abs(prob - recount) <= tol["demo-prob-multinomial"]
+               else [rows[0]]),
+        _check("type-gap-within-bound",
+               f"worst gap margin {_fmt(max(r[6] - r[7] for r in rows))}",
+               [r for r in rows if not -slack <= r[6] <= r[7] + slack]),
     )
     return ExperimentResult(table=table, checks=checks)
 
@@ -614,7 +628,8 @@ def _run_sanov_demo(params: dict, seed: int) -> ExperimentResult:
 # cramer-demo
 
 
-def _run_cramer_demo(params: dict, seed: int) -> ExperimentResult:
+def _run_cramer_demo(params: dict, seed: int,
+                     tol: Dict[str, float]) -> ExperimentResult:
     del seed
     points = np.asarray(params["points"], dtype=float)
     weights = np.asarray(params["weights"], dtype=float)
@@ -662,21 +677,17 @@ def _run_cramer_demo(params: dict, seed: int) -> ExperimentResult:
         rows=tuple((float(t), float(v))
                    for t, v in zip(t_nodes, log_mgf_values)),
     )
-    at_mean = float(conjugate_at(p, np.array([[mean]]))[0])
-    min_rate = float(rate.values.min())
-    negative = tuple(format_row(r) for r in rows if r[1] < -1e-12)
+    # the rate at the mean, as a row in the table's columns
+    at_mean = (mean, float(conjugate_at(p, np.array([[mean]]))[0]),
+               "cramer-zero-at-mean")
     checks = (
-        Check(
-            name="rate-nonnegative",
-            passed=min_rate >= -1e-12,
-            observed=f"min rate {_fmt(min_rate)}",
-            failing_rows=negative,
-        ),
-        Check(
-            name="rate-zero-at-mean",
-            passed=abs(at_mean) <= 1e-12,
-            observed=f"rate at the mean {_fmt(at_mean)}",
-        ),
+        _check("rate-nonnegative",
+               f"min rate {_fmt(rate.values.min())}",
+               [r for r in rows if r[1] < -tol["rate-nonnegative"]]),
+        _check("rate-zero-at-mean",
+               f"rate at the mean {_fmt(at_mean[1])}",
+               [] if abs(at_mean[1]) <= tol["rate-zero-at-mean"]
+               else [at_mean]),
     )
     return ExperimentResult(table=table, checks=checks,
                             artifacts=(mgf_curve,))
@@ -701,7 +712,8 @@ def _test_functions(resolution: int) -> Tuple[Tuple[str, GridFunction], ...]:
     )
 
 
-def _run_zero_temp_mgf(params: dict, seed: int) -> ExperimentResult:
+def _run_zero_temp_mgf(params: dict, seed: int,
+                       tol: Dict[str, float]) -> ExperimentResult:
     del seed
     k, quad = params["k"], params["quad"]
     mu0 = _load_torus_grid(params["mu0"], 1, k)
@@ -728,29 +740,19 @@ def _run_zero_temp_mgf(params: dict, seed: int) -> ExperimentResult:
         rows=tuple(rows),
     )
 
-    sweep = [r for r in rows if r[0] == "sweep"]
-    bad_series = []
-    for name, _ in _test_functions(k):
-        gaps = [r[5] for r in sweep if r[1] == name]
-        if not all(b < a for a, b in zip(gaps, gaps[1:])):
-            bad_series.append(name)
-    shift_bad = [r for r in rows if r[0] == "shift" and r[5] > 1e-12]
+    grew = _order_breaks([r for r in rows if r[0] == "sweep"], 5,
+                         lambda a, b: b < a - tol["legendre-gap-decreasing"],
+                         series=1)
+    shifts = [r for r in rows if r[0] == "shift"]
     checks = (
-        Check(
-            name="legendre-gap-decreasing",
-            passed=not bad_series,
-            observed="non-monotone series: " + ",".join(bad_series)
-            if bad_series else "all three gap series decrease strictly",
-            failing_rows=tuple(format_row(r) for r in sweep
-                               if r[1] in bad_series),
-        ),
-        Check(
-            name="shift-identity",
-            passed=not shift_bad,
-            observed=f"worst shift gap "
-                     f"{_fmt(max(r[5] for r in rows if r[0] == 'shift'))}",
-            failing_rows=tuple(format_row(r) for r in shift_bad),
-        ),
+        _check("legendre-gap-decreasing",
+               "non-monotone series: "
+               + ",".join(dict.fromkeys(r[1] for r in grew))
+               if grew else "all three gap series decrease strictly",
+               grew),
+        _check("shift-identity",
+               f"worst shift gap {_fmt(max(r[5] for r in shifts))}",
+               [r for r in shifts if r[5] > tol["shift-identity"]]),
     )
     return ExperimentResult(table=table, checks=checks)
 
@@ -759,7 +761,8 @@ def _run_zero_temp_mgf(params: dict, seed: int) -> ExperimentResult:
 # solve-ma
 
 
-def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
+def _run_solve_ma(params: dict, seed: int,
+                  tol: Dict[str, float]) -> ExperimentResult:
     del seed
     dim = params["d"]
     mu0 = nu = None
@@ -778,6 +781,8 @@ def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
                       max_iter=params["max_iter"],
                       residual_tol=params["tol"])
 
+    columns = ("beta", "resolution", "dim", "iterations", "residual",
+               "free_energy", "constant", "bracket_abs", "provenance")
     artifacts = []
     try:
         phi = solve_master(mp)
@@ -796,20 +801,12 @@ def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
         row = (mp.beta, mp.resolution, dim, max(len(err.residuals) - 1, 0),
                residual, math.inf, math.inf, math.inf,
                "master-equation-fixed-point")
-        table = ResultTable(
-            columns=("beta", "resolution", "dim", "iterations",
-                     "residual", "free_energy", "constant", "bracket_abs",
-                     "provenance"),
-            rows=(row,),
-        )
         checks = (
-            Check(name="residual-converged", passed=False,
-                  observed=str(err), failing_rows=(format_row(row),)),
-            Check(name="bracket-identity", passed=False,
-                  observed="solver did not converge"),
+            _check("residual-converged", str(err), [row]),
+            _check("bracket-identity", "solver did not converge", [row]),
         )
-        return ExperimentResult(table=table, checks=tuple(checks),
-                                artifacts=tuple(artifacts))
+        return ExperimentResult(table=ResultTable(columns, (row,)),
+                                checks=checks, artifacts=tuple(artifacts))
 
     report = gprop_consistency(mp, probes=0, phi_min=phi)
     residual, bracket = report.residual_tv, abs(report.bracket_gap)
@@ -842,36 +839,21 @@ def _run_solve_ma(params: dict, seed: int) -> ExperimentResult:
     steps = len(phi.log) - 1  # the log starts with the initial potential
     row = (mp.beta, mp.resolution, dim, steps, residual, free_energy,
            constant, bracket, "master-equation-fixed-point")
-    table = ResultTable(
-        columns=("beta", "resolution", "dim", "iterations",
-                 "residual", "free_energy", "constant", "bracket_abs",
-                 "provenance"),
-        rows=(row,),
-    )
     checks = [
-        Check(
-            name="residual-converged",
-            passed=residual <= 1e-6,
-            observed=f"density mismatch {_fmt(residual)} after "
-                     f"{steps} iterations",
-            failing_rows=() if residual <= 1e-6 else (format_row(row),),
-        ),
-        Check(
-            name="bracket-identity",
-            passed=bracket <= 1e-4,
-            observed=f"|W2^2 + J + pairing| = {_fmt(bracket)} at the "
-                     "fixed point",
-            failing_rows=() if bracket <= 1e-4 else (format_row(row),),
-        ),
+        _check("residual-converged",
+               f"density mismatch {_fmt(residual)} after {steps} iterations",
+               [] if residual <= tol["residual-converged"] else [row]),
+        _check("bracket-identity",
+               f"|W2^2 + J + pairing| = {_fmt(bracket)} at the fixed point",
+               [] if bracket <= tol["bracket-identity"] else [row]),
     ]
     if mp.beta == 0.0:
-        checks.append(Check(
-            name="constant-zero-at-zero-beta",
-            passed=abs(constant) <= 1e-12,
-            observed=f"beta F = {_fmt(constant)}",
-        ))
-    return ExperimentResult(table=table, checks=tuple(checks),
-                            artifacts=tuple(artifacts))
+        checks.append(_check(
+            "constant-zero-at-zero-beta", f"beta F = {_fmt(constant)}",
+            [] if abs(constant) <= tol["constant-zero-at-zero-beta"]
+            else [row]))
+    return ExperimentResult(table=ResultTable(columns, (row,)),
+                            checks=tuple(checks), artifacts=tuple(artifacts))
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +873,8 @@ def _load_measure_csv(path: str) -> DiscreteMeasure:
     )
 
 
-def _run_ot(params: dict, seed: int) -> ExperimentResult:
+def _run_ot(params: dict, seed: int,
+           tol: Dict[str, float]) -> ExperimentResult:
     del seed
     if not params["mu"] or not params["nu"]:
         raise ValueError("ot needs two measure files: mu=<path> nu=<path>")
@@ -912,8 +895,9 @@ def _run_ot(params: dict, seed: int) -> ExperimentResult:
                if flat[i] > 1e-12]
     rows_idx = [int(i) // plan.coupling.shape[1] for i in support]
     cols_idx = [int(i) % plan.coupling.shape[1] for i in support]
-    monotone, _ = cyclical_monotonicity_check(costs, rows_idx, cols_idx,
-                                              max_cycle=4, tol=1e-9)
+    monotone, _ = cyclical_monotonicity_check(
+        costs, rows_idx, cols_idx, max_cycle=4,
+        tol=tol["support-cyclically-monotone"])
 
     row = (name, len(mu.weights), len(nu.weights), objective, mu_gap,
            nu_gap, len(support), int(monotone), "transport-plan-optimal")
@@ -931,20 +915,14 @@ def _run_ot(params: dict, seed: int) -> ExperimentResult:
                    for i, j in nonzero),
     )
     checks = (
-        Check(
-            name="marginals-exact",
-            passed=max(mu_gap, nu_gap) <= 1e-9,
-            observed=f"marginal gaps {_fmt(mu_gap)}, {_fmt(nu_gap)}",
-            failing_rows=() if max(mu_gap, nu_gap) <= 1e-9
-            else (format_row(row),),
-        ),
-        Check(
-            name="support-cyclically-monotone",
-            passed=monotone,
-            observed="no improving cycle among the heaviest support pairs"
-            if monotone else "found an improving support cycle",
-            failing_rows=() if monotone else (format_row(row),),
-        ),
+        _check("marginals-exact",
+               f"marginal gaps {_fmt(mu_gap)}, {_fmt(nu_gap)}",
+               [] if max(mu_gap, nu_gap) <= tol["marginals-exact"]
+               else [row]),
+        _check("support-cyclically-monotone",
+               "no improving cycle among the heaviest support pairs"
+               if monotone else "found an improving support cycle",
+               [] if monotone else [row]),
     )
     return ExperimentResult(table=table, checks=checks,
                             artifacts=(plan_csv,))
@@ -970,7 +948,7 @@ _register(ExperimentSpec(
         ParamSpec("d", "1", _parse_dim(1, 2), "torus dimension, 1 or 2"),
         ParamSpec("grid", "256", _parse_count,
                   "argument grid resolution per axis"),
-        ParamSpec("r", "2", _parse_int, "kernel truncation radius"),
+        ParamSpec("r", "2", _parse_count, "kernel truncation radius"),
     ),
     claims=("theta-rate-bracket", "theta-rate-one-sided"),
     tolerances={
@@ -1040,9 +1018,9 @@ _register(ExperimentSpec(
     params=(
         ParamSpec("k", "2", _parse_count, "alphabet size"),
         ParamSpec("n", "4", _parse_count, "sample count for the demo row"),
-        ParamSpec("nu", "0.75,0.25", _parse_float_list,
+        ParamSpec("nu", "0.75,0.25", _parse_weight_list,
                   "demo type, must be realizable at n"),
-        ParamSpec("mu0", "uniform", _parse_str,
+        ParamSpec("mu0", "uniform", _parse_uniform_or_weights,
                   "base weights: uniform or a comma list"),
         ParamSpec("sweep", "10,50,200", _parse_count_list,
                   "sample counts for the all-types gap sweep"),
@@ -1065,10 +1043,11 @@ _register(ExperimentSpec(
                   "atom weights, normalized internally"),
         ParamSpec("t_lo", "-4.05", _parse_float, "lower end of the t window"),
         ParamSpec("t_hi", "3.95", _parse_float, "upper end of the t window"),
-        ParamSpec("t_res", "80", _parse_count, "t nodes (0 must be a node)"),
+        ParamSpec("t_res", "80", _parse_resolution,
+                  "t nodes (0 must be a node)"),
         ParamSpec("pad", "0.5", _parse_float,
                   "dual window margin beyond the atom range"),
-        ParamSpec("x_res", "161", _parse_count, "dual grid resolution"),
+        ParamSpec("x_res", "161", _parse_resolution, "dual grid resolution"),
     ),
     claims=("cramer-rate-nonneg", "cramer-zero-at-mean"),
     tolerances={
@@ -1084,7 +1063,8 @@ _register(ExperimentSpec(
     params=(
         ParamSpec("n", "8,16,32", _parse_count_list,
                   "lattice sharpness sweep"),
-        ParamSpec("k", "64", _parse_count, "test-function grid resolution"),
+        ParamSpec("k", "64", _parse_resolution,
+                  "test-function grid resolution"),
         ParamSpec("quad", "512", _parse_count, "quadrature resolution"),
         ParamSpec("d", "1", _parse_dim(1), "torus dimension (1 only)"),
         ParamSpec("mu0", "uniform", _parse_str,
@@ -1107,7 +1087,7 @@ _register(ExperimentSpec(
         ParamSpec("beta", "0.0", _parse_float, "inverse temperature"),
         ParamSpec("mu0", "uniform", _parse_str,
                   "base measure: uniform or a torus grid CSV path"),
-        ParamSpec("k", "64", _parse_count, "torus grid resolution"),
+        ParamSpec("k", "64", _parse_resolution, "torus grid resolution"),
         ParamSpec("nu", "uniform", _parse_str,
                   "reference measure: uniform or a torus grid CSV path"),
         ParamSpec("d", "1", _parse_dim(1),
@@ -1168,4 +1148,5 @@ def resolve_params(spec: ExperimentSpec, raw: Dict[str, str]) -> dict:
 def run_experiment(name: str, raw_params: Dict[str, str],
                    seed: int) -> ExperimentResult:
     spec = EXPERIMENTS[name]
-    return spec.runner(resolve_params(spec, raw_params), seed)
+    return spec.runner(resolve_params(spec, raw_params), seed,
+                       spec.tolerances)

@@ -432,14 +432,10 @@ def log_partition_product(ensemble: GibbsEnsemble,
 
 @dataclass(frozen=True, eq=False)
 class RateEstimate:
-    """-(1/r_n) log of a ball probability under the ensemble."""
+    """A ball probability under the ensemble and -(1/r_n) log of it."""
 
-    center: DiscreteMeasure
-    radius: float
-    normalization: float
     value: float
     prob: float
-    method: str
 
     def __post_init__(self):
         if not -1e-12 <= self.prob <= 1.0 + 1e-12:
@@ -486,8 +482,7 @@ def local_rate(ensemble: GibbsEnsemble, center: DiscreteMeasure,
         value = math.inf
     else:
         value = -math.log(min(prob, 1.0)) / r_n
-    return RateEstimate(center=center, radius=radius, normalization=r_n,
-                        value=value, prob=min(prob, 1.0), method="exact")
+    return RateEstimate(value=value, prob=min(prob, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +548,6 @@ def zero_temp_mgf(theta: GridFunction, n: int, d: int, mu0: GridMeasure,
     """
     if theta.kind != "torus" or theta.dim != d:
         raise ValueError("theta must live on the d-torus chart")
-    if theta.finite_count() != theta.values.size:
-        raise ValueError("theta must be finite everywhere")
     if mu0.dim != d:
         raise ValueError("mu0 must be a grid measure of dimension d")
     lattice = TorusLattice(n=n, d=d)

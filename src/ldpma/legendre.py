@@ -2,8 +2,7 @@
 
 Contents:
 
-- ``GridFunction``: scalar samples on a regular grid, with an explicit
-  +infinity sentinel mask (never -infinity).
+- ``GridFunction``: finite scalar samples on a regular grid.
 - ``legendre_transform``: conjugate f*(y) = max over nodes of <x,y> - f(x)
   of a 1-d function, direct scan onto a dual grid.
 - ``conjugate_at``: the same scan evaluated at arbitrary dual points.
@@ -36,10 +35,7 @@ class GridFunction:
     resolution : int
         Nodes per axis, >= 2.
     values : np.ndarray
-        Shape (resolution,) * dim. Entries under the infinity mask are
-        ignored by every scan.
-    is_inf : np.ndarray
-        Boolean mask of +infinity nodes. -infinity is never representable.
+        Shape (resolution,) * dim, every entry finite.
     kind : str
         ``"box"`` or ``"torus"``; torus nodes are (i + 0.5)/resolution.
     bounds : tuple of (float, float)
@@ -49,7 +45,6 @@ class GridFunction:
     dim: int
     resolution: int
     values: np.ndarray
-    is_inf: np.ndarray = None  # type: ignore[assignment]
     kind: str = "box"
     bounds: tuple = ()
 
@@ -58,27 +53,13 @@ class GridFunction:
             raise ValueError(f"supported up to dimension {MAX_DIM}")
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2 per axis")
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         expected = (self.resolution,) * self.dim
         if values.shape != expected:
             raise ValueError(f"values shape {values.shape} != {expected}")
-        mask = self.is_inf
-        if mask is None:
-            mask = np.zeros(expected, dtype=bool)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != expected:
-                raise ValueError("infinity mask shape mismatch")
-        if np.any(np.isinf(values) & ~mask):
-            raise ValueError("use the is_inf mask for infinite nodes")
-        if np.any(np.isneginf(values)):
-            raise ValueError("-infinity nodes are not representable")
-        if not np.all(np.isfinite(values[~mask])):
-            raise ValueError("unmasked values must be finite")
-        clean = values.copy()
-        clean[mask] = 0.0  # sentinel payload is ignored everywhere
-        object.__setattr__(self, "values", clean)
-        object.__setattr__(self, "is_inf", mask)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
+        object.__setattr__(self, "values", values)
         bounds = self.bounds
         if self.kind == "torus":
             bounds = tuple((0.0, 1.0) for _ in range(self.dim))
@@ -106,12 +87,8 @@ class GridFunction:
 
     # ---- values ----
 
-    def finite_count(self) -> int:
-        return int(np.sum(~self.is_inf))
-
     def shifted(self, constant: float) -> "GridFunction":
-        return dataclasses.replace(self, values=self.values + constant,
-                                   is_inf=self.is_inf)
+        return dataclasses.replace(self, values=self.values + constant)
 
 
 # ---------------------------------------------------------------------------
@@ -119,26 +96,16 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _masked_values(f: GridFunction) -> np.ndarray:
-    # -inf marks excluded nodes inside max scans only; it never leaves them
-    out = f.values.copy()
-    out[f.is_inf] = -np.inf
-    return out
-
-
 def conjugate_at(f: GridFunction, points: np.ndarray) -> np.ndarray:
-    """max over finite nodes of <x, y> - f(x), for each query row y.
+    """max over nodes of <x, y> - f(x), for each query row y.
 
-    The scan is the correctness oracle for :func:`legendre_transform`; both
-    share the node-exclusion rule for +infinity entries.
+    The scan is the correctness oracle for :func:`legendre_transform`.
     """
-    if f.finite_count() == 0:
-        raise ValueError("empty effective domain")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != f.dim:
         raise ValueError("query points have the wrong dimension")
     nodes = f.nodes()
-    neg_f = -(_masked_values(f).reshape(-1))
+    neg_f = -f.values.reshape(-1)
     out = np.empty(len(points))
     chunk = max(1, 2 ** 22 // max(len(nodes), 1))
     for start in range(0, len(points), chunk):
@@ -152,7 +119,7 @@ def interpolate_at(f: GridFunction, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of grid values at arbitrary points.
 
     Exact at grid nodes. Torus grids wrap; box queries clamp to the node
-    hull. Raises if any participating corner is flagged infinite.
+    hull.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != f.dim:
@@ -187,9 +154,6 @@ def interpolate_at(f: GridFunction, points: np.ndarray) -> np.ndarray:
                 ia = np.mod(ia, k)
             idx.append(ia)
             weight = weight * (fracs[a] if bit else (1.0 - fracs[a]))
-        corner_inf = f.is_inf[tuple(idx)]
-        if np.any(corner_inf & (weight > 0)):
-            raise ValueError("interpolation touches an infinite node")
         out += weight * f.values[tuple(idx)]
     return out
 
@@ -198,18 +162,15 @@ def legendre_transform(f: GridFunction, dual_bounds: tuple,
                        dual_resolution: int) -> GridFunction:
     """Discrete conjugate of a 1-d ``f`` on a box grid of dual points.
 
-    f*(y_j) = max over grid nodes x_i of <x_i, y_j> - f(x_i). Nodes under
-    the infinity mask never participate.
+    f*(y_j) = max over grid nodes x_i of <x_i, y_j> - f(x_i).
     """
     if f.dim != 1:
         raise ValueError("legendre_transform is 1-d; use conjugate_at")
-    if f.finite_count() == 0:
-        raise ValueError("empty effective domain")
     dual = GridFunction(dim=1, resolution=dual_resolution,
                         values=np.zeros(dual_resolution),
                         kind="box", bounds=dual_bounds)
     scores = (np.outer(dual.axis_nodes(0), f.axis_nodes(0))
-              - _masked_values(f)[None, :])
+              - f.values[None, :])
     return dataclasses.replace(dual, values=np.max(scores, axis=1))
 
 

@@ -60,16 +60,12 @@ class Potential:
     """A finite grid potential, conventionally mean-zero under nu.
 
     The normalization gauge is enforced by :func:`normalize_potential` and
-    by every solver step; the class itself only guards finiteness. Solver
-    output carries its iteration log in ``log``.
+    by every solver step; finiteness comes with the :class:`GridFunction`.
+    Solver output carries its iteration log in ``log``.
     """
 
     f: GridFunction
     log: tuple = ()
-
-    def __post_init__(self):
-        if self.f.finite_count() != self.f.values.size:
-            raise ValueError("potentials must be finite everywhere")
 
     @property
     def values(self) -> np.ndarray:

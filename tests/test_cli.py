@@ -1,5 +1,6 @@
 """Command-line runner: spellings, precedence, artifacts, exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import ldpma
 from ldpma.cli import _git_describe, main
+from ldpma.experiments import EXPERIMENTS, run_experiment
 from ldpma.measures import (DiscreteMeasure, GridMeasure, save_csv,
                             torus_domain)
 
@@ -176,6 +178,13 @@ def test_non_positive_counts_are_usage_errors(tmp_path, capsys, args, name):
     (["cramer-demo", "points=-1,inf,2"], "points", "must be finite"),
     (["solve-ma", "tol=-1"], "tol", "must be > 0"),
     (["solve-ma", "tol=0"], "tol", "must be > 0"),
+    (["solve-ma", "k=1"], "k", "must be >= 2 grid nodes per axis"),
+    (["zero-temp-mgf", "k=1"], "k", "must be >= 2 grid nodes per axis"),
+    (["cramer-demo", "t_res=1"], "t_res", "must be >= 2 grid nodes per axis"),
+    (["cramer-demo", "x_res=1"], "x_res", "must be >= 2 grid nodes per axis"),
+    (["verify-theta", "r=0"], "r", "must be >= 1"),
+    (["sanov-demo", "nu=1.25,-0.25"], "nu", "every entry must be >= 0"),
+    (["sanov-demo", "mu0=1,inf"], "mu0", "must be finite"),
 ])
 def test_non_finite_and_non_positive_reals_are_usage_errors(
         tmp_path, capsys, args, name, message):
@@ -247,6 +256,79 @@ def test_solve_ma_zero_beta(tmp_path, capsys):
     assert "check constant-zero-at-zero-beta: PASS" in text
     assert (out / "potential.csv").exists()
     assert (out / "residuals.csv").exists()
+
+
+def _failing_rows(text, check):
+    """The rows printed under the FAIL line of check."""
+    lines = iter(text.splitlines())
+    for line in lines:
+        if line.startswith(f"check {check}: FAIL"):
+            break
+    else:
+        raise AssertionError(f"no FAIL line for {check}")
+    assert next(lines) == "  failing rows:"
+    return [line[4:] for line in
+            itertools.takewhile(lambda x: x.startswith("    "), lines)]
+
+
+# want: indices of the results.csv rows the failed check must print, or
+# the claim of the single row it prints that results.csv does not hold
+@pytest.mark.parametrize("args, check, tolerance, want", [
+    (["solve-ma", "k=16"], "bracket-identity", 0.0, (0,)),
+    (["solve-ma", "k=16"], "constant-zero-at-zero-beta", -1.0, (0,)),
+    (["verify-theta", "n=8,16,32", "grid=64"], "sup-error-monotone", 1.0,
+     (1, 2)),
+    (["verify-theta", "n=8,16", "grid=64"], "defect-one-sided", -1.0,
+     (0, 1)),
+    (["gibbs-ldp", "betas=0,1000", "partition_betas=1"],
+     "ball-mass-monotone", -1.0, (1,)),
+    (["cramer-demo"], "rate-zero-at-mean", -1.0, "cramer-zero-at-mean"),
+])
+def test_registered_tolerance_drives_the_check(tmp_path, capsys, monkeypatch,
+                                               args, check, tolerance, want):
+    monkeypatch.setitem(EXPERIMENTS[args[0]].tolerances, check, tolerance)
+    out = tmp_path / "r"
+    assert main(["run", *args, f"out={out}"]) == 1
+    printed = _failing_rows(capsys.readouterr().out, check)
+    results = (out / "results.csv").read_text().splitlines()
+    if isinstance(want, str):
+        assert len(printed) == 1 and printed[0] not in results
+        assert len(printed[0].split(",")) == len(results[0].split(","))
+        assert printed[0].endswith("," + want)
+    else:
+        assert printed == [results[1 + i] for i in want]
+
+
+def test_unconverged_solve_ma_names_its_row_in_both_checks(tmp_path, capsys):
+    k = 16
+    x = np.arange(k) / k
+    path = tmp_path / "bump.csv"
+    save_csv(GridMeasure.from_density_values(1.0 + 0.4 * np.cos(2 * np.pi * x)),
+             path)
+    out = tmp_path / "sm"
+    assert main(["run", "solve-ma", "beta=1", "max_iter=1", f"mu0={path}",
+                 f"k={k}", f"out={out}"]) == 1
+    text = capsys.readouterr().out
+    row = (out / "results.csv").read_text().splitlines()[1]
+    assert _failing_rows(text, "residual-converged") == [row]
+    assert _failing_rows(text, "bracket-identity") == [row]
+
+
+def test_checks_and_registered_tolerances_name_each_other(tmp_path):
+    from test_golden import _load_run_all
+
+    fixtures = _load_run_all().write_fixtures(tmp_path, 0)
+    runs = [(name, fixtures.get(name, {})) for name in EXPERIMENTS]
+    runs.append(("solve-ma", {"beta": "0"}))
+    emitted = {name: set() for name in EXPERIMENTS}
+    for name, raw in runs:
+        checks = run_experiment(name, raw, 0).checks
+        names = [c.name for c in checks]
+        assert len(names) == len(set(names))
+        assert set(names) <= set(EXPERIMENTS[name].tolerances), name
+        emitted[name].update(names)
+    for name, spec in EXPERIMENTS.items():
+        assert emitted[name] == set(spec.tolerances), name
 
 
 def test_report_merges_and_sorts(tmp_path, capsys):

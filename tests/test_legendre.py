@@ -99,6 +99,10 @@ def test_grid_function_validation():
     with pytest.raises(ValueError):
         GridFunction(dim=1, resolution=4, values=np.zeros(4), kind="box",
                      bounds=())
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="values must be finite"):
+            GridFunction(dim=1, resolution=4, values=[0.0, bad, 0.0, 0.0],
+                         kind="torus")
 
 
 def test_torus_function_has_no_dual_default():

@@ -177,12 +177,12 @@ def test_w2_semidiscrete_refinement_decreases():
 def test_lattice_refinement_rows_match_the_semidiscrete_lp():
     # verify-hamiltonian reads the uniform reference as atoms at its cell
     # centres and takes the exact circle W2 of that instance
-    from ldpma.experiments import _run_verify_hamiltonian
+    from ldpma.experiments import EXPERIMENTS, _run_verify_hamiltonian
 
     for quad, ns in ((256, [2, 4, 8, 16]), (7, [3, 5])):
         table = _run_verify_hamiltonian(
             {"n": ns, "trials": 1, "sandwich_trials": 1, "quad": quad},
-            seed=0).table
+            seed=0, tol=EXPERIMENTS["verify-hamiltonian"].tolerances).table
         rows = [r for r in table.rows if r[0] == "lattice-refinement"]
         g = GridMeasure.uniform(dim=1, resolution=quad)
         for row, n in zip(rows, ns):
