@@ -262,7 +262,7 @@ def _parse_count(text: str) -> int:
 
 
 def _parse_resolution(text: str) -> int:
-    value = _parse_count(text)
+    value = int(text)
     if value < 2:
         raise ValueError("must be >= 2 grid nodes per axis")
     return value
@@ -364,7 +364,7 @@ def _run_verify_theta(params: dict, seed: int,
         _check("sup-error-monotone",
                "sup errors " + " > ".join(_fmt(r[1]) for r in rows),
                _order_breaks(rows, 1, lambda a, b:
-                             b < a - tol["sup-error-monotone"])),
+                             b < a + tol["sup-error-monotone"])),
         _check("sup-error-within-bracket",
                f"worst margin {_fmt(max(r[1] - r[2] for r in rows))}",
                [r for r in rows
@@ -453,7 +453,7 @@ def _run_verify_hamiltonian(params: dict, seed: int,
                "lattice-to-uniform distances "
                + " > ".join(_fmt(r[4]) for r in refinement),
                [r for r in refinement
-                if not r[4] < r[5] - tol["lattice-w2-decreasing"]]),
+                if not r[4] < r[5] + tol["lattice-w2-decreasing"]]),
     )
     return ExperimentResult(table=table, checks=checks)
 
@@ -741,7 +741,7 @@ def _run_zero_temp_mgf(params: dict, seed: int,
     )
 
     grew = _order_breaks([r for r in rows if r[0] == "sweep"], 5,
-                         lambda a, b: b < a - tol["legendre-gap-decreasing"],
+                         lambda a, b: b < a + tol["legendre-gap-decreasing"],
                          series=1)
     shifts = [r for r in rows if r[0] == "shift"]
     checks = (

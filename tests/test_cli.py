@@ -142,6 +142,11 @@ def test_gibbs_ldp_refuses_bad_ball(tmp_path, capsys, arg, message):
     assert not (tmp_path / "g").exists()
 
 
+# grid resolutions need two nodes per axis, so 0 is refused with that bound
+GRID_RESOLUTIONS = {("solve-ma", "k"), ("zero-temp-mgf", "k"),
+                    ("cramer-demo", "t_res"), ("cramer-demo", "x_res")}
+
+
 @pytest.mark.parametrize("args, name", [
     (["verify-hamiltonian", "trials=0", "sandwich_trials=-3"], "trials"),
     (["verify-hamiltonian", "sandwich_trials=-3"], "sandwich_trials"),
@@ -166,7 +171,9 @@ def test_gibbs_ldp_refuses_bad_ball(tmp_path, capsys, arg, message):
 def test_non_positive_counts_are_usage_errors(tmp_path, capsys, args, name):
     assert main(["run", *args, f"out={tmp_path / 'r'}"]) == 2
     err = capsys.readouterr().err
-    assert f"for {name}: " in err and "must be >= 1" in err
+    bound = ("must be >= 2 grid nodes per axis"
+             if (args[0], name) in GRID_RESOLUTIONS else "must be >= 1")
+    assert f"for {name}: " in err and bound in err
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
 
@@ -182,6 +189,7 @@ def test_non_positive_counts_are_usage_errors(tmp_path, capsys, args, name):
     (["zero-temp-mgf", "k=1"], "k", "must be >= 2 grid nodes per axis"),
     (["cramer-demo", "t_res=1"], "t_res", "must be >= 2 grid nodes per axis"),
     (["cramer-demo", "x_res=1"], "x_res", "must be >= 2 grid nodes per axis"),
+    (["cramer-demo", "t_res=-1"], "t_res", "must be >= 2 grid nodes per axis"),
     (["verify-theta", "r=0"], "r", "must be >= 1"),
     (["sanov-demo", "nu=1.25,-0.25"], "nu", "every entry must be >= 0"),
     (["sanov-demo", "mu0=1,inf"], "mu0", "must be finite"),
@@ -276,7 +284,7 @@ def _failing_rows(text, check):
 @pytest.mark.parametrize("args, check, tolerance, want", [
     (["solve-ma", "k=16"], "bracket-identity", 0.0, (0,)),
     (["solve-ma", "k=16"], "constant-zero-at-zero-beta", -1.0, (0,)),
-    (["verify-theta", "n=8,16,32", "grid=64"], "sup-error-monotone", 1.0,
+    (["verify-theta", "n=8,16,32", "grid=64"], "sup-error-monotone", -1.0,
      (1, 2)),
     (["verify-theta", "n=8,16", "grid=64"], "defect-one-sided", -1.0,
      (0, 1)),
