@@ -994,7 +994,7 @@ _register(ExperimentSpec(
                   "2e-4, so concentration needs beta near 1e5"),
         ParamSpec("radius", "0.15", _parse_float,
                   "transport-distance ball radius"),
-        ParamSpec("center_res", "64", _parse_count,
+        ParamSpec("center_res", "64", _parse_resolution,
                   "atoms per axis for the uniform ball center"),
         ParamSpec("mu0", "uniform", _parse_str,
                   "base measure: uniform or a torus grid CSV path"),
@@ -1065,7 +1065,7 @@ _register(ExperimentSpec(
                   "lattice sharpness sweep"),
         ParamSpec("k", "64", _parse_resolution,
                   "test-function grid resolution"),
-        ParamSpec("quad", "512", _parse_count, "quadrature resolution"),
+        ParamSpec("quad", "512", _parse_resolution, "quadrature resolution"),
         ParamSpec("d", "1", _parse_dim(1), "torus dimension (1 only)"),
         ParamSpec("mu0", "uniform", _parse_str,
                   "base measure: uniform or a torus grid CSV path"),

@@ -387,3 +387,33 @@ def dual_energy_loop(values, nu_masses):
             integral = ((b - site) ** 3 - (a - site) ** 3) / 3.0
             total += rho * integral + rho * (b - a) * values[node]
     return -total
+
+
+def inversion_jacobian(slopes):
+    """Dense d(potential)/d(masses) of the 1-d power-cell inversion, from
+    its quantile slopes q.
+
+    db_j/dm_l = q_j (ds/dm_l + [l <= j]) where the anchor moves by ds/dm_l =
+    -sum_{j >= l} q_j / sum_j q_j, and f_i sums 2h (b_j - mid_j) over j < i.
+    With P_i = sum_{j < i} q_j that gives 2h (P_i ds_l + max(P_i - P_l, 0)).
+    """
+    slopes = np.asarray(slopes, dtype=float)
+    k = len(slopes)
+    prefix = np.concatenate([[0.0], np.cumsum(slopes[:-1])])
+    total = prefix[-1] + slopes[-1]
+    ds = (prefix - total) / total
+    return (2.0 / k) * (np.outer(prefix, ds)
+                        + np.maximum(prefix[:, None] - prefix[None, :], 0.0))
+
+
+def newton_direction_dense(masses, slopes, tilt, beta):
+    """Newton step for R(m) = m - tilt(Inv(m)) by a dense k x k solve.
+
+    The Jacobian is I - beta (diag t - t t^T) DInv(m); its columns sum to 1,
+    so adding 1 1^T / k makes the step sum to half the residual's sum.
+    """
+    k = len(masses)
+    dinv = inversion_jacobian(slopes)
+    jac = (np.eye(k) + 1.0 / k
+           - beta * (tilt[:, None] * dinv - np.outer(tilt, tilt @ dinv)))
+    return np.linalg.solve(jac, tilt - masses)

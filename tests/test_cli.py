@@ -33,7 +33,7 @@ def test_run_writes_results_manifest_timestamp(tmp_path):
     assert manifest["seed"] == 0
     assert manifest["parameters"]["n"] == "8,16"
     assert manifest["parameters"]["d"] == "1"  # default filled in
-    assert set(manifest["claims"]) == set(manifest["claims"])
+    assert set(manifest["claims"]) == set(EXPERIMENTS["verify-theta"].claims)
     assert "tolerances" in manifest and "git" in manifest
     assert (out / "timestamp.txt").exists()
     assert "timestamp" not in (out / "manifest.json").read_text()
@@ -144,6 +144,7 @@ def test_gibbs_ldp_refuses_bad_ball(tmp_path, capsys, arg, message):
 
 # grid resolutions need two nodes per axis, so 0 is refused with that bound
 GRID_RESOLUTIONS = {("solve-ma", "k"), ("zero-temp-mgf", "k"),
+                    ("zero-temp-mgf", "quad"), ("gibbs-ldp", "center_res"),
                     ("cramer-demo", "t_res"), ("cramer-demo", "x_res")}
 
 
@@ -193,6 +194,9 @@ def test_non_positive_counts_are_usage_errors(tmp_path, capsys, args, name):
     (["verify-theta", "r=0"], "r", "must be >= 1"),
     (["sanov-demo", "nu=1.25,-0.25"], "nu", "every entry must be >= 0"),
     (["sanov-demo", "mu0=1,inf"], "mu0", "must be finite"),
+    (["zero-temp-mgf", "quad=1"], "quad", "must be >= 2 grid nodes per axis"),
+    (["gibbs-ldp", "center_res=1"], "center_res",
+     "must be >= 2 grid nodes per axis"),
 ])
 def test_non_finite_and_non_positive_reals_are_usage_errors(
         tmp_path, capsys, args, name, message):

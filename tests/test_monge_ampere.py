@@ -1,6 +1,7 @@
 """Transport operator, master-equation solver, and rate function."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from ldpma.monge_ampere import (
     w2_to_reference,
 )
 
-from oracles import (dual_energy_loop, invert_cells_bisect,
+from oracles import (dual_energy_loop, inversion_jacobian,
+                     invert_cells_bisect, newton_direction_dense,
                      power_cells_numpy, torus_cell_masses_1d,
                      w2_circle_atoms_brute, w2_circle_ternary,
                      w2_single_atom)
@@ -329,26 +331,52 @@ def test_w2_circle_is_symmetric_and_refuses_two_grids():
 
 def test_w2_circle_takes_few_pieces_on_the_master_path(monkeypatch):
     # the minimiser and the probes of the certificates against uniform nu,
-    # where bisecting the cut offset evaluates about 13 pieces per call
-    searches = count_numpy_calls(monkeypatch, "searchsorted")
-    w2 = monge_ampere.w2_circle
+    # where bisecting the cut offset evaluates about 13 pieces per row
+    searches = []
+    real_search = np.searchsorted
+
+    def counted_search(a, v, *args, **kwargs):
+        searches.append(np.shape(v)[0] if np.ndim(v) else 0)
+        return real_search(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted_search)
+    rows = monge_ampere._w2_circle_rows
     pieces = []
 
-    def counted(mu, nu):
+    def counted(x, weights, nu):
         start = len(searches)
-        out = w2(mu, nu)
-        # one search per piece, and two more for the cost at the optimum
-        pieces.append(len(searches) - start - 2)
+        out = rows(x, weights, nu)
+        # one search per piece over the rows still searching, and two more
+        # for the cost at the optimum; rows only ever leave the search, so
+        # the r-th longest took as many pieces as searches held over r rows
+        live = searches[start:-2]
+        pieces.extend(sum(n > r for n in live) for r in range(len(weights)))
         return out
 
-    monkeypatch.setattr(monge_ampere, "w2_circle", counted)
+    monkeypatch.setattr(monge_ampere, "_w2_circle_rows", counted)
     rng = np.random.default_rng(11)
     for k in (64, 256):
         for beta in (-0.5, 1.0, 4.0):
             gprop_consistency(MasterParams(beta=beta, mu0=smooth_mu0(rng, k)),
                               probes=8)
     assert len(pieces) == 2 * 3 * 9
-    assert max(pieces) <= 6, pieces
+    assert min(pieces) >= 1 and max(pieces) <= 6, pieces
+
+
+def test_stacked_w2_rows_match_the_one_row_search_and_the_ternary_oracle():
+    rng = np.random.default_rng(21)
+    for k in (16, 64, 129):
+        x = (np.arange(k) + 0.5) / k
+        weights = rng.random((5, k)) * (rng.random((5, k)) > 0.2)
+        weights[0] = 0.0
+        weights[0, 3] = 1.0  # a single atom
+        weights /= weights.sum(axis=1, keepdims=True)
+        for nu in nu_cases(k).values():
+            stacked = monge_ampere._w2_circle_rows(x, weights, nu)
+            for row, got in zip(weights, stacked):
+                assert got == w2_circle(atoms_1d(x, row), nu)
+                want = w2_circle_ternary(x, row, nu.masses())
+                assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
 @pytest.mark.parametrize("beta", [-0.5, 2.0])
@@ -508,6 +536,7 @@ def test_gprop_consistency_computes_the_constant_once(monkeypatch):
 
     calls = []
     real, real_w2 = monge_ampere._evaluate, monge_ampere.w2_to_reference
+    real_rows = monge_ampere._w2_circle_rows
 
     def counted(*args, **kwargs):
         calls.append("evaluate")
@@ -517,11 +546,17 @@ def test_gprop_consistency_computes_the_constant_once(monkeypatch):
         calls.append("w2")
         return real_w2(*args, **kwargs)
 
+    def counted_rows(x, weights, nu):
+        calls.append(f"w2 x{len(weights)}")
+        return real_rows(x, weights, nu)
+
     monkeypatch.setattr(monge_ampere, "_evaluate", counted)
     monkeypatch.setattr(monge_ampere, "w2_to_reference", counted_w2)
+    monkeypatch.setattr(monge_ampere, "_w2_circle_rows", counted_rows)
     report = gprop_consistency(params, probes=8, seed=5, phi_min=phi)
-    # one W2 for mu_min (bracket and rate alike), one per probe
-    assert calls.count("evaluate") == 1 and calls.count("w2") == 1 + 8
+    # one W2 for mu_min (bracket and rate alike), one stacked W2 for the
+    # probes; each probe's rate is still the one rate_function_g gives
+    assert calls == ["evaluate", "w2", "w2 x1", "w2 x8"]
     assert report.rate_at_minimizer == want_min
     assert report.min_probe_value == want_best
     assert report.free_energy == f_functional(phi, params)
@@ -561,7 +596,7 @@ def test_inversion_jacobian_matches_central_differences(case):
     masses /= masses.sum()
     values, slopes = monge_ampere._invert_cells_1d(masses, nu)
     assert np.array_equal(values, invert_cells_bisect(masses, nu.masses()))
-    got = monge_ampere._inversion_jacobian(slopes)
+    got = inversion_jacobian(slopes)
     eps = 1e-7
     want = np.empty((k, k))
     for l in range(k):
@@ -683,3 +718,95 @@ def test_cells_mu0_does_not_charge_are_hidden_nodes(beta):
     assert math.isfinite(report.entropy_gap)
     assert report.passed, (report.residual_tv, report.bracket_gap,
                            report.entropy_gap, report.rate_at_minimizer)
+
+
+NEWTON_BETAS = (-64.0, -16.0, -0.5, 0.0, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0)
+
+
+def relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", [64, 256, 1024])
+def test_newton_step_matches_the_dense_solve_on_solver_inputs(k, monkeypatch):
+    # every (masses, slopes, tilt, beta) a solve hands to the step, over
+    # beta from -64 to 1024; at k = 1024 the last step of each solve, where
+    # the residual and so the step are smallest, keeps the dense solves few
+    captured = []
+    step = monge_ampere._newton_direction
+
+    def capture(*args):
+        captured.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(monge_ampere, "_newton_direction", capture)
+    xs = (np.arange(k) + 0.5) / k
+    mu0s = (1.0 + 0.5 * np.cos(2 * np.pi * xs),
+            1.0 + 0.3 * np.sin(2 * np.pi * xs)
+            + 0.2 * np.cos(6 * np.pi * xs + 1.0))
+    worst = 0.0
+    for beta in NEWTON_BETAS:
+        for dens in mu0s:
+            for nu in nu_cases(k).values():
+                captured.clear()
+                params = MasterParams(
+                    beta=beta, mu0=GridMeasure.from_density_values(dens), nu=nu)
+                try:
+                    solve_master(params)
+                except SolverError:
+                    pass  # the steps taken still count (cosine mu0, beta -64)
+                assert captured, (beta, nu)
+                for args in (captured[-1:] if k > 256 else captured):
+                    gap = relative_gap(step(*args), newton_direction_dense(*args))
+                    worst = max(worst, gap)
+    assert worst <= 1e-10, worst
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 257])
+def test_newton_step_matches_the_dense_solve_on_random_inputs(k):
+    rng = np.random.default_rng(k)
+    for beta in NEWTON_BETAS:
+        for _ in range(4):
+            hidden = rng.random(k) < 0.25
+            hidden[rng.choice(k, 2, replace=False)] = False  # a nonzero step
+            tilt = np.where(hidden, 0.0, rng.random(k) + 0.2)
+            tilt /= tilt.sum()
+            masses = tilt * np.exp(0.1 * rng.standard_normal(k))
+            masses /= masses.sum()
+            slopes = rng.uniform(0.3, 3.0, k)
+            got = monge_ampere._newton_direction(masses, slopes, tilt, beta)
+            want = newton_direction_dense(masses, slopes, tilt, beta)
+            assert relative_gap(got, want) <= 1e-10, (beta, hidden)
+
+
+def test_solver_raises_when_the_residual_stalls():
+    # below the residual's rounding floor the solver used to spend all of
+    # max_iter, 400 steps
+    with pytest.raises(SolverError, match="stalled") as err:
+        solve_master(MasterParams(beta=1.0, mu0=bump_measure(64),
+                                  residual_tol=1e-15))
+    residuals = err.value.residuals
+    assert len(residuals) < 20
+    assert f"{min(residuals):.3e}" in str(err.value)
+
+
+def test_master_equation_at_sixteen_thousand_cells():
+    # the dense Jacobian alone would take 2.1 GB here; F(phi_1) converges
+    # at second order in the grid step, its differences shrinking 16-fold
+    # per 4x in k
+    free = []
+    for k in (1024, 4096, 16384):
+        xs = (np.arange(k) + 0.5) / k
+        params = MasterParams(beta=1.0, mu0=GridMeasure.from_density_values(
+            1.0 + 0.5 * np.cos(2 * np.pi * xs)))
+        tracemalloc.start()
+        try:
+            phi = solve_master(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert phi.log[-1][1] <= params.residual_tol
+        free.append(f_functional(phi, params))
+    assert peak < 64 * 2 ** 20, peak
+    ratio = (free[0] - free[1]) / (free[1] - free[2])
+    assert 15.0 <= ratio <= 17.0, (free, ratio)
