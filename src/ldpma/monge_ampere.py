@@ -54,6 +54,10 @@ NORMALIZATION_TOL = 1e-10
 # accepted solver steps without a new lowest residual before the solver
 # gives up: the residual has reached its rounding floor
 STALL_STEPS = 3
+# rows left to the Newton step's dense pivoted solve: elimination without
+# pivoting then stays on arcs whose lowest mode crosses zero only below
+# beta = -(pi^2 / 8) REDUCED_ROWS^2, about -1,260, on uniform data
+REDUCED_ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -562,38 +566,44 @@ def _invert_cells_1d(masses: np.ndarray, nu: GridMeasure):
     return values, slopes(frac)
 
 
-def _tridiagonal_solve(lower: np.ndarray, diag: np.ndarray,
-                       upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve lower_i x_{i-1} + diag_i x_i + upper_i x_{i+1} = rhs_i for every
-    column of rhs (lower_0 and upper_{n-1} are ignored).
+def _cyclic_tridiagonal_solve(lower: np.ndarray, diag: np.ndarray,
+                              upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve lower_i x_{i-1} + diag_i x_i + upper_i x_{i+1} = rhs_i, the
+    indices taken mod n.
 
-    Odd-even cyclic reduction: the even rows, with their odd neighbours
-    eliminated, form a tridiagonal system of half the size; once it is
-    solved, each odd row gives its unknown directly. log2 n vectorised
-    passes, and no forward scan whose errors could grow along the chain.
+    Odd-even cyclic reduction: each even row takes in its odd neighbours,
+    which leaves a cyclic tridiagonal system on the even rows (for odd n,
+    rows n - 1 and 0 stay direct neighbours); once that is solved, each odd
+    row gives its unknown. Each pass halves the rows, and the last
+    REDUCED_ROWS or fewer go to a dense solve with partial pivoting.
+    Elimination without pivoting only ever works on arcs of the cycle
+    shorter than 2n / REDUCED_ROWS: a longer arc's lowest mode can cross
+    zero where the whole system is regular.
     """
     n = len(diag)
-    if n == 1:
-        return rhs / diag[0]
-    half, odd = (n + 1) // 2, n // 2
-    inner = slice(1, 2 * half - 1, 2)  # odd rows with an even row on each side
-    # even row 2e takes row 2e - 1 times left and row 2e + 1 times right
-    left = -lower[2::2] / diag[inner]
-    right = -upper[:2 * odd:2] / diag[1::2]
-    sub, mid, sup = np.zeros(half), diag[::2].copy(), np.zeros(half)
-    reduced = rhs[::2].copy()
-    sub[1:] = left * lower[inner]
-    mid[1:] += left * upper[inner]
-    reduced[1:] += left[:, None] * rhs[inner]
-    mid[:odd] += right * lower[1::2]
-    sup[:odd] = right * upper[1::2]
-    reduced[:odd] += right[:, None] * rhs[1::2]
-    even = _tridiagonal_solve(sub, mid, sup, reduced)
+    if n <= REDUCED_ROWS:
+        rows = np.arange(n)
+        dense = np.zeros((n, n))
+        np.add.at(dense, (rows, rows), diag)
+        np.add.at(dense, (rows, (rows - 1) % n), lower)
+        np.add.at(dense, (rows, (rows + 1) % n), upper)
+        return np.linalg.solve(dense, rhs)
+    even = np.arange(0, n, 2)
+    left, right = (even - 1) % n, (even + 1) % n
+    takes_left, takes_right = left % 2 == 1, right % 2 == 1
+    from_left = np.divide(-lower[even], diag[left], where=takes_left,
+                          out=np.zeros(len(even)))
+    from_right = np.divide(-upper[even], diag[right], where=takes_right,
+                           out=np.zeros(len(even)))
     x = np.empty_like(rhs)
-    x[::2] = even
-    x[1::2] = rhs[1::2] - lower[1::2, None] * even[:odd]
-    x[inner] -= upper[inner, None] * even[1:]
-    x[1::2] /= diag[1::2, None]
+    x[even] = _cyclic_tridiagonal_solve(
+        np.where(takes_left, from_left * lower[left], lower[even]),
+        diag[even] + from_left * upper[left] + from_right * lower[right],
+        np.where(takes_right, from_right * upper[right], upper[even]),
+        rhs[even] + from_left * rhs[left] + from_right * rhs[right])
+    odd = np.arange(1, n, 2)
+    x[odd] = (rhs[odd] - lower[odd] * x[odd - 1]
+              - upper[odd] * x[(odd + 1) % n]) / diag[odd]
     return x
 
 
@@ -609,21 +619,18 @@ def _newton_direction(masses: np.ndarray, slopes: np.ndarray,
     The power cells' own derivative undoes DInv: with w_j = k / (2 q_j)
     the weight across boundary j (q the inversion's quantile slopes), the
     cyclic facet tridiagonal (L u)_i = w_i (u_{i+1} - u_i) - w_{i-1} (u_i -
-    u_{i-1}) is dm/df, and L DInv = I on sum-zero vectors. So J L = L -
-    beta diag t + beta t t^T, and with z = L u + alpha 1:
+    u_{i-1}) is dm/df, and L DInv = I on sum-zero vectors. So J L = M +
+    beta t t^T with M = L - beta diag t, a cyclic tridiagonal matrix with
+    M 1 = -beta t. Then:
 
     1. alpha = sum(t - m) / 2k takes the residual's part along
        (J + 1 1^T / k) 1, whose sum is 2k; the rest y0 sums to zero.
-    2. (J L + (mean w / k) 1 1^T) u = y0 is a tridiagonal system with its
-       corners cut, solved by cyclic reduction, plus a rank-4 Woodbury
-       correction for beta t t^T, the 1 1^T term and the two corners.
-    3. z = L u + alpha 1, read off the system itself as y0 + beta t (u -
-       t^T u) + alpha 1 (y0 less its rounding mean): differencing u twice
-       in L u would lose digits in proportion to k^2.
+    2. u = M^-1 y0 solves J L u = y0, since t^T u = -1^T y0 / beta = 0.
+    3. z = L u + alpha 1 = y0 + beta t u + alpha 1, which needs no second
+       differences of u (those would lose digits in proportion to k^2).
+       At beta = 0, J = I and z = y0 + alpha 1.
     """
     k = len(masses)
-    w = k / (2.0 * slopes)
-    before = np.roll(w, 1)  # w_{i-1}
     # (J + 1 1^T / k) 1 = 2 - beta (diag t - t t^T) DInv 1, read off the
     # inversion's derivative 2h (P_i ds_l + max(P_i - P_l, 0))
     prefix = np.concatenate([[0.0], np.cumsum(slopes[:-1])])
@@ -634,24 +641,14 @@ def _newton_direction(masses: np.ndarray, slopes: np.ndarray,
     ones_image = 2.0 - beta * tilt * (dinv_ones - tilt @ dinv_ones)
     residual = tilt - masses
     alpha = np.sum(residual) / (2.0 * k)
-    columns = np.zeros((k, 5))
-    columns[:, 0] = residual - alpha * ones_image
-    columns[:, 1], columns[:, 2] = tilt, 1.0
-    columns[0, 3] = columns[-1, 4] = 1.0
-    solved = _tridiagonal_solve(before, -(w + before) - beta * tilt, w,
-                                columns)
-    # the low-rank part U S V^T: U the columns t, 1, e_0, e_{k-1} above,
-    # V the columns t, 1, e_{k-1}, e_0
-    scale = np.array([beta, np.mean(w) / k, w[-1], w[-1]])
-
-    def v_t(x):
-        return np.stack([tilt @ x, x.sum(axis=0), x[-1], x[0]])
-
-    low = solved[:, 1:] * scale
-    coef = np.linalg.solve(np.eye(4) + v_t(low), v_t(solved[:, 0]))
-    u = solved[:, 0] - low @ coef
-    return (columns[:, 0] - np.mean(columns[:, 0])
-            + beta * tilt * (u - tilt @ u) + alpha)
+    rest = residual - alpha * ones_image
+    if beta == 0.0:
+        return rest + alpha
+    w = k / (2.0 * slopes)
+    before = np.roll(w, 1)  # w_{i-1}
+    u = _cyclic_tridiagonal_solve(before, -(w + before) - beta * tilt, w,
+                                  rest)
+    return rest + beta * tilt * u + alpha
 
 
 def solve_master(params: MasterParams,

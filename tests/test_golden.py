@@ -36,17 +36,17 @@ GOLDEN = {
     "ot/results.csv":
         "e04eaf5da5ca6f42df4c58ae3ec9f41ca8426637d492dcb5950782021d47d5c8",
     "report.csv":
-        "98348a3c0e2a19b1b19257113f4fab70971cfc866251c1d535fe2434a71cb8e7",
+        "09a209431a3ba2c9a6b484d47efcfdac8c693f30e54a6179c7549dda677ceefd",
     "sanov-demo/results.csv":
         "9b8c1dd573e71de34a2a8fa49aad45d860641d94af0167c1b44aa566d6fb39f0",
     "solve-ma/potential.csv":
-        "0571f2a5ac1aab32a6c16e615bc2ec204691fbd700e16071665898904c2af468",
+        "6878c15a7e47c5821cd59bbadb3fa6b79b7a0c0ebb2f75b00ee72fc995cecf53",
     "solve-ma/pushforward.csv":
-        "68b0c731a1d77c1b4d67fbd49538e38f682b8684f4be54ddb4738caf2dd8e00e",
+        "90a6a2cbe869138aa1569a0e9f8eb6518152b18399b838647cbc41f94481800a",
     "solve-ma/residuals.csv":
-        "e44a6af59ca9a01026fe391ffc178f8ce806c7428b06ca0d3c858198864ccc96",
+        "0f69188cfd31564ce1e42e5562ad176b3ad2e21b49e396324fab413cb3bddcd5",
     "solve-ma/results.csv":
-        "8e3d86b3f1521dc80af035469ffd131b663eb31f0345d146ec62c13dc753aeaa",
+        "b12aefc2186bc94adf8baa71749ac0d06b0ac8f3495a12a9622098a681a50a21",
     "verify-hamiltonian/results.csv":
         "97b44b72ab7412eb0eb96f6428396d12e5efed71886cff2003de8b0ea65219f6",
     "verify-theta/results.csv":
