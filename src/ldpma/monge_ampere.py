@@ -24,10 +24,10 @@ The master equation couples the operator to a Gibbs tilt,
     MA_nu f = e^{beta f} mu0 / integral(e^{beta f} mu0),
 
 which `solve_master` solves by damped Newton on the cell masses m: the
-potential is the exact power-cell inversion Inv(m), and the Jacobian of
-the residual m - tilt(Inv(m)) becomes, through the power cells' own
-derivative, a cyclic tridiagonal matrix plus low-rank terms. So each step
-costs O(k) and a solve takes a few steps at every beta. The solution
+potential is the exact power-cell inversion Inv(m), and the Newton system
+of the residual m - tilt(Inv(m)) becomes, through the power cells' own
+derivative, a cyclic tridiagonal one. So each step costs O(k) and a solve
+takes a few steps at every beta. The solution
 phi_min calibrates the rate function
 
     G(mu) = beta W2^2(mu, nu) + Ent(mu0, mu) + beta F(phi_min),
