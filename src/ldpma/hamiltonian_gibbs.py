@@ -474,7 +474,7 @@ def local_rate(ensemble: GibbsEnsemble, center: DiscreteMeasure,
         inside = (cost @ center.weights)[keys].mean(axis=1) < radius ** 2 - 1e-9
         for c in np.flatnonzero(~inside & (lower <= radius ** 2 + 1e-9)):
             mu = empirical(EmpiricalConfig(points=table.sites[keys[c]]))
-            w2sq = w2_empirical(mu, center, metric="torus")
+            w2sq = w2_empirical(mu, center)
             inside[c] = math.sqrt(max(w2sq, 0.0)) < radius
     prob = float(np.cumsum(masses[inside])[-1]) if inside.any() else 0.0
     r_n = float(nn)

@@ -182,18 +182,19 @@ def legendre_transform(f: GridFunction, dual_bounds: tuple,
 ENT_DUAL_MAX_CANDIDATES = 9 ** 6
 
 
-def ent_dual_check(mu0: DiscreteMeasure, nu: DiscreteMeasure,
-                   rounds: int = 8, span: float = 8.0) -> Tuple[float, float]:
+def ent_dual_check(mu0: DiscreteMeasure,
+                   nu: DiscreteMeasure) -> Tuple[float, float]:
     """Relative entropy vs the dual supremum on a refined theta grid.
 
     Returns ``(entropy, grid_sup)`` where grid_sup is the maximum of
     <theta, nu> - log integral exp(theta) d mu0 over a shrinking lattice of
     potentials theta (gauge-fixed so the last coordinate is 0; the pairing
-    is shift invariant). Each round scores its 9^(k-1) candidates in one
-    batch; more than ``ENT_DUAL_MAX_CANDIDATES`` (k > 7) is refused. When
-    nu is strictly positive, the closed-form maximizer theta = log(nu / mu0)
-    is also evaluated and must attain the entropy to within 1e-12, else
-    this raises.
+    is shift invariant): 8 rounds, the first of half-width 8, each a
+    quarter as wide as the last. Each round scores its 9^(k-1) candidates
+    in one batch; more than ``ENT_DUAL_MAX_CANDIDATES`` (k > 7) is
+    refused. When nu is strictly positive, the closed-form maximizer theta
+    = log(nu / mu0) is also evaluated and must attain the entropy to within
+    1e-12, else this raises.
     """
     from .measures import entropy as entropy_fn
 
@@ -227,11 +228,11 @@ def ent_dual_check(mu0: DiscreteMeasure, nu: DiscreteMeasure,
 
     # the gauge coordinate's offsets are 0, so every candidate keeps it at 0
     center = np.zeros(k)
-    width = span
+    width = 8.0
     best = float(pairing(center[None, :])[0])
     offsets = np.array([o + (0,) for o in itertools.product(
         range(-4, 5), repeat=k - 1)], dtype=float) / 4.0
-    for _ in range(rounds):
+    for _ in range(8):
         candidates = center[None, :] + width * offsets
         values = pairing(candidates)
         at = int(np.argmax(values))

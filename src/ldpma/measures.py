@@ -150,16 +150,12 @@ class DiscreteMeasure:
     # ---- constructors ----
 
     @staticmethod
-    def from_alphabet_weights(weights: Sequence[float],
-                              is_probability: bool = True) -> "DiscreteMeasure":
-        """Measure on the full alphabet 0..k-1 with the given weights."""
+    def from_alphabet_weights(weights: Sequence[float]) -> "DiscreteMeasure":
+        """Probability measure on the full alphabet 0..k-1 with the given
+        weights."""
         w = np.asarray(weights, dtype=float)
-        return DiscreteMeasure(
-            points=np.arange(len(w)),
-            weights=w,
-            domain=alphabet_domain(len(w)),
-            is_probability=is_probability,
-        )
+        return DiscreteMeasure(points=np.arange(len(w)), weights=w,
+                               domain=alphabet_domain(len(w)))
 
     # ---- accessors ----
 
@@ -281,16 +277,13 @@ class GridMeasure:
                            density=np.full((resolution,) * dim, 1.0))
 
     @staticmethod
-    def from_density_values(values: np.ndarray,
-                            normalize: bool = True) -> "GridMeasure":
+    def from_density_values(values: np.ndarray) -> "GridMeasure":
         """Build a probability grid measure from raw nonnegative values."""
         values = np.asarray(values, dtype=float)
         dim = values.ndim
         resolution = values.shape[0]
         measure = GridMeasure(dim=dim, resolution=resolution, density=values,
                               is_probability=False)
-        if not normalize:
-            return measure
         total = measure.total_mass()
         if total <= 0:
             raise ValueError("cannot normalize a zero measure")
@@ -300,7 +293,7 @@ class GridMeasure:
     # ---- geometry ----
 
     def cell_volume(self) -> float:
-        return float(np.prod(np.full(self.dim, 1.0 / self.resolution)))
+        return math.prod([1.0 / self.resolution] * self.dim)
 
     def centers(self) -> np.ndarray:
         """All cell centers, shape (resolution**dim, dim), row-major order."""
@@ -488,14 +481,13 @@ def save_csv(measure: MeasureLike, path) -> None:
             writer.writerow([repr(float(c)) for c in row] + [repr(float(weight))])
 
 
-def load_discrete_csv(path, domain: Domain = None) -> DiscreteMeasure:
-    """Read atoms written by :func:`save_csv` back as a DiscreteMeasure."""
+def load_discrete_csv(path) -> DiscreteMeasure:
+    """Read torus atoms written by :func:`save_csv` back as a
+    DiscreteMeasure."""
     coords, weights = _read_rows(path)
-    if domain is None:
-        domain = torus_domain(coords.shape[1])
-    points = coords[:, 0].astype(np.int64) if domain.kind == "alphabet" else coords
     total = float(np.sum(weights))
-    return DiscreteMeasure(points=points, weights=weights, domain=domain,
+    return DiscreteMeasure(points=coords, weights=weights,
+                           domain=torus_domain(coords.shape[1]),
                            is_probability=abs(total - 1.0) <= PROBABILITY_TOL_DISCRETE)
 
 

@@ -174,30 +174,21 @@ def kantorovich_lp(mu: DiscreteMeasure, nu: DiscreteMeasure,
 # ---------------------------------------------------------------------------
 
 
-def _metric_cost_name(metric: str) -> str:
-    if metric in ("torus", "sqdist_torus"):
-        return "sqdist_torus"
-    if metric in ("euclid", "euclidean", "sqdist_euclid"):
-        return "sqdist_euclid"
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def w2_empirical(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                 metric: str = "torus") -> float:
-    """Squared Wasserstein distance between two uniform empirical measures.
+def w2_empirical(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """Squared torus Wasserstein distance between two uniform empirical
+    measures.
 
     With equal atom counts and uniform weights this is the assignment value
     (1/N) min over permutations of the squared-distance sum. Unequal or
     non-uniform instances route through :func:`kantorovich_lp`.
     """
-    cost_name = _metric_cost_name(metric)
     n, m = mu.atom_count, nu.atom_count
     uniform = (
         n == m
         and np.max(np.abs(mu.weights - 1.0 / n)) <= 1e-12
         and np.max(np.abs(nu.weights - 1.0 / n)) <= 1e-12
     )
-    costs = cost_matrix(mu.points, nu.points, cost_name)
+    costs = cost_matrix(mu.points, nu.points, "sqdist_torus")
     if uniform:
         return hungarian(costs).cost / n
     plan = kantorovich_lp(mu, nu, costs)

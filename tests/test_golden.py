@@ -36,17 +36,17 @@ GOLDEN = {
     "ot/results.csv":
         "e04eaf5da5ca6f42df4c58ae3ec9f41ca8426637d492dcb5950782021d47d5c8",
     "report.csv":
-        "09a209431a3ba2c9a6b484d47efcfdac8c693f30e54a6179c7549dda677ceefd",
+        "fe77b91e14d81edaf2ee419ed4bed12bd2c791e12a59a33a1fcc72a09d20b082",
     "sanov-demo/results.csv":
         "9b8c1dd573e71de34a2a8fa49aad45d860641d94af0167c1b44aa566d6fb39f0",
     "solve-ma/potential.csv":
-        "6878c15a7e47c5821cd59bbadb3fa6b79b7a0c0ebb2f75b00ee72fc995cecf53",
+        "0ca1ee3c14c9fd9090532bb1bf951bc0722bd7f3ce5b323e514f5c6275e5d779",
     "solve-ma/pushforward.csv":
-        "90a6a2cbe869138aa1569a0e9f8eb6518152b18399b838647cbc41f94481800a",
+        "2c73e8755c4d89a9b14bbee3eafbc9e4d12a3fc848b9ff5273a06387c3a42314",
     "solve-ma/residuals.csv":
-        "0f69188cfd31564ce1e42e5562ad176b3ad2e21b49e396324fab413cb3bddcd5",
+        "f4e8107b6556f0de598567b6a1bb60af18489f10f31df534b3f8a9cc32598b0b",
     "solve-ma/results.csv":
-        "b12aefc2186bc94adf8baa71749ac0d06b0ac8f3495a12a9622098a681a50a21",
+        "7f24eba3ded2676eecf449c8fd501eae2cf00552c03f6812ff0121fa14983907",
     "verify-hamiltonian/results.csv":
         "97b44b72ab7412eb0eb96f6428396d12e5efed71886cff2003de8b0ea65219f6",
     "verify-theta/results.csv":

@@ -123,19 +123,6 @@ def test_power_cells_prune_many_sites_bit_identical_to_the_stack_scan():
     assert pruned > nodes // 2
 
 
-def count_numpy_calls(monkeypatch, name):
-    """A list that grows by one per call of numpy's `name` in this test."""
-    calls = []
-    real = getattr(np, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np, name, counted)
-    return calls
-
-
 def test_operator_refuses_other_dimensions_before_any_iteration(monkeypatch):
     # the 1-d power cells are the only exact operator; a 2-d potential or
     # master problem is refused at the operator, naming the dimension,
@@ -383,14 +370,15 @@ def test_stacked_w2_rows_match_the_one_row_search_and_the_ternary_oracle():
 @pytest.mark.parametrize("uniform_nu", [True, False])
 def test_solver_cells_bit_identical_to_the_scalar_kernels(beta, uniform_nu,
                                                           monkeypatch):
-    # every power-cell scan and cell inversion of a solve, against the
-    # numpy-scalar scan and the fixed 200-step bisection
+    # every power-cell scan of a solve, against the numpy-scalar scan, and
+    # every cell inversion against the fixed 200-step bisection and the
+    # masses it was asked for
     k = 32
     xs = np.arange(k) / k
     nu = (GridMeasure.uniform(dim=1, resolution=k) if uniform_nu else
           GridMeasure.from_density_values(1.0 + 0.3 * np.sin(2 * np.pi * xs)))
     cells, invert = monge_ampere._power_cells_1d, monge_ampere._invert_cells_1d
-    calls = []
+    calls, inverted = [], []
 
     def checked_cells(values):
         out = cells(values)
@@ -402,8 +390,9 @@ def test_solver_cells_bit_identical_to_the_scalar_kernels(beta, uniform_nu,
 
     def checked_invert(masses, measure):
         out = invert(masses, measure)
-        assert np.array_equal(out[0], invert_cells_bisect(masses,
-                                                          measure.masses()))
+        want = invert_cells_bisect(masses, measure.masses())
+        assert np.abs(out[0] - want).max() <= 1e-15
+        inverted.append((masses, out[0]))
         calls.append("invert")
         return out
 
@@ -413,6 +402,10 @@ def test_solver_cells_bit_identical_to_the_scalar_kernels(beta, uniform_nu,
     # the blend and two full Newton steps, no backtracking
     assert [step for *_, step in phi.log] == [0.0, 0.5, 1.0, 1.0]
     assert calls.count("cells") == 4 and calls.count("invert") == 3
+    monkeypatch.undo()
+    for masses, values in inverted:
+        push = ma_operator(torus_grid_function(values), nu).masses()
+        assert np.abs(push - masses).max() <= 1e-12
 
 
 def test_histogram_puts_edge_atoms_in_their_cell():
@@ -595,7 +588,8 @@ def test_inversion_jacobian_matches_central_differences(case):
     masses = rng.random(k) + 0.5
     masses /= masses.sum()
     values, slopes = monge_ampere._invert_cells_1d(masses, nu)
-    assert np.array_equal(values, invert_cells_bisect(masses, nu.masses()))
+    want = invert_cells_bisect(masses, nu.masses())
+    assert np.abs(values - want).max() <= 1e-15
     got = inversion_jacobian(slopes)
     eps = 1e-7
     want = np.empty((k, k))
@@ -656,29 +650,87 @@ def test_newton_solves_a_reference_with_an_empty_cell():
                            report.entropy_gap, report.rate_at_minimizer)
 
 
+def fifth_empty(rng, k):
+    """A seeded reference density with a fifth of its cells empty."""
+    dens = rng.random(k) + 0.3
+    dens[rng.choice(k, k // 5, replace=False)] = 0.0
+    return GridMeasure.from_density_values(dens)
+
+
+@pytest.mark.parametrize("case", ["uniform", "wavy", "empty-cell",
+                                  "fifth-empty"])
+def test_inversion_reproduces_the_masses(case):
+    # where nu has empty cells, Q_nu jumps, and the boundaries' sum can
+    # jump over its target: a bisected anchor then left cells 0 and 63
+    # 1.6e-2 off their masses; the boundary at the jump goes into the gap
+    k = 64
+    nu = (fifth_empty(np.random.default_rng(1), k) if case == "fifth-empty"
+          else nu_cases(k)[case])
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        masses = rng.random(k) + 0.5
+        masses /= masses.sum()
+        values, _ = monge_ampere._invert_cells_1d(masses, nu)
+        push = ma_operator(torus_grid_function(values), nu).masses()
+        assert np.abs(push - masses).max() <= 1e-12
+
+
+def test_solver_handles_references_with_a_fifth_of_their_cells_empty():
+    # with a bisected anchor 41 of these 160 solves raised, stalled or
+    # without an admissible step; two, both at beta = 4, still stall near
+    # residual 6e-4 and 7e-4, where the Newton steps cross jumps of Q_nu
+    k = 64
+    failed = []
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 7])
+        mu0, nu = smooth_mu0(rng, k), fifth_empty(rng, k)
+        for beta in (-0.5, 0.0, 1.0, 4.0):
+            params = MasterParams(beta=beta, mu0=mu0, nu=nu)
+            try:
+                phi = solve_master(params)
+            except SolverError:
+                failed.append((seed, beta))
+                continue
+            assert phi.log[-1][1] <= params.residual_tol
+    assert len(failed) <= 2, failed
+
+
 @pytest.mark.parametrize("uniform_nu", [True, False])
 def test_solver_inversions_take_few_quantile_passes(uniform_nu, monkeypatch):
-    # a plain bisection of the anchor from [-1, 1] takes about 65 passes
+    # a plain bisection of the anchor from [-1, 1] takes about 65 passes;
+    # on the symmetric cosine mu0, whose anchor is about -5e-17, a search
+    # that ends by bisecting to neighbouring floats took 55-59
     k = 256
     xs = np.arange(k) / k
     nu = (GridMeasure.uniform(dim=1, resolution=k) if uniform_nu else
           GridMeasure.from_density_values(1.0 + 0.3 * np.sin(2 * np.pi * xs)))
-    quantiles = count_numpy_calls(monkeypatch, "interp")
+    quantiles = []
+    locate = monge_ampere._Quantile.locate
+
+    def counted_locate(self, u):
+        quantiles.append(np.size(u))
+        return locate(self, u)
+
+    monkeypatch.setattr(monge_ampere._Quantile, "locate", counted_locate)
     invert = monge_ampere._invert_cells_1d
     passes = []
 
     def counted(masses, measure):
         start = len(quantiles)
         out = invert(masses, measure)
+        assert all(size == k for size in quantiles[start:])  # one row
         passes.append(len(quantiles) - start)
         return out
 
     monkeypatch.setattr(monge_ampere, "_invert_cells_1d", counted)
     rng = np.random.default_rng(k)
+    cosine = GridMeasure.from_density_values(
+        1.0 + 0.5 * np.cos(2 * np.pi * (xs + 0.5 / k)))
     for beta in (-0.5, 0.0, 1.0, 4.0):
         solve_master(MasterParams(beta=beta, mu0=smooth_mu0(rng, k), nu=nu))
-    assert len(passes) >= 8
-    assert max(passes) <= 24, passes
+        solve_master(MasterParams(beta=beta, mu0=cosine, nu=nu))
+    assert len(passes) >= 16
+    assert min(passes) >= 1 and max(passes) <= 24, passes
 
 
 @pytest.mark.parametrize("case", ["uniform", "wavy", "empty-cell"])

@@ -1,5 +1,5 @@
-"""Every public function and class of ldpma, and every module constant,
-has a caller outside unit tests.
+"""Every public function and class of ldpma, every module constant and
+every defaulted parameter has a caller outside unit tests.
 
 A module-level public name (no leading underscore) in ``src/ldpma``, and a
 module-level UPPER_CASE constant whether private or not, must be read by
@@ -8,6 +8,12 @@ acceptance sweep; the few that stay for another reason are listed in
 ALLOWED with that reason. Unit tests do not count: a function whose only
 caller is its own test is code no experiment reaches, and a constant whose
 only reader was deleted tunes nothing.
+
+Likewise every parameter with a default, of any function or method in
+``src/ldpma``, must be passed, by keyword or by position, by some call in
+``src/``, ``bench/``, ``scripts/`` or the acceptance sweep to a function
+of that name; an option no caller sets is a branch no run takes. Those
+that stay for another reason are listed in ALLOWED_DEFAULTS.
 """
 
 import ast
@@ -26,6 +32,13 @@ CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 ALLOWED = {
     "rate_function_g": "the paper's rate function G; gprop_consistency's "
                        "certificates are checked against it",
+}
+
+
+# function.parameter -> why its default stays although no caller passes it
+ALLOWED_DEFAULTS = {
+    "solve_master.initial": "the warm start a continuation in beta needs: "
+                            "each solve starts from the last potential",
 }
 
 
@@ -84,3 +97,57 @@ def test_every_public_name_has_a_caller():
         f"scripts/ or the acceptance sweep reads: {orphans}; delete them or "
         f"list them in ALLOWED with a reason")
     assert set(ALLOWED) <= {name for _, name, _ in definitions}
+
+
+def defaulted_parameters(tree: ast.AST):
+    """(function, parameter, index among the call's positional arguments,
+    or None if keyword-only) per parameter with a default, nested
+    functions and methods included; self and cls take no call position."""
+    bound = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body if isinstance(fn, ast.FunctionDef)
+             and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield fn.name, arg.arg, i - (id(fn) in bound)
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield fn.name, arg.arg, None
+
+
+def passes(call: ast.Call, parameter: str, position) -> bool:
+    """Whether a call sets the parameter: by keyword, by position, or
+    possibly through * or ** unpacking."""
+    keywords = {k.arg for k in call.keywords}
+    return (parameter in keywords or None in keywords
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or (position is not None and len(call.args) > position))
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    calls = {}  # callee name -> the calls to it
+    for path in [*sorted(SRC.glob("*.py")), *READERS]:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = getattr(callee, "id", getattr(callee, "attr", None))
+                calls.setdefault(name, []).append(node)
+    defaults = [(path.stem, fn, parameter, position)
+                for path in sorted(SRC.glob("*.py"))
+                for fn, parameter, position in defaulted_parameters(
+                    ast.parse(path.read_text("utf-8")))]
+    unset = [f"{module}.{fn}.{parameter}"
+             for module, fn, parameter, position in defaults
+             if f"{fn}.{parameter}" not in ALLOWED_DEFAULTS
+             and not any(passes(call, parameter, position)
+                         for call in calls.get(fn, []))]
+    assert not unset, (
+        f"defaulted parameters that no call in src/, bench/, scripts/ or "
+        f"the acceptance sweep passes: {unset}; delete the option or list "
+        f"it in ALLOWED_DEFAULTS with a reason")
+    assert set(ALLOWED_DEFAULTS) <= {f"{fn}.{parameter}"
+                                     for _, fn, parameter, _ in defaults}
