@@ -408,7 +408,7 @@ def _run_verify_hamiltonian(params: dict, seed: int,
             for n, s in zip(sandwich_ns, s_sand)]
 
     def w2_row(kind, n, s):
-        gap = hamiltonian_w2_gap(kind, n, 1, trials, s)
+        gap = hamiltonian_w2_gap(kind, n, trials, s)
         tparams = ThetaParams(n=n)
         bound = float(tparams.bracket_width(1)) + float(tparams.tail_bound)
         family = "w2-" + kind.tag

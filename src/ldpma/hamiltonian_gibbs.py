@@ -156,27 +156,26 @@ def hamiltonian(kind: HamiltonianKind, lattice: TorusLattice,
     return float(hamiltonians(kind, lattice, params, config.points[None])[0])
 
 
-def hamiltonian_w2_gap(kind: HamiltonianKind, n: int, d: int, trials: int,
+def hamiltonian_w2_gap(kind: HamiltonianKind, n: int, trials: int,
                        seed: int) -> float:
-    """max over random configs of |H_n/N - W2^2(lattice, config)|.
+    """max over random circle configs of |H_n/n - W2^2(lattice, config)|.
 
-    Both empirical measures are uniform on N = n^d atoms, so the reference
-    is an assignment value; the gap is bounded by the kernel bracket width
-    (1/n) log((2R+1)^d) plus the truncation tail.
+    The reference is the exact circle W2 of `w2_circle_atoms`, one call over
+    all sorted configurations; the gap is bounded by the kernel bracket
+    width (1/n) log(2R+1) plus the truncation tail.
     """
-    nn = n ** d
     cap = W2_GAP_PERMANENTAL_MAX if kind.tag == "permanental" else W2_GAP_TROPICAL_MAX
-    if nn > cap:
+    if n > cap:
         raise ValueError(f"{kind.tag} gap sweep supports N <= {cap}")
     if trials < 1:
         raise ValueError("gap sweep needs trials >= 1")
-    lattice = TorusLattice(n=n, d=d)
-    configs = np.random.default_rng(seed).random((trials, nn, d))
+    lattice = TorusLattice(n=n, d=1)
+    configs = np.random.default_rng(seed).random((trials, n, 1))
     h = hamiltonians(kind, lattice, ThetaParams(n=n), configs)
-    costs = cost_matrix(lattice.points, configs.reshape(-1, d), "sqdist_torus")
-    ref = np.array([hungarian(c).cost / nn
-                    for c in costs.reshape(nn, trials, nn).swapaxes(0, 1)])
-    return float(np.max(np.abs(h / nn - ref)))
+    uniform = np.full(n, 1.0 / n)
+    ref = w2_circle_atoms(np.sort(configs[:, :, 0], axis=1), uniform,
+                          lattice.points[:, 0], uniform)
+    return float(np.max(np.abs(h / n - ref)))
 
 
 # ---------------------------------------------------------------------------

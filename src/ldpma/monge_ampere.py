@@ -50,14 +50,15 @@ import numpy as np
 
 from .legendre import GridFunction
 from .measures import (NULL_DENSITY, DiscreteMeasure, GridMeasure, entropy,
-                       log_mgf)
-from .transport import circle_primitives, w2_circle_atoms
+                       log_mgf, torus_domain)
+from .transport import (_piece_search, _Quantile, _w2_circle_rows,
+                        w2_circle_atoms)
 
 NORMALIZATION_TOL = 1e-10
 # slack of every certificate of gprop_consistency
 CONSISTENCY_TOL = 1e-5
-# accepted solver steps without a new lowest residual before the solver
-# gives up: the residual has reached its rounding floor
+# accepted steps after the first full Newton step without a new lowest
+# residual before the solver gives up: the residual is at its rounding floor
 STALL_STEPS = 3
 # rows left to the Newton step's dense pivoted solve: elimination without
 # pivoting then stays on arcs whose lowest mode crosses zero only below
@@ -160,20 +161,9 @@ def _cdf_eval(nu: GridMeasure, points: np.ndarray) -> np.ndarray:
 def w2_circle(mu, nu) -> float:
     """Squared Wasserstein distance of two probability measures on the circle.
 
-    Takes two discrete measures, or one discrete measure and one 1-d torus
-    grid measure in either order (grid pairs are refused). W2^2 is the
-    minimum over the cut offset alpha in [-1, 1] of the integral over t of
-    (Q_mu(t) - Q_nu(t + alpha))^2, Q_nu gaining 1 per wrap (Delon, Salomon
-    & Sobolevski 2010). Two discrete measures go to `w2_circle_atoms`.
-
-    Against a grid nu the quantile is piecewise linear, so the cost is
-    convex and piecewise quadratic in alpha, with breaks where T_mu(i) +
-    alpha meets a knot T_nu(j) + n of nu's cumulative weights. Its slope
-    D(alpha) = 1 + 2 Q(alpha) - 2 sum_i x_i [Q(T_i + alpha) - Q(T_{i-1} +
-    alpha)] is nondecreasing and linear on each piece, and
-    :func:`_piece_search` finds its zero; the cost there comes from the
-    wrap-extended primitives of Q and Q^2. Cells with zero density are
-    skipped, which makes Q jump over them.
+    Takes two discrete measures (`w2_circle_atoms`), or one discrete and one
+    1-d torus grid measure in either order (`_w2_circle_rows`); grid pairs
+    are refused.
     """
     if isinstance(mu, GridMeasure):
         mu, nu = nu, mu
@@ -189,127 +179,6 @@ def w2_circle(mu, nu) -> float:
     if nu.dim != 1:
         raise ValueError("w2_circle needs a 1-d grid measure")
     return float(_w2_circle_rows(x, weights[None, :], nu)[0])
-
-
-class _Quantile(NamedTuple):
-    """The quantile Q of a 1-d grid measure nu, scaled to mass 1, piece by
-    charged cell: cell j holds the mass coordinates [t[j], t[j + 1]), where
-    Q(u) = left[j] + (u - t[j]) / rho[j]. Cells of zero mass hold none, so
-    Q jumps over them.
-    """
-
-    t: np.ndarray  # knots: cumulative masses, t[-1] = 1
-    mass: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    rho: np.ndarray  # density
-
-    @classmethod
-    def of(cls, nu: GridMeasure) -> "_Quantile":
-        k = nu.resolution
-        masses = nu.masses() / nu.total_mass()
-        keep = masses > 0.0
-        edges = np.arange(k + 1) / k
-        mass = masses[keep]
-        t = np.concatenate([[0.0], np.cumsum(mass)])
-        t[-1] = 1.0
-        return cls(t, mass, edges[:-1][keep], edges[1:][keep], mass * k)
-
-    def locate(self, u):
-        """(charged cell, offset into it, Q) at coordinates u in [0, 1]."""
-        j = np.minimum(np.searchsorted(self.t, u, side="right") - 1,
-                       len(self.mass) - 1)
-        delta = u - self.t[j]
-        return j, delta, self.left[j] + delta / self.rho[j]
-
-    def wrapped(self, s):
-        """(charged cell, offset into it, s mod 1, Q) at any coordinates s,
-        Q gaining 1 per wrap."""
-        wraps = np.floor(s)
-        u = s - wraps
-        j, delta, y = self.locate(u)
-        return j, delta, u, y + wraps
-
-
-def _piece_search(quantile: _Quantile, base: np.ndarray, line) -> tuple:
-    """Zero in [-1, 1] of a nondecreasing, piecewise-linear function D of an
-    offset g, for every row of base at once.
-
-    Row r's D reads Q at the coordinates base[r] + g, so it is linear
-    between the offsets where one of them crosses a knot; ``line(q, dq)``
-    gives each row's D and slope on its current piece from Q and Q' there.
-    Each row keeps a bracket, from [-1, 1] and g = 0, and takes the zero of
-    its piece's line: when that lies outside the piece, the bracket shrinks
-    to that side of the piece, and the next guess is the zero if it lies
-    inside the new bracket and the bracket at least halved, else the
-    bracket's midpoint. A row stops when its piece holds the zero, or when
-    its bracket can shrink no further: D then changes sign at a break, the
-    row's zero. Returns the zeros and whether each sits on a break.
-    """
-    rows = len(base)
-    lo, hi = np.full(rows, -1.0), np.full(rows, 1.0)
-    guess, zero = np.zeros(rows), np.zeros(rows)
-    on_break = np.zeros(rows, dtype=bool)
-    live = np.arange(rows)  # the rows still searching
-    while live.size:
-        g, low, high = guess[live], lo[live], hi[live]
-        j, delta, u, q = quantile.wrapped(base[live] + g[:, None])
-        value, slope = line(q, 1.0 / quantile.rho[j])
-        at = g - value / slope
-        lower = np.maximum(g - delta.min(axis=1), low)
-        upper = np.minimum(g + (quantile.t[j + 1] - u).min(axis=1), high)
-        found = (lower <= at) & (at <= upper)
-        above = at > upper
-        new_lo, new_hi = np.where(above, upper, low), np.where(above, high, lower)
-        stuck = ~found & (((new_lo == low) & (new_hi == high))
-                          | (new_lo >= new_hi))
-        zero[live] = np.where(stuck, np.clip(at, low, high), at)
-        on_break[live] = stuck
-        go = ~(found | stuck)
-        halved = new_hi - new_lo <= 0.5 * (high - low)
-        jump = halved & (new_lo < at) & (at < new_hi)
-        live = live[go]
-        lo[live], hi[live] = new_lo[go], new_hi[go]
-        guess[live] = np.where(jump, at, 0.5 * (new_lo + new_hi))[go]
-    return zero, on_break
-
-
-def _w2_circle_rows(x: np.ndarray, weights: np.ndarray,
-                    nu: GridMeasure) -> np.ndarray:
-    """W2^2 to a 1-d grid nu from each row of a stack of weights on shared
-    atoms at the sorted positions x: the cut offset of :func:`w2_circle`
-    found for every row at once by :func:`_piece_search`. Every row
-    reduction is a sum along the row, so a row's value does not depend on
-    the stack it is in.
-    """
-    quantile = _Quantile.of(nu)
-    mass, left, right = quantile.mass, quantile.left, quantile.right
-    t_mu = np.zeros((len(weights), len(x) + 1))
-    t_mu[:, 1:] = np.cumsum(weights / weights.sum(axis=1, keepdims=True),
-                            axis=1)
-    t_mu[:, -1] = 1.0
-    m1 = np.concatenate([[0.0], np.cumsum(mass * (left + right) / 2)])
-    m2 = np.concatenate([[0.0], np.cumsum(
-        mass * (left * left + left * right + right * right) / 3)])
-
-    def inner(u):  # integrals of Q and Q^2 over [0, u]
-        j, delta, y = quantile.locate(u)
-        a = left[j]
-        return (m1[j] + delta * (a + y) / 2,
-                m2[j] + delta * (a * a + a * y + y * y) / 3)
-
-    def dot_x(a):  # x . a along each row
-        return (a * x).sum(axis=1)
-
-    def slope_line(q, dq):  # D and its slope on each row's piece
-        return (1.0 + 2.0 * q[:, 0] - 2.0 * dot_x(np.diff(q, axis=1)),
-                2.0 * dq[:, 0] - 2.0 * dot_x(np.diff(dq, axis=1)))
-
-    alpha, _ = _piece_search(quantile, t_mu, slope_line)
-    p1, p2 = circle_primitives(t_mu + alpha[:, None], inner)
-    cost = (((x * x) * np.diff(t_mu, axis=1)).sum(axis=1)
-            - 2.0 * dot_x(np.diff(p1, axis=1)) + p2[:, -1] - p2[:, 0])
-    return np.maximum(cost, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +542,9 @@ def solve_master(params: MasterParams,
     logged with step 0. A grid of dimension other than 1 raises ValueError
     before the first evaluation. Non-convergence raises
     :class:`SolverError` with the residual trace: after max_iter accepted
-    steps, or as soon as STALL_STEPS accepted steps in a row bring no new
-    lowest residual, which happens once the residual sits at its rounding
-    floor above residual_tol (the message names the lowest residual).
+    steps, or once STALL_STEPS accepted steps in a row after the first full
+    Newton step bring no new lowest residual: the residual then sits at its
+    rounding floor above residual_tol (the message names the lowest one).
     """
     k = params.resolution
     if initial is None:
@@ -689,7 +558,9 @@ def solve_master(params: MasterParams,
     log = [(0, ev.residual, ev.free_energy, 0.0)]
     hidden = params.mu0.masses() == 0.0  # the tilt never charges these cells
     masses = slopes = None  # the masses the current potential inverts
-    lowest, stalled = ev.residual, 0  # accepted steps since a new lowest
+    # accepted steps since a new lowest residual, counted once a full Newton
+    # step was accepted: damped steps may trade residual for free energy
+    lowest, stalled, local = ev.residual, 0, False
     while ev.residual > params.residual_tol:
         it = len(log) - 1
         if it >= params.max_iter:
@@ -732,8 +603,9 @@ def solve_master(params: MasterParams,
         current, ev = trial, trial_ev
         masses, slopes = trial_masses, trial_slopes
         log.append((it + 1, ev.residual, ev.free_energy, step))
+        local = local or step == 1.0
         lowest, stalled = ((ev.residual, 0) if ev.residual < lowest
-                           else (lowest, stalled + 1))
+                           else (lowest, stalled + 1 if local else 0))
     return dataclasses.replace(current, log=tuple(log))
 
 
@@ -791,8 +663,6 @@ def w2_to_reference(mu, nu: GridMeasure) -> float:
     nu of another dimension.
     """
     if isinstance(mu, GridMeasure):
-        from .measures import torus_domain
-
         mu = DiscreteMeasure(points=mu.centers(), weights=mu.masses(),
                              domain=torus_domain(mu.dim))
     return w2_circle(mu, nu)

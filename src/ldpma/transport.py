@@ -2,7 +2,8 @@
 
 Assignments between equal-size point sets, coupling matrices with prescribed
 marginals, squared Wasserstein values and cyclical monotonicity
-certificates.
+certificates. Every circle W2 reads nu through one quantile, `_Quantile`,
+whose `cut_costs` price the cut offsets that atoms and grids select.
 
 scipy is imported inside ``hungarian`` and ``kantorovich_lp``, the only
 functions that call it, so importing this module loads numpy alone.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -195,17 +196,87 @@ def w2_empirical(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     return plan.objective(costs)
 
 
-def circle_primitives(s, inner):
-    """Integrals of Q and Q^2 over [0, s] for a quantile Q on [0, 1] that
-    gains 1 per wrap, Q(t + 1) = Q(t) + 1. ``inner(u)`` gives the two
-    integrals over [0, u] for u in [0, 1]."""
-    k = np.floor(s)
-    u = s - k
-    p1, p2 = inner(u)
-    g1, g2 = inner(1.0)
-    return (k * g1 + k * (k - 1) / 2 + p1 + k * u,
-            k * g2 + k * (k - 1) * g1 + (k - 1) * k * (2 * k - 1) / 6
-            + p2 + 2 * k * p1 + k * k * u)
+def _knots(mass: np.ndarray) -> np.ndarray:
+    """Cumulative masses along the last axis from 0, the last pinned to 1."""
+    t = np.zeros(mass.shape[:-1] + (mass.shape[-1] + 1,))
+    t[..., 1:] = np.cumsum(mass, axis=-1)
+    t[..., -1] = 1.0
+    return t
+
+
+class _Quantile(NamedTuple):
+    """The quantile Q of a measure nu on the circle, scaled to mass 1, piece
+    by charged grid cell or atom: piece j holds the mass coordinates [t[j],
+    t[j + 1]), where Q(u) = left[j] + (u - t[j]) / rho[j], rho the density
+    of a cell and inf at an atom. Cells and atoms of zero mass hold none,
+    so Q jumps over them.
+    """
+
+    t: np.ndarray  # knots: cumulative masses, t[-1] = 1
+    mass: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    rho: np.ndarray  # density
+
+    @classmethod
+    def of(cls, nu: GridMeasure) -> "_Quantile":
+        k = nu.resolution
+        masses = nu.masses() / nu.total_mass()
+        keep = masses > 0.0
+        edges = np.arange(k + 1) / k
+        mass = masses[keep]
+        return cls(_knots(mass), mass, edges[:-1][keep], edges[1:][keep],
+                   mass * k)
+
+    @classmethod
+    def of_atoms(cls, y: np.ndarray, w: np.ndarray) -> "_Quantile":
+        order = np.argsort(y, kind="stable")
+        y, w = np.asarray(y, dtype=float)[order], np.asarray(w, dtype=float)[order]
+        keep = w > 0.0
+        mass = w[keep] / w[keep].sum()
+        return cls(_knots(mass), mass, y[keep], y[keep], np.full(len(mass), np.inf))
+
+    def locate(self, u):
+        """(charged piece, offset into it, Q) at coordinates u in [0, 1]."""
+        j = np.minimum(np.searchsorted(self.t, u, side="right") - 1,
+                       len(self.mass) - 1)
+        delta = u - self.t[j]
+        return j, delta, self.left[j] + delta / self.rho[j]
+
+    def wrapped(self, s):
+        """(charged piece, offset into it, s mod 1, Q) at any coordinates s,
+        Q gaining 1 per wrap."""
+        wraps = np.floor(s)
+        u = s - wraps
+        j, delta, y = self.locate(u)
+        return j, delta, u, y + wraps
+
+    def cut_costs(self, t_mu: np.ndarray, alpha: np.ndarray):
+        """(B, C) at the cut offsets alpha for atoms at the mass coordinates
+        t_mu (one row for all offsets, or one per offset): B[r, i] integrates
+        Q over atom i's coordinates shifted by alpha[r], C[r] integrates Q^2
+        over [alpha[r], 1 + alpha[r]], and the cut costs sum_i mu_i x_i^2 -
+        2 x . B[r] + C[r] for atoms x with masses mu."""
+        mass, left, right = self.mass, self.left, self.right
+        m1 = np.concatenate([[0.0], np.cumsum(mass * (left + right) / 2)])
+        m2 = np.concatenate([[0.0], np.cumsum(
+            mass * (left * left + left * right + right * right) / 3)])
+
+        def inner(u):  # integrals of Q and Q^2 over [0, u], u in [0, 1]
+            j, delta, y = self.locate(u)
+            a = left[j]
+            return (m1[j] + delta * (a + y) / 2,
+                    m2[j] + delta * (a * a + a * y + y * y) / 3)
+
+        # the integrals over [0, s] at any s, through Q(t + 1) = Q(t) + 1
+        s = t_mu + alpha[:, None]
+        k = np.floor(s)
+        u = s - k
+        (p1, p2), (g1, g2) = inner(u), inner(1.0)
+        p1, p2 = (k * g1 + k * (k - 1) / 2 + p1 + k * u,
+                  k * g2 + k * (k - 1) * g1 + (k - 1) * k * (2 * k - 1) / 6
+                  + p2 + 2 * k * p1 + k * k * u)
+        return np.diff(p1, axis=1), p2[:, -1] - p2[:, 0]
 
 
 def w2_circle_atoms(points: np.ndarray, weights: np.ndarray,
@@ -217,37 +288,96 @@ def w2_circle_atoms(points: np.ndarray, weights: np.ndarray,
     of (Q_mu(t) - Q_nu(t + alpha))^2, where Q_nu gains 1 per wrap (Delon,
     Salomon & Sobolevski 2010). Both quantiles are steps, so the cost is
     piecewise linear in alpha with breaks at T_nu(j) - T_mu(i) + {-1, 0, 1}
-    (T the cumulative weights), and its minimum sits on a break. Per break,
-    cost = sum_i mu_i x_i^2 - 2 x . B[alpha] + C[alpha], where B[alpha, i] and
-    C[alpha] integrate Q_nu and Q_nu^2 over atom i's and the whole t-range.
+    (T the cumulative weights), and its minimum sits on a break: each row
+    takes the least of the breaks' `_Quantile.cut_costs`, CIRCLE_CHUNK costs
+    at a time.
     """
     x = np.atleast_2d(np.asarray(points, dtype=float))
     if np.any(np.diff(x, axis=1) < 0.0):
         raise ValueError("atom rows must be sorted")
     mu = np.asarray(weights, dtype=float) / np.sum(weights)
-    order = np.argsort(y, kind="stable")
-    y, nu = np.asarray(y, dtype=float)[order], np.asarray(w, dtype=float)[order]
-    nu = nu / nu.sum()
-    t_mu = np.concatenate([[0.0], np.cumsum(mu)])
-    t_nu = np.concatenate([[0.0], np.cumsum(nu)])
-    t_mu[-1] = t_nu[-1] = 1.0
-    g1 = np.concatenate([[0.0], np.cumsum(nu * y)])
-    g2 = np.concatenate([[0.0], np.cumsum(nu * y * y)])
-
-    def inner(u):  # integrals of Q_nu and Q_nu^2 over [0, u]
-        return np.interp(u, t_nu, g1), np.interp(u, t_nu, g2)
-
+    quantile = _Quantile.of_atoms(y, w)
+    t_mu = _knots(mu)
     alphas = np.unique(np.clip(
-        (t_nu[None, :] - t_mu[:, None]).reshape(-1, 1) + [-1.0, 0.0, 1.0],
+        (quantile.t[None, :] - t_mu[:, None]).reshape(-1, 1) + [-1.0, 0.0, 1.0],
         -1.0, 1.0))
-    b = np.diff(circle_primitives(t_mu[None, :] + alphas[:, None], inner)[0],
-                axis=1)
-    c = (circle_primitives(alphas + 1.0, inner)[1]
-         - circle_primitives(alphas, inner)[1])
+    b, c = quantile.cut_costs(t_mu, alphas)
     step = max(1, CIRCLE_CHUNK // len(alphas))
     best = [np.min(((rows * rows) @ mu)[:, None] - 2.0 * (rows @ b.T) + c, axis=1)
             for rows in (x[lo:lo + step] for lo in range(0, len(x), step))]
     return np.maximum(np.concatenate(best), 0.0)
+
+
+def _piece_search(quantile: _Quantile, base: np.ndarray, line) -> tuple:
+    """Zero in [-1, 1] of a nondecreasing, piecewise-linear function D of an
+    offset g, for every row of base at once.
+
+    Row r's D reads Q at the coordinates base[r] + g, so it is linear
+    between the offsets where one of them crosses a knot; ``line(q, dq)``
+    gives each row's D and slope on its current piece from Q and Q' there.
+    Each row keeps a bracket, from [-1, 1] and g = 0, and takes the zero of
+    its piece's line: when that lies outside the piece, the bracket shrinks
+    to that side of the piece, and the next guess is the zero if it lies
+    inside the new bracket and the bracket at least halved, else the
+    bracket's midpoint. A row stops when its piece holds the zero, or when
+    its bracket can shrink no further: D then changes sign at a break, the
+    row's zero. Returns the zeros and whether each sits on a break.
+    """
+    rows = len(base)
+    lo, hi = np.full(rows, -1.0), np.full(rows, 1.0)
+    guess, zero = np.zeros(rows), np.zeros(rows)
+    on_break = np.zeros(rows, dtype=bool)
+    live = np.arange(rows)  # the rows still searching
+    while live.size:
+        g, low, high = guess[live], lo[live], hi[live]
+        j, delta, u, q = quantile.wrapped(base[live] + g[:, None])
+        value, slope = line(q, 1.0 / quantile.rho[j])
+        at = g - value / slope
+        lower = np.maximum(g - delta.min(axis=1), low)
+        upper = np.minimum(g + (quantile.t[j + 1] - u).min(axis=1), high)
+        found = (lower <= at) & (at <= upper)
+        above = at > upper
+        new_lo, new_hi = np.where(above, upper, low), np.where(above, high, lower)
+        stuck = ~found & (((new_lo == low) & (new_hi == high))
+                          | (new_lo >= new_hi))
+        zero[live] = np.where(stuck, np.clip(at, low, high), at)
+        on_break[live] = stuck
+        go = ~(found | stuck)
+        halved = new_hi - new_lo <= 0.5 * (high - low)
+        jump = halved & (new_lo < at) & (at < new_hi)
+        live = live[go]
+        lo[live], hi[live] = new_lo[go], new_hi[go]
+        guess[live] = np.where(jump, at, 0.5 * (new_lo + new_hi))[go]
+    return zero, on_break
+
+
+def _w2_circle_rows(x: np.ndarray, weights: np.ndarray,
+                    nu: GridMeasure) -> np.ndarray:
+    """W2^2 to a 1-d grid nu from each row of a stack of weights on shared
+    atoms at the sorted positions x. Q_nu is piecewise linear, so the cost
+    of the cut offset alpha is convex and piecewise quadratic, with breaks
+    where T_mu(i) + alpha meets a knot T_nu(j) + n of nu's cumulative
+    weights. Its slope D(alpha) = 1 + 2 Q(alpha) - 2 sum_i x_i [Q(T_i +
+    alpha) - Q(T_{i-1} + alpha)] is nondecreasing and linear on each piece,
+    and :func:`_piece_search` finds its zero for every row at once; the
+    cost there comes from `_Quantile.cut_costs`. Every row reduction is a
+    sum along the row, so a row's value does not depend on the stack it is
+    in.
+    """
+    quantile = _Quantile.of(nu)
+    t_mu = _knots(weights / weights.sum(axis=1, keepdims=True))
+
+    def dot_x(a):  # x . a along each row
+        return (a * x).sum(axis=1)
+
+    def slope_line(q, dq):  # D and its slope on each row's piece
+        return (1.0 + 2.0 * q[:, 0] - 2.0 * dot_x(np.diff(q, axis=1)),
+                2.0 * dq[:, 0] - 2.0 * dot_x(np.diff(dq, axis=1)))
+
+    alpha, _ = _piece_search(quantile, t_mu, slope_line)
+    b, c = quantile.cut_costs(t_mu, alpha)
+    cost = ((x * x) * np.diff(t_mu, axis=1)).sum(axis=1) - 2.0 * dot_x(b) + c
+    return np.maximum(cost, 0.0)
 
 
 def w2_semidiscrete(nu: GridMeasure, mu: DiscreteMeasure) -> float:

@@ -107,7 +107,7 @@ def test_03_theta_kernel_rate_bracket():
 def test_04_tropical_hamiltonian_tracks_w2():
     start = time.monotonic()
     for n in (2, 4, 8):
-        gap = hamiltonian_w2_gap(TROPICAL, n, 1, 100, seed=404)
+        gap = hamiltonian_w2_gap(TROPICAL, n, 100, seed=404)
         assert gap <= math.log(5.0) / n, f"n={n}: gap {gap:.4f}"
     fine = GridMeasure.uniform(dim=1, resolution=240)
     distances = []

@@ -36,7 +36,7 @@ GOLDEN = {
     "ot/results.csv":
         "e04eaf5da5ca6f42df4c58ae3ec9f41ca8426637d492dcb5950782021d47d5c8",
     "report.csv":
-        "fe77b91e14d81edaf2ee419ed4bed12bd2c791e12a59a33a1fcc72a09d20b082",
+        "558364d56b334e29683c3bbd4d8d83acfd49eb92c23a89f0ee3d92185c1b620b",
     "sanov-demo/results.csv":
         "9b8c1dd573e71de34a2a8fa49aad45d860641d94af0167c1b44aa566d6fb39f0",
     "solve-ma/potential.csv":
@@ -48,7 +48,7 @@ GOLDEN = {
     "solve-ma/results.csv":
         "7f24eba3ded2676eecf449c8fd501eae2cf00552c03f6812ff0121fa14983907",
     "verify-hamiltonian/results.csv":
-        "97b44b72ab7412eb0eb96f6428396d12e5efed71886cff2003de8b0ea65219f6",
+        "e1095b269c119a48489acbcb996514da5828c141dde05445ff80a1c993e467c9",
     "verify-theta/results.csv":
         "5ae882a9bd11bfcdbca334574625b31bde7bd538a2d3fffb8c1b419c3364ea51",
     "zero-temp-mgf/results.csv":

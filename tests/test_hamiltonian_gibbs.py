@@ -34,7 +34,7 @@ from ldpma.measures import (
     torus_domain,
 )
 from ldpma.torus_theta import ThetaParams, TorusLattice, log_theta_grid
-from ldpma.transport import hungarian
+from ldpma.transport import cost_matrix, hungarian
 
 from oracles import (
     class_w2_lp,
@@ -91,9 +91,34 @@ def test_hamiltonian_sandwich_exact(n, seed):
 
 def test_hamiltonian_w2_gap_within_bracket():
     for n in (2, 4):
-        gap = hamiltonian_w2_gap(TROPICAL, n, 1, 25, seed=0)
+        gap = hamiltonian_w2_gap(TROPICAL, n, 25, seed=0)
         params = ThetaParams(n=n)
         assert gap <= params.bracket_width(1) + params.tail_bound
+
+
+def test_lattice_reference_matches_the_per_trial_assignment(monkeypatch):
+    # the gap's reference, one batched circle W2 over the sorted trials,
+    # against the one torus-cost Hungarian assignment per trial it replaced
+    refs = []
+    real = hamiltonian_gibbs.w2_circle_atoms
+
+    def captured(*args):
+        refs.append(real(*args))
+        return refs[-1]
+
+    monkeypatch.setattr(hamiltonian_gibbs, "w2_circle_atoms", captured)
+    trials = 30
+    for n in (2, 3, 4, 8, 16):
+        gap = hamiltonian_w2_gap(TROPICAL, n, trials, seed=n)
+        configs = np.random.default_rng(n).random((trials, n, 1))
+        lattice = TorusLattice(n=n, d=1)
+        costs = cost_matrix(lattice.points, configs.reshape(-1, 1),
+                            "sqdist_torus").reshape(n, trials, n)
+        want = np.array([hungarian(costs[:, t]).cost / n
+                         for t in range(trials)])
+        assert np.max(np.abs(refs[-1] - want)) <= 1e-15
+        h = hamiltonians(TROPICAL, lattice, ThetaParams(n=n), configs)
+        assert abs(gap - np.max(np.abs(h / n - want))) <= 1e-15
 
 
 def _looped_hamiltonians(kind, n, configs):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ldpma.legendre import GridFunction
-from ldpma import monge_ampere
+from ldpma import monge_ampere, transport
 from ldpma.measures import DiscreteMeasure, GridMeasure, torus_domain
 from ldpma.monge_ampere import (
     MasterParams,
@@ -327,7 +327,7 @@ def test_w2_circle_takes_few_pieces_on_the_master_path(monkeypatch):
         return real_search(a, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", counted_search)
-    rows = monge_ampere._w2_circle_rows
+    rows = transport._w2_circle_rows
     pieces = []
 
     def counted(x, weights, nu):
@@ -359,7 +359,7 @@ def test_stacked_w2_rows_match_the_one_row_search_and_the_ternary_oracle():
         weights[0, 3] = 1.0  # a single atom
         weights /= weights.sum(axis=1, keepdims=True)
         for nu in nu_cases(k).values():
-            stacked = monge_ampere._w2_circle_rows(x, weights, nu)
+            stacked = transport._w2_circle_rows(x, weights, nu)
             for row, got in zip(weights, stacked):
                 assert got == w2_circle(atoms_1d(x, row), nu)
                 want = w2_circle_ternary(x, row, nu.masses())
@@ -529,7 +529,7 @@ def test_gprop_consistency_computes_the_constant_once(monkeypatch):
 
     calls = []
     real, real_w2 = monge_ampere._evaluate, monge_ampere.w2_to_reference
-    real_rows = monge_ampere._w2_circle_rows
+    real_rows = transport._w2_circle_rows
 
     def counted(*args, **kwargs):
         calls.append("evaluate")
@@ -705,13 +705,13 @@ def test_solver_inversions_take_few_quantile_passes(uniform_nu, monkeypatch):
     nu = (GridMeasure.uniform(dim=1, resolution=k) if uniform_nu else
           GridMeasure.from_density_values(1.0 + 0.3 * np.sin(2 * np.pi * xs)))
     quantiles = []
-    locate = monge_ampere._Quantile.locate
+    locate = transport._Quantile.locate
 
     def counted_locate(self, u):
         quantiles.append(np.size(u))
         return locate(self, u)
 
-    monkeypatch.setattr(monge_ampere._Quantile, "locate", counted_locate)
+    monkeypatch.setattr(transport._Quantile, "locate", counted_locate)
     invert = monge_ampere._invert_cells_1d
     passes = []
 
@@ -859,6 +859,21 @@ def test_solver_raises_when_the_residual_stalls():
     residuals = err.value.residuals
     assert len(residuals) < 20
     assert f"{min(residuals):.3e}" in str(err.value)
+
+
+def test_damped_steps_that_raise_the_residual_do_not_stall():
+    # at beta = -64 the damped steps trade residual for free energy before
+    # the first full Newton step; counted as stalled, they raised "stalled
+    # at iteration 3" at the starting residual 3.183e-1
+    k = 256
+    xs = (np.arange(k) + 0.5) / k
+    mu0 = GridMeasure.from_density_values(1.0 + 0.5 * np.cos(2 * np.pi * xs))
+    phi = solve_master(MasterParams(beta=-64.0, mu0=mu0))
+    residuals = [r for _, r, _, _ in phi.log]
+    assert max(residuals[1:4]) > residuals[0]
+    assert residuals[-1] <= 1e-9 and len(residuals) - 1 <= 20
+    with pytest.raises(SolverError, match="no admissible step"):
+        solve_master(MasterParams(beta=-96.0, mu0=mu0))
 
 
 def test_master_equation_at_sixteen_thousand_cells():

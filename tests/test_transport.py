@@ -139,6 +139,22 @@ def test_w2_circle_atoms_match_the_lp(n):
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_w2_circle_atoms_ignore_atoms_of_zero_weight():
+    # nu's quantile holds only its charged atoms, so uncharged ones, wherever
+    # they sit, leave every value bit-identical
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n, m, extra = (int(v) for v in rng.integers(1, 12, 3))
+        rows = np.sort(rng.random((4, n)), axis=1)
+        weights = rng.random(n) + 0.1
+        y, w = rng.random(m), rng.random(m) + 0.1
+        where = np.sort(rng.integers(0, m + 1, extra))
+        y0 = np.insert(y, where, rng.random(extra))
+        w0 = np.insert(w, where, 0.0)
+        assert np.array_equal(w2_circle_atoms(rows, weights, y0, w0),
+                              w2_circle_atoms(rows, weights, y, w))
+
+
 def test_w2_circle_atoms_chunks_agree_and_rows_must_be_sorted(monkeypatch):
     rng = np.random.default_rng(9)
     rows = random_atom_stack(rng, 50, 3)
