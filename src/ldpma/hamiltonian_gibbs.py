@@ -9,6 +9,9 @@ where Phi is the kernel matrix [phi_i(x_j)] and tsper replaces the
 permutation sum by a maximum. Both are permutation symmetric; they differ
 by at most (1/n) log N!. Normalized by the particle count, H_n/N tracks
 the squared Wasserstein distance from the lattice to the configuration.
+One recursion over column subsets, `_subset_dp`, evaluates both kinds:
+(sum, product) on the row-scaled matrix and (max, sum) on its logs. Only
+tropical stacks past TROPICAL_SUBSET_MAX take an assignment instead.
 
 The Gibbs ensemble at inverse temperature beta weights configurations by
 e^{-beta H} against mu0^(x)N. `gibbs_exact` enumerates it over a site
@@ -32,12 +35,11 @@ from .legendre import GridFunction, conjugate_at, interpolate_at
 from .measures import (DiscreteMeasure, EmpiricalConfig, GridMeasure,
                        _logsumexp, empirical, entropy, grid_points)
 from .torus_theta import ThetaParams, TorusLattice, log_theta_grid
-from .transport import (BRUTE_FORCE_MAX, _all_permutations, cost_matrix,
-                        hungarian, w2_circle_atoms, w2_empirical)
+from .transport import cost_matrix, hungarian, w2_circle_atoms, w2_empirical
 
-PERMANENT_MAX = 24
-PERMANENT_CHUNK = 1 << 16
+PERMANENT_MAX = 20
 TUPLE_CHUNK = 1 << 14
+TROPICAL_SUBSET_MAX = 9  # tropical stacks past this N take one assignment each
 W2_GAP_PERMANENTAL_MAX = 9
 W2_GAP_TROPICAL_MAX = 64
 EXACT_TABLE_MAX = 1 << 22
@@ -52,32 +54,41 @@ SANOV_N_MAX = 500
 # ---------------------------------------------------------------------------
 
 
-def _ryser(b: np.ndarray) -> np.ndarray:
-    """Ryser's formula on a (T, N, N) stack, subsets in chunks of their index."""
-    n = b.shape[1]
+def _subset_dp(stack: np.ndarray, add, mul) -> np.ndarray:
+    """add over permutations sigma of mul over rows i of a[i, sigma(i)], for
+    each matrix a of a (T, N, N) stack, in about N 2^(N-1) terms.
+
+    f[S] reduces the first |S| rows over their bijections onto the columns
+    S: it adds mul(f[S - j], a[|S| - 1, j]) over the members j one after
+    another in column order, so no value depends on the stack around it.
+    """
+    n = stack.shape[1]
     if n > PERMANENT_MAX:
         raise ValueError(f"permanent supports N <= {PERMANENT_MAX}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("permanent needs finite entries")
-    total = np.zeros(b.shape[0])
-    subsets = np.arange(1, 1 << n, dtype=np.int64)
-    for lo in range(0, len(subsets), PERMANENT_CHUNK):
-        ks = subsets[lo:lo + PERMANENT_CHUNK]
-        mask = ((ks[:, None] >> np.arange(n)) & 1).astype(float)
-        rowsums = mask @ b.swapaxes(1, 2)  # [t, s, i] = sum_{j in S} b[t, i, j]
-        sign = np.where((n - mask.sum(axis=1).astype(int)) % 2 == 0, 1.0, -1.0)
-        total += np.sum(sign * np.prod(rowsums, axis=2), axis=1)
-    return total
+    a = np.ascontiguousarray(stack.transpose(1, 2, 0))  # [i, j, t]
+    masks = np.arange(1 << n, dtype=np.int32)
+    sizes = np.bitwise_count(masks)
+    f = np.empty((1 << n, stack.shape[0]))
+    f[1 << np.arange(n)] = a[0]
+    for k in range(2, n + 1):
+        subsets = rest = masks[sizes == k]
+        total = None
+        for _ in range(k):  # peel the members off in column order
+            low = rest & -rest
+            rest = rest ^ low
+            term = mul(f[subsets ^ low], a[k - 1, np.bitwise_count(low - 1)])
+            total = term if total is None else add(total, term)
+        f[subsets] = total
+    return f[-1]
 
 
 def permanent(matrix: np.ndarray) -> float:
-    """Exact permanent by Ryser's formula, the one-matrix case of `_ryser`.
+    """Exact permanent, the one-matrix case of `_subset_dp`.
 
     Rows are scaled by their largest entry first so the products stay in
     range. Checked against the naive permutation sum to relative 1e-12 for
-    N <= 5, and on all-ones matrices: exact N! at N = 9 and 12, relative
-    3e-9 at N = 16, where the 2^16 signed terms cancel. Hard cap N <= 24;
-    above ~16 expect minutes.
+    N <= 5; no signed terms cancel, so all-ones matrices give N! exactly up
+    to N = 20. N <= PERMANENT_MAX, checked before the 2^N-row table exists.
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
@@ -90,14 +101,17 @@ def permanent(matrix: np.ndarray) -> float:
     scale = np.max(np.abs(a), axis=1)
     if np.any(scale == 0.0):
         return 0.0  # a zero row kills every product
-    return float(_ryser((a / scale[:, None])[None])[0]) * float(np.prod(scale))
+    value = _subset_dp((a / scale[:, None])[None], np.add, np.multiply)
+    return float(value[0]) * float(np.prod(scale))
 
 
-def _log_permanents(logs: np.ndarray) -> np.ndarray:
-    """log per(exp(L)) for a (T, N, N) stack; rows are shifted by their
-    maximum, and a zero or negative Ryser total gives -inf."""
+def _log_permanents(logs: np.ndarray, tropical: bool) -> np.ndarray:
+    """log per(exp(L)) of a (T, N, N) stack, rows shifted by their maximum
+    (a zero total gives -inf); when tropical, max_sigma of the summed logs."""
+    if tropical:
+        return _subset_dp(logs, np.maximum, np.add)
     shifts = np.max(logs, axis=2)
-    value = _ryser(np.exp(logs - shifts[..., None]))
+    value = _subset_dp(np.exp(logs - shifts[..., None]), np.add, np.multiply)
     return np.sum(shifts, axis=1) + np.log(
         value, where=value > 0.0, out=np.full_like(value, -np.inf))
 
@@ -128,9 +142,9 @@ def hamiltonians(kind: HamiltonianKind, lattice: TorusLattice,
 
     Permutation symmetric in the particles; the permanental and tropical
     values differ by at most (1/n) log N!. One kernel evaluation covers the
-    whole stack. The permanental kind runs Ryser on TUPLE_CHUNK // 2^N
-    matrices at a time; the tropical kind is (1/n) min_sigma sum of
-    -log phi, one assignment per matrix.
+    whole stack; `_log_permanents` takes both kinds TUPLE_CHUNK // 2^N
+    matrices at a time, and tropical stacks past TROPICAL_SUBSET_MAX (the
+    only route up to W2_GAP_TROPICAL_MAX) one assignment per matrix.
     """
     configs = np.asarray(configs, dtype=float)
     if configs.ndim != 3 or configs.shape[1:] != (lattice.size, lattice.d):
@@ -143,10 +157,11 @@ def hamiltonians(kind: HamiltonianKind, lattice: TorusLattice,
     log_phi = log_theta_grid(params, lattice.points,
                              configs.reshape(-1, lattice.d))
     stack = log_phi.reshape(nn, trials, nn).swapaxes(0, 1)  # [t, i, j]
-    if kind.tag == "tropical":
+    tropical = kind.tag == "tropical"
+    if tropical and nn > TROPICAL_SUBSET_MAX:
         return np.array([hungarian(-m).cost / n for m in stack])
     chunk = max(1, TUPLE_CHUNK // (1 << nn))
-    return np.concatenate([-_log_permanents(stack[lo:lo + chunk]) / n
+    return np.concatenate([-_log_permanents(stack[lo:lo + chunk], tropical) / n
                            for lo in range(0, trials, chunk)])
 
 
@@ -257,10 +272,9 @@ def _tuple_hamiltonians(ensemble: GibbsEnsemble,
                         log_phi: np.ndarray) -> np.ndarray:
     """H for every site tuple, flattened row-major over (M,)*N.
 
-    N = 2 is closed-form in the matrix entries. Other N evaluate stacks of
-    the tuples' log matrices at once: Ryser when permanental, the maximum
-    over all N! permutations of the summed logs when tropical (so N <=
-    BRUTE_FORCE_MAX). A stack holds TUPLE_CHUNK // 2^N (// N!) tuples.
+    N = 2 is the subset recursion written out in the matrix entries. Other
+    N gather the tuples' log matrices into stacks of TUPLE_CHUNK // 2^N and
+    evaluate each stack with `_log_permanents`, either kind.
     """
     nn, m = log_phi.shape
     n = ensemble.n
@@ -273,20 +287,14 @@ def _tuple_hamiltonians(ensemble: GibbsEnsemble,
         else:
             h = -np.logaddexp(straight, crossed) / n
         return h.reshape(-1)
-    if tropical and nn > BRUTE_FORCE_MAX:
-        raise ValueError(f"tropical tables support N <= {BRUTE_FORCE_MAX}")
-    perms = _all_permutations(nn) if tropical else None
-    chunk = max(1, TUPLE_CHUNK // (len(perms) if tropical else 1 << nn))
+    chunk = max(1, TUPLE_CHUNK // (1 << nn))
     rows = np.arange(nn)
     out = np.empty(m ** nn)
     for lo in range(0, out.size, chunk):
         flat = np.arange(lo, min(lo + chunk, out.size))
         cols = np.stack(np.unravel_index(flat, (m,) * nn), axis=1)
         stack = log_phi[rows[None, :, None], cols[:, None, :]]  # [t, i, j]
-        if tropical:
-            out[flat] = -stack[:, rows, perms].sum(axis=2).max(axis=1) / n
-        else:
-            out[flat] = -_log_permanents(stack) / n
+        out[flat] = -_log_permanents(stack, tropical) / n
     return out
 
 

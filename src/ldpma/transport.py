@@ -6,7 +6,8 @@ certificates. Every circle W2 reads nu through one quantile, `_Quantile`,
 whose `cut_costs` price the cut offsets that atoms and grids select.
 
 scipy is imported inside ``hungarian`` and ``kantorovich_lp``, the only
-functions that call it, so importing this module loads numpy alone.
+functions that call it, so importing this module loads numpy alone. The
+Hamiltonians reach ``hungarian`` only for tropical stacks past N = 9.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .measures import DiscreteMeasure, GridMeasure, torus_domain
 
 MARGINAL_TOL = 1e-10
-BRUTE_FORCE_MAX = 9
 PLAN_SIZE_MAX = 2 ** 24
 SEMIDISCRETE_CELL_MAX = 65536
 CIRCLE_CHUNK = 1 << 20  # (atom sets, cut offsets) costs held at once
@@ -66,16 +66,6 @@ class Assignment:
     def __post_init__(self):
         if sorted(self.permutation) != list(range(len(self.permutation))):
             raise ValueError("not a permutation")
-
-
-_PERM_CACHE: Dict[int, np.ndarray] = {}
-
-
-def _all_permutations(n: int) -> np.ndarray:
-    if n not in _PERM_CACHE:
-        _PERM_CACHE[n] = np.array(list(itertools.permutations(range(n))),
-                                  dtype=np.int64)
-    return _PERM_CACHE[n]
 
 
 def hungarian(cost: np.ndarray) -> Assignment:

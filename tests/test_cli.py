@@ -373,9 +373,9 @@ def test_report_empty_is_header_only(capsys):
     assert capsys.readouterr().out == "anchor,experiment,seed,point\n"
 
 
-# Experiments whose every call path runs on numpy alone.
-NUMPY_ONLY_EXPERIMENTS = ("solve-ma", "verify-theta", "cramer-demo",
-                          "zero-temp-mgf", "gibbs-ldp")
+# Every experiment but ot and sanov-demo runs on numpy alone at its defaults.
+NUMPY_ONLY_EXPERIMENTS = ("solve-ma", "verify-theta", "verify-hamiltonian",
+                          "cramer-demo", "zero-temp-mgf", "gibbs-ldp")
 
 SCIPY_PROBE = """
 import sys

@@ -28,7 +28,7 @@ GOLDEN = {
     "cramer-demo/results.csv":
         "2ef43bdf09e19fb2a8cccfb76794cab474567588b4a99f71b10ab78a9822f47f",
     "gibbs-ldp/partition.csv":
-        "57fa62b74d4cae235a5baf991cf16acf655a677528567d2584780b65640a7e94",
+        "0b1c60f1a60f1e5390228579d8a5e9bffd056e854e7beee3c880e2f5c66d4ef5",
     "gibbs-ldp/results.csv":
         "4945564d85d75a09bc1f5d0159089b8b37e05850063a6260e59b179956eb09fb",
     "ot/plan.csv":
@@ -36,7 +36,7 @@ GOLDEN = {
     "ot/results.csv":
         "e04eaf5da5ca6f42df4c58ae3ec9f41ca8426637d492dcb5950782021d47d5c8",
     "report.csv":
-        "558364d56b334e29683c3bbd4d8d83acfd49eb92c23a89f0ee3d92185c1b620b",
+        "16111d63d341402bd457a1839b1f75d13c863d13a8ccc3b238a08a80fb3c5e2c",
     "sanov-demo/results.csv":
         "9b8c1dd573e71de34a2a8fa49aad45d860641d94af0167c1b44aa566d6fb39f0",
     "solve-ma/potential.csv":
@@ -48,7 +48,7 @@ GOLDEN = {
     "solve-ma/results.csv":
         "7f24eba3ded2676eecf449c8fd501eae2cf00552c03f6812ff0121fa14983907",
     "verify-hamiltonian/results.csv":
-        "e1095b269c119a48489acbcb996514da5828c141dde05445ff80a1c993e467c9",
+        "a244f20928e459d5e23434278ef2ebccb33b3b090840b596570eb3ee1dd5ba50",
     "verify-theta/results.csv":
         "5ae882a9bd11bfcdbca334574625b31bde7bd538a2d3fffb8c1b419c3364ea51",
     "zero-temp-mgf/results.csv":

@@ -1,6 +1,7 @@
 """Permanents, particle Hamiltonians, Gibbs tables, Sanov, zero temperature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,16 +62,26 @@ def test_permanent_known_values():
 
 
 def test_permanent_all_ones_accuracy():
-    # Ryser's signed subset sum cancels: exact at N = 9 and 12, not at 16
-    for n in (9, 12):
+    # the subset recursion adds nonnegative integers, so nothing cancels
+    for n in (9, 12, 16):
         assert permanent(np.ones((n, n))) == math.factorial(n)
-    assert permanent(np.ones((16, 16))) == pytest.approx(math.factorial(16),
-                                                         rel=1e-8)
+
+
+def test_permanent_refuses_past_the_cap_before_allocating():
+    ones = np.ones((21, 21))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="N <= 20"):
+            permanent(ones)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # a 2^21-row table would take 16 MB
 
 
 def test_log_permanent_stable_for_tiny_entries():
     logs = np.full((3, 3), -500.0)
-    got = _log_permanents(logs[None])[0]
+    got = _log_permanents(logs[None], False)[0]
     assert got == pytest.approx(math.log(6.0) - 1500.0, abs=1e-9)
 
 
@@ -123,14 +134,8 @@ def test_lattice_reference_matches_the_per_trial_assignment(monkeypatch):
 
 def _looped_hamiltonians(kind, n, configs):
     lattice, params = TorusLattice(n=n, d=1), ThetaParams(n=n)
-    out = []
-    for pts in configs:
-        log_phi = log_theta_grid(params, lattice.points, pts)
-        if kind is TROPICAL:
-            out.append(hungarian(-log_phi).cost / n)
-        else:
-            out.append(-_log_permanents(log_phi[None])[0] / n)
-    return np.array(out)
+    return np.concatenate([hamiltonians(kind, lattice, params, pts[None])
+                           for pts in configs])
 
 
 @pytest.mark.parametrize("kind, n", [(PERMANENTAL, n) for n in range(2, 9)]
@@ -142,15 +147,33 @@ def test_stacked_hamiltonians_match_one_at_a_time(kind, n):
     assert np.array_equal(got, _looped_hamiltonians(kind, n, configs))
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_stacked_hamiltonians_with_a_partial_last_stack(monkeypatch, n):
+@pytest.mark.parametrize(
+    "kind, n", [(PERMANENTAL, n) for n in range(2, 9)]
+    + [(TROPICAL, n) for n in range(2, 9)],
+    ids=[str(n) for n in range(2, 9)] + [f"tropical-{n}" for n in range(2, 9)])
+def test_stacked_hamiltonians_with_a_partial_last_stack(monkeypatch, kind, n):
     # stacks of 3 matrices: 3 + 3 + 1 over seven configurations
     monkeypatch.setattr(hamiltonian_gibbs, "TUPLE_CHUNK", 3 << n)
     configs = np.random.default_rng(n).random((7, n, 1))
-    got = hamiltonians(PERMANENTAL, TorusLattice(n=n, d=1),
-                       ThetaParams(n=n), configs)
-    assert np.array_equal(got,
-                          _looped_hamiltonians(PERMANENTAL, n, configs))
+    got = hamiltonians(kind, TorusLattice(n=n, d=1), ThetaParams(n=n),
+                       configs)
+    assert np.array_equal(got, _looped_hamiltonians(kind, n, configs))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_tropical_subset_recursion_matches_the_assignment(n):
+    # both add the chosen logs row by row up to N = 7; from 8 terms on,
+    # the numpy sum inside `hungarian` adds them pairwise
+    configs = np.random.default_rng([n, 5]).random((40, n, 1))
+    lattice, params = TorusLattice(n=n, d=1), ThetaParams(n=n)
+    got = hamiltonians(TROPICAL, lattice, params, configs)
+    log_phi = log_theta_grid(params, lattice.points, configs.reshape(-1, 1))
+    want = np.array([hungarian(-m).cost / n for m in
+                     log_phi.reshape(n, 40, n).swapaxes(0, 1)])
+    if n <= 7:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_hamiltonians_shape_and_translation():
@@ -240,7 +263,7 @@ def test_table_hamiltonians_equal_the_per_tuple_loop(kind, n, refine,
     for flat, idx in enumerate(np.ndindex(*([m] * n))):
         logs = log_phi[:, list(idx)]
         want[flat] = (hungarian(-logs).cost / n if kind is TROPICAL
-                      else -_log_permanents(logs[None])[0] / n)
+                      else -_log_permanents(logs[None], False)[0] / n)
     assert np.array_equal(gibbs_exact(ens).hamiltonians, want)
     # a budget of 88 puts 3 to 14 tuples in a chunk, none dividing the count
     monkeypatch.setattr(hamiltonian_gibbs, "TUPLE_CHUNK", 88)
@@ -275,12 +298,15 @@ def test_exact_table_cap_is_checked_where_tables_are_built():
         local_rate(ens, center, 0.1)
 
 
-def test_tropical_tables_refuse_past_the_exhaustive_cap():
+def test_tropical_tables_evaluate_past_nine_particles():
+    # one quadrature node: Z = e^{-beta H} for the one tuple, all at x = 1/2
     ens = GibbsEnsemble(beta=1.0, n=10, d=1,
                         mu0=GridMeasure.uniform(dim=1, resolution=10),
                         kind=TROPICAL)
-    with pytest.raises(ValueError, match="tropical tables"):
-        partition_function(ens, quadrature_resolution=1)
+    log_phi = log_theta_grid(ens.params, ens.lattice.points, np.array([[0.5]]))
+    h = hungarian(-np.repeat(log_phi, 10, axis=1)).cost / 10
+    assert partition_function(ens, quadrature_resolution=1) == pytest.approx(
+        math.exp(-h), rel=1e-14)
 
 
 @pytest.mark.parametrize("n, d", [(2, 2), (5, 1)])
