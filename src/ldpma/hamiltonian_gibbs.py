@@ -16,7 +16,9 @@ tropical stacks past TROPICAL_SUBSET_MAX take an assignment instead.
 The Gibbs ensemble at inverse temperature beta weights configurations by
 e^{-beta H} against mu0^(x)N. `gibbs_exact` enumerates it over a site
 discretization (the n-lattice refined by an integer factor, so every
-lattice point is a representable site), up to EXACT_TABLE_MAX site tuples.
+lattice point is a representable site). H is symmetric in the particles,
+so it, like `partition_function`, sums over unordered configurations (at
+most EXACT_TABLE_MAX), each weighted by its count of ordered tuples.
 Rate estimates read off -(1/r_n) log(ball probability) with r_n = n^d.
 
 ``gammaln`` is imported from scipy inside the two functions that call it.
@@ -43,7 +45,6 @@ TROPICAL_SUBSET_MAX = 9  # tropical stacks past this N take one assignment each
 W2_GAP_PERMANENTAL_MAX = 9
 W2_GAP_TROPICAL_MAX = 64
 EXACT_TABLE_MAX = 1 << 22
-TENSOR_QUAD_MAX = 1 << 24
 BALL_CHUNK = 1 << 20  # (groups, particles, center atoms) costs held at once
 SANOV_ALPHABET_MAX = 6
 SANOV_N_MAX = 500
@@ -205,8 +206,8 @@ class GibbsEnsemble:
     beta = n is the zero-temperature regime where the partition function
     collapses to a product formula. The sites are the n-lattice refined by
     site_refinement per axis (so the lattice points are representable);
-    `gibbs_exact` and `local_rate` enumerate tuples of them, and refuse
-    ensembles whose table exceeds EXACT_TABLE_MAX tuples.
+    `gibbs_exact` and `local_rate` enumerate the unordered configurations
+    of N of them, and refuse ensembles with more than EXACT_TABLE_MAX.
     """
 
     beta: float
@@ -264,110 +265,117 @@ class GibbsEnsemble:
         return logs - _logsumexp(logs)
 
 
-def _site_log_phi(ensemble: GibbsEnsemble, points: np.ndarray) -> np.ndarray:
-    return log_theta_grid(ensemble.params, ensemble.lattice.points, points)
+def _class_terms(ensemble: GibbsEnsemble, points: np.ndarray,
+                 log_w: np.ndarray):
+    """(classes, log multiplicities, H, log weights) of the unordered
+    N-configurations of the points, log_w the points' log masses.
 
-
-def _tuple_hamiltonians(ensemble: GibbsEnsemble,
-                        log_phi: np.ndarray) -> np.ndarray:
-    """H for every site tuple, flattened row-major over (M,)*N.
-
-    N = 2 is the subset recursion written out in the matrix entries. Other
-    N gather the tuples' log matrices into stacks of TUPLE_CHUNK // 2^N and
-    evaluate each stack with `_log_permanents`, either kind.
+    Classes are nondecreasing index rows in lexicographic order, built by
+    extending each row ending at l by every index from l on (no m^N array).
+    A class holds N!/prod_j c_j! ordered tuples, c_j its run lengths, each
+    weighing the sum of its log masses. H takes the N = 2 closed form or
+    `_log_permanents` in stacks of TUPLE_CHUNK // 2^N rows.
     """
-    nn, m = log_phi.shape
-    n = ensemble.n
+    nn, m, n = ensemble.particle_count, len(points), ensemble.n
+    count = math.comb(m + nn - 1, nn)
+    if count > EXACT_TABLE_MAX:
+        raise ValueError(f"exact table of {count} configuration classes "
+                         f"exceeds EXACT_TABLE_MAX = {EXACT_TABLE_MAX}")
+    rows = np.arange(m)[:, None]
+    for _ in range(nn - 1):
+        size = m - rows[:, -1]
+        first = np.repeat(rows[:, -1] - np.cumsum(size) + size, size)
+        rows = np.column_stack([np.repeat(rows, size, axis=0),
+                                first + np.arange(size.sum())])
+    log_phi = log_theta_grid(ensemble.params, ensemble.lattice.points, points)
     tropical = ensemble.kind.tag == "tropical"
     if nn == 2:
-        straight = log_phi[0][:, None] + log_phi[1][None, :]
-        crossed = log_phi[0][None, :] + log_phi[1][:, None]
-        if tropical:
-            h = -np.maximum(straight, crossed) / n
-        else:
-            h = -np.logaddexp(straight, crossed) / n
-        return h.reshape(-1)
-    chunk = max(1, TUPLE_CHUNK // (1 << nn))
-    rows = np.arange(nn)
-    out = np.empty(m ** nn)
-    for lo in range(0, out.size, chunk):
-        flat = np.arange(lo, min(lo + chunk, out.size))
-        cols = np.stack(np.unravel_index(flat, (m,) * nn), axis=1)
-        stack = log_phi[rows[None, :, None], cols[:, None, :]]  # [t, i, j]
-        out[flat] = -_log_permanents(stack, tropical) / n
-    return out
+        straight = log_phi[0, rows[:, 0]] + log_phi[1, rows[:, 1]]
+        crossed = log_phi[0, rows[:, 1]] + log_phi[1, rows[:, 0]]
+        pair = np.maximum if tropical else np.logaddexp
+        hams = -pair(straight, crossed) / n
+    else:
+        chunk = max(1, TUPLE_CHUNK // (1 << nn))
+        hams = np.concatenate([-_log_permanents(  # [t, i, j] stacks
+            log_phi[np.arange(nn)[:, None], rows[lo:lo + chunk, None, :]],
+            tropical) / n for lo in range(0, count, chunk)])
+    run = repeats = np.ones(count, dtype=np.int64)
+    log_weights = log_w[rows[:, 0]]
+    for i in range(1, nn):  # prod_j c_j! multiplies each place in its run
+        run = np.where(rows[:, i] == rows[:, i - 1], run + 1, 1)
+        repeats = repeats * run
+        log_weights = log_weights + log_w[rows[:, i]]
+    return rows, np.log(math.factorial(nn) // repeats), hams, log_weights
 
 
 @dataclass(frozen=True, eq=False)
 class GibbsTable:
-    """Exact configuration law over site tuples, row-major tuple order."""
+    """Exact configuration law over configuration classes: each of the
+    exp(log_multiplicity[c]) site tuples that sort to row c of `classes`
+    has H class_hamiltonians[c] and log probability class_log_probs[c].
+    `hamiltonians` and `log_probs` spell these out row-major over (M,)*N
+    tuples, refusing past EXACT_TABLE_MAX of them."""
 
     ensemble: GibbsEnsemble
     sites: np.ndarray
-    log_probs: np.ndarray
-    hamiltonians: np.ndarray
+    classes: np.ndarray
+    log_multiplicity: np.ndarray
+    class_hamiltonians: np.ndarray
+    class_log_probs: np.ndarray
     log_partition: float
 
-    @property
-    def probs(self) -> np.ndarray:
-        return np.exp(self.log_probs)
+    def _tuple_classes(self) -> np.ndarray:
+        shape = (len(self.sites),) * self.classes.shape[1]
+        if math.prod(shape) > EXACT_TABLE_MAX:
+            raise ValueError(f"tuple view of {math.prod(shape)} site tuples "
+                             f"exceeds EXACT_TABLE_MAX = {EXACT_TABLE_MAX}")
+        rows = np.sort(np.indices(shape).reshape(len(shape), -1), axis=0)
+        return np.searchsorted(np.ravel_multi_index(self.classes.T, shape),
+                               np.ravel_multi_index(rows, shape))
 
-    def grouped(self) -> list:
-        """(sorted site tuple, total probability) per unordered configuration,
-        each total added up in row-major tuple order."""
-        nn = self.ensemble.particle_count
-        m = self.ensemble.site_count
-        tuples = np.sort(np.indices((m,) * nn).reshape(nn, -1).T, axis=1)
-        keys, inverse = np.unique(tuples, axis=0, return_inverse=True)
-        masses = np.bincount(inverse.reshape(-1), weights=self.probs,
-                             minlength=len(keys))
-        return list(zip(map(tuple, keys.tolist()), masses.tolist()))
+    @property
+    def hamiltonians(self) -> np.ndarray:
+        return self.class_hamiltonians[self._tuple_classes()]
+
+    @property
+    def log_probs(self) -> np.ndarray:
+        return self.class_log_probs[self._tuple_classes()]
+
+    def grouped(self) -> tuple:
+        """(class rows, class masses), a mass counting every member tuple."""
+        return self.classes, np.exp(self.log_multiplicity
+                                    + self.class_log_probs)
 
 
 def gibbs_exact(ensemble: GibbsEnsemble) -> GibbsTable:
     """Full probability table of the ensemble on its site discretization.
 
-    Each tuple carries e^{-beta H} times the product of its site masses;
-    the table is normalized and its total checked against 1 to 1e-12.
-    Tables of more than EXACT_TABLE_MAX tuples are refused.
+    A tuple of a class carries e^{-beta H} times its site masses; one
+    logsumexp over classes, weighted by multiplicity, normalizes the table,
+    and its total is checked against 1 to 1e-12.
     """
-    tuples = ensemble.site_count ** ensemble.particle_count
-    if tuples > EXACT_TABLE_MAX:
-        raise ValueError(f"exact table of {tuples} site tuples exceeds "
-                         f"EXACT_TABLE_MAX = {EXACT_TABLE_MAX}")
     sites = ensemble.site_points()
-    log_w = ensemble.site_log_weights()
-    log_phi = _site_log_phi(ensemble, sites)
-    hams = _tuple_hamiltonians(ensemble, log_phi)
-
-    raw = -ensemble.beta * hams + _tuple_log_weights(
-        log_w, ensemble.particle_count)
+    classes, log_mult, hams, log_weights = _class_terms(
+        ensemble, sites, ensemble.site_log_weights())
+    raw = -ensemble.beta * hams + log_weights
     # center before normalizing: at large beta the raw logs are huge and
     # subtracting log_z directly loses the 1e-12 the check below demands
     shift = float(raw.max())
     centered = raw - shift
-    log_z_centered = float(_logsumexp(centered))
-    log_z = log_z_centered + shift
+    log_z_centered = float(_logsumexp(centered + log_mult))
     log_probs = centered - log_z_centered
-    total = float(np.exp(_logsumexp(log_probs)))
+    total = float(np.exp(_logsumexp(log_probs + log_mult)))
     if abs(total - 1.0) > 1e-12:
         raise RuntimeError(f"table normalization off by {total - 1.0:.2e}")
-    return GibbsTable(ensemble=ensemble, sites=sites, log_probs=log_probs,
-                      hamiltonians=hams, log_partition=log_z)
+    return GibbsTable(ensemble=ensemble, sites=sites, classes=classes,
+                      log_multiplicity=log_mult, class_hamiltonians=hams,
+                      class_log_probs=log_probs,
+                      log_partition=log_z_centered + shift)
 
 
 # ---------------------------------------------------------------------------
 # Partition functions
 # ---------------------------------------------------------------------------
-
-
-def _tuple_log_weights(log_w: np.ndarray, count: int) -> np.ndarray:
-    """Log weight of every count-tuple of nodes: the row-major outer sum
-    of count copies of the per-node log weights."""
-    log_base = log_w
-    for _ in range(count - 1):
-        log_base = (log_base[:, None] + log_w[None, :]).reshape(-1)
-    return log_base
 
 
 def _quadrature(mu0: GridMeasure, resolution: int):
@@ -387,23 +395,17 @@ def _quadrature(mu0: GridMeasure, resolution: int):
 
 
 def partition_function(ensemble: GibbsEnsemble, quadrature_resolution: int) -> float:
-    """Z by tensor quadrature over k^d nodes per particle.
+    """Z by tensor quadrature over k^d nodes per particle, summed over the
+    nodes' configuration classes as in `gibbs_exact`.
 
     In the zero-temperature permanental case (beta = n) the quadrature
     collapses algebraically to N! times a product of one-particle
     integrals; when that shortcut applies the two values are compared and
     must agree to 1e-8.
     """
-    nn = ensemble.particle_count
-    m = quadrature_resolution ** ensemble.d
-    if m ** nn > TENSOR_QUAD_MAX:
-        raise ValueError("tensor quadrature budget exceeded; lower k or n")
     pts, log_w = _quadrature(ensemble.mu0, quadrature_resolution)
-    log_phi = log_theta_grid(ensemble.params, ensemble.lattice.points, pts)
-    hams = _tuple_hamiltonians(ensemble, log_phi)
-    log_z = float(_logsumexp(-ensemble.beta * hams
-                             + _tuple_log_weights(log_w, nn)))
-    z = float(np.exp(log_z))
+    _, log_mult, hams, log_weights = _class_terms(ensemble, pts, log_w)
+    z = float(np.exp(_logsumexp(-ensemble.beta * hams + log_weights + log_mult)))
 
     if ensemble.kind.tag == "permanental" and ensemble.beta == ensemble.n:
         z_prod = float(np.exp(log_partition_product(ensemble,
@@ -452,22 +454,22 @@ class RateEstimate:
 
 
 def local_rate(ensemble: GibbsEnsemble, center: DiscreteMeasure,
-               radius: float, ) -> RateEstimate:
+               radius: float) -> RateEstimate:
     """Exact -(1/n^d) log of the W2-ball probability around a center.
 
-    Configurations are grouped by unordered site multiset; a group is in
-    the ball when the W2 distance (not squared) of its empirical measure
-    to the center is below the radius. In 1-d every group's distance comes
-    from one batched call of the exact circle kernel `w2_circle_atoms`.
-    For d >= 2 each group is first bracketed: the ball is out of reach when
-    sum_j nu_j min_i c(x_i, y_j) exceeds r^2 + 1e-9, and certain when the
-    product coupling costs below r^2 - 1e-9; only groups in between solve
-    the LP. Member masses are added in group order. Zero mass reports
-    value +inf. The table comes from `gibbs_exact`, whose cap applies.
+    A configuration class of the table is in the ball when the W2 distance
+    (not squared) of its empirical measure to the center is below the
+    radius. In 1-d one call of the exact circle kernel `w2_circle_atoms`
+    over the sorted class rows gives every distance. For d >= 2 each class
+    is first bracketed: the ball is out of reach when sum_j nu_j min_i
+    c(x_i, y_j) exceeds r^2 + 1e-9, and certain when the product coupling
+    costs below r^2 - 1e-9; only classes in between solve the LP. Class
+    masses are added in class order. Zero mass reports value +inf. The
+    table comes from `gibbs_exact`, whose cap applies.
     """
     table = gibbs_exact(ensemble)
     nn = ensemble.particle_count
-    keys, masses = map(np.array, zip(*table.grouped()))
+    keys, masses = table.grouped()
     if ensemble.d == 1:
         w2sq = w2_circle_atoms(table.sites[keys, 0], np.full(nn, 1.0 / nn),
                                center.points[:, 0], center.weights)
@@ -484,12 +486,9 @@ def local_rate(ensemble: GibbsEnsemble, center: DiscreteMeasure,
             w2sq = w2_empirical(mu, center)
             inside[c] = math.sqrt(max(w2sq, 0.0)) < radius
     prob = float(np.cumsum(masses[inside])[-1]) if inside.any() else 0.0
-    r_n = float(nn)
-    if prob <= 0.0:
-        value = math.inf
-    else:
-        value = -math.log(min(prob, 1.0)) / r_n
-    return RateEstimate(value=value, prob=min(prob, 1.0))
+    prob = min(prob, 1.0)
+    value = -math.log(prob) / nn if prob > 0.0 else math.inf
+    return RateEstimate(value=value, prob=prob)
 
 
 # ---------------------------------------------------------------------------

@@ -196,13 +196,36 @@ def torus_w2_lp(points_a, weights_a, points_b, weights_b) -> float:
     return float(np.sum(result.x * cost.reshape(-1)))
 
 
+def gibbs_table_ordered(log_phi, log_w, beta, n, tropical):
+    """(log Z, H, log probabilities) of the Gibbs law over every ordered
+    tuple of sites, row-major over (M,)*N, which the class table must
+    reproduce.
+
+    log_phi[i, x] is the log kernel of lattice point i at site x, log_w[x]
+    the log site mass. Each tuple's log permanent (or its tropical maximum)
+    is taken over all N! permutations, so keep N small.
+    """
+    nn, m = log_phi.shape
+    cols = np.indices((m,) * nn).reshape(nn, -1).T
+    terms = np.stack([sum(log_phi[i, cols[:, p]] for i, p in enumerate(perm))
+                      for perm in itertools.permutations(range(nn))], axis=1)
+    top = np.max(terms, axis=1)
+    log_per = top if tropical else top + np.log(
+        np.sum(np.exp(terms - top[:, None]), axis=1))
+    hams = -log_per / n
+    raw = -beta * hams + np.sum(log_w[cols], axis=1)
+    shift = np.max(raw)
+    log_z = shift + math.log(math.fsum(np.exp(raw - shift)))
+    return log_z, hams, raw - log_z
+
+
 def class_w2_lp(table, center_points, center_weights):
     """W2^2 from each configuration class of a Gibbs table (its groups, in
     order, read through `grouped()` and `sites`) to a center measure, one
     LP per class with uniform weight on the class's atoms."""
     out = []
-    for key, _ in table.grouped():
-        pts = table.sites[list(key)]
+    for key in table.grouped()[0]:
+        pts = table.sites[key]
         out.append(torus_w2_lp(pts, np.full(len(key), 1.0 / len(key)),
                                center_points, center_weights))
     return out
@@ -212,7 +235,7 @@ def local_rate_lp(table, w2sq, radius):
     """(ball mass, memberships) of the per-class loop: a class is inside
     when sqrt(W2^2) < radius, and member masses are added left to right."""
     prob, inside = 0.0, []
-    for (_, mass), value in zip(table.grouped(), w2sq):
+    for mass, value in zip(table.grouped()[1], w2sq):
         inside.append(math.sqrt(max(value, 0.0)) < radius)
         if inside[-1]:
             prob += mass

@@ -28,15 +28,15 @@ GOLDEN = {
     "cramer-demo/results.csv":
         "2ef43bdf09e19fb2a8cccfb76794cab474567588b4a99f71b10ab78a9822f47f",
     "gibbs-ldp/partition.csv":
-        "0b1c60f1a60f1e5390228579d8a5e9bffd056e854e7beee3c880e2f5c66d4ef5",
+        "57fa62b74d4cae235a5baf991cf16acf655a677528567d2584780b65640a7e94",
     "gibbs-ldp/results.csv":
-        "4945564d85d75a09bc1f5d0159089b8b37e05850063a6260e59b179956eb09fb",
+        "bf3b238bdc9abe40ca7f7100df44321a77d591c0d708a4dd49da9c846e4fc111",
     "ot/plan.csv":
         "31f992080166cfc64716b9cc218f83633bc90fd2853eb7ec3c1497806a303125",
     "ot/results.csv":
         "e04eaf5da5ca6f42df4c58ae3ec9f41ca8426637d492dcb5950782021d47d5c8",
     "report.csv":
-        "16111d63d341402bd457a1839b1f75d13c863d13a8ccc3b238a08a80fb3c5e2c",
+        "1667dd7e142fcb2a47534f958d123ffbb86726c2c2106abf61e267abae8f8970",
     "sanov-demo/results.csv":
         "9b8c1dd573e71de34a2a8fa49aad45d860641d94af0167c1b44aa566d6fb39f0",
     "solve-ma/potential.csv":

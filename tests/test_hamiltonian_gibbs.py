@@ -39,6 +39,7 @@ from ldpma.transport import cost_matrix, hungarian
 
 from oracles import (
     class_w2_lp,
+    gibbs_table_ordered,
     local_rate_lp,
     multinomial_type_prob,
     permanent_naive,
@@ -207,7 +208,7 @@ def uniform_ensemble(beta, n=2, refine=4):
 def test_gibbs_exact_normalizes():
     table = gibbs_exact(uniform_ensemble(3.0))
     assert np.exp(table.log_probs).sum() == pytest.approx(1.0, abs=1e-12)
-    grouped_mass = sum(mass for _, mass in table.grouped())
+    grouped_mass = table.grouped()[1].sum()
     assert grouped_mass == pytest.approx(1.0, abs=1e-12)
 
 
@@ -256,18 +257,59 @@ def site_log_phi(ens):
                          ids=["permanental", "tropical"])
 def test_table_hamiltonians_equal_the_per_tuple_loop(kind, n, refine,
                                                      monkeypatch):
+    # every tuple reads its class, the loop's value on the sorted row; the
+    # loop on the tuple as it stands differs only in the last bit
     ens = table_ensemble(kind, n, 1, refine)
     log_phi = site_log_phi(ens)
-    m = ens.site_count
-    want = np.empty(m ** n)
-    for flat, idx in enumerate(np.ndindex(*([m] * n))):
+
+    def loop(idx):
         logs = log_phi[:, list(idx)]
-        want[flat] = (hungarian(-logs).cost / n if kind is TROPICAL
-                      else -_log_permanents(logs[None], False)[0] / n)
-    assert np.array_equal(gibbs_exact(ens).hamiltonians, want)
-    # a budget of 88 puts 3 to 14 tuples in a chunk, none dividing the count
+        return (hungarian(-logs).cost / n if kind is TROPICAL
+                else -_log_permanents(logs[None], False)[0] / n)
+
+    tuples = list(np.ndindex(*([ens.site_count] * n)))
+    want = np.array([loop(sorted(idx)) for idx in tuples])
+    got = gibbs_exact(ens).hamiltonians
+    assert np.array_equal(got, want)
+    assert np.max(np.abs(got - [loop(idx) for idx in tuples])) <= 4.4e-16
+    # a budget of 88 puts 11 (N = 3) or 5 (N = 4) classes in a stack, and
+    # the 364 classes at N = 3 leave a partial last stack
     monkeypatch.setattr(hamiltonian_gibbs, "TUPLE_CHUNK", 88)
     assert np.array_equal(gibbs_exact(ens).hamiltonians, want)
+
+
+@pytest.mark.parametrize("n, d, refine", [(2, 1, 4), (3, 1, 4), (4, 1, 2),
+                                          (5, 1, 1), (2, 2, 2)])
+@pytest.mark.parametrize("kind", [PERMANENTAL, TROPICAL],
+                         ids=["permanental", "tropical"])
+def test_class_table_matches_the_ordered_table(kind, n, d, refine):
+    # non-uniform mu0; at n = 2, d = 2, 16 sites hold 65,536 tuples
+    ens = table_ensemble(kind, n, d, refine, beta=3.0)
+    log_z, _, log_probs = gibbs_table_ordered(
+        site_log_phi(ens), ens.site_log_weights(), ens.beta, n,
+        kind is TROPICAL)
+    table = gibbs_exact(ens)
+    assert table.log_partition == pytest.approx(log_z, abs=1e-13)
+    nn = ens.particle_count
+    rows = np.sort(np.indices((ens.site_count,) * nn).reshape(nn, -1), axis=0)
+    keys, inverse = np.unique(rows.T, axis=0, return_inverse=True)
+    masses = np.bincount(inverse.reshape(-1), weights=np.exp(log_probs))
+    classes, got = table.grouped()
+    assert np.array_equal(classes, keys)
+    assert np.max(np.abs(got - masses)) <= 1e-15
+
+
+def test_tables_send_one_matrix_per_class(monkeypatch):
+    sizes = []
+    real = hamiltonian_gibbs._log_permanents
+
+    def counted(logs, tropical):
+        sizes.append(len(logs))
+        return real(logs, tropical)
+
+    monkeypatch.setattr(hamiltonian_gibbs, "_log_permanents", counted)
+    gibbs_exact(table_ensemble(PERMANENTAL, 4, 1, 2))
+    assert sum(sizes) == 330  # C(11, 4) classes, not 8^4 = 4,096 tuples
 
 
 @pytest.mark.parametrize("kind", [PERMANENTAL, TROPICAL],
@@ -286,9 +328,10 @@ def test_table_hamiltonians_match_permutation_sums(kind):
 
 
 def test_exact_table_cap_is_checked_where_tables_are_built():
-    # 24^6 site tuples: the ensemble builds, the exact routes refuse it
-    ens = GibbsEnsemble(beta=1.0, n=6, d=1,
-                        mu0=GridMeasure.uniform(dim=1, resolution=24),
+    # 7 particles on 28 sites: 5,379,616 classes; the ensemble builds, the
+    # exact routes refuse it
+    ens = GibbsEnsemble(beta=1.0, n=7, d=1,
+                        mu0=GridMeasure.uniform(dim=1, resolution=28),
                         kind=PERMANENTAL)
     center = DiscreteMeasure(points=np.array([[0.5]]), weights=np.ones(1),
                              domain=torus_domain(1))
@@ -309,14 +352,30 @@ def test_tropical_tables_evaluate_past_nine_particles():
         math.exp(-h), rel=1e-14)
 
 
-@pytest.mark.parametrize("n, d", [(2, 2), (5, 1)])
-def test_zero_temperature_table_matches_product_formula(n, d):
-    # 16^4 = 65,536 and 10^5 = 100,000 tuples, non-uniform mu0
-    ens = table_ensemble(PERMANENTAL, n, d, 2, beta=float(n))
+@pytest.mark.parametrize("n, d, refine", [(2, 2, 2), (5, 1, 2), (7, 1, 2),
+                                          (8, 1, 1)],
+                         ids=["2-2", "5-1", "7-1-refine2", "8-1-refine1"])
+def test_zero_temperature_table_matches_product_formula(n, d, refine):
+    # 3,876, 2,002, 77,520 and 6,435 classes (16^4, 10^5, 14^7 and 8^8
+    # ordered tuples), non-uniform mu0
+    ens = table_ensemble(PERMANENTAL, n, d, refine, beta=float(n))
     log_w = ens.site_log_weights()
     want = math.lgamma(ens.particle_count + 1) + float(
         np.sum(logsumexp(site_log_phi(ens) + log_w[None, :], axis=1)))
     assert gibbs_exact(ens).log_partition == pytest.approx(want, abs=1e-12)
+
+
+def test_tuple_views_refuse_past_the_cap_before_allocating():
+    table = gibbs_exact(table_ensemble(PERMANENTAL, 8, 1, 1, beta=8.0))
+    tracemalloc.start()
+    try:
+        for view in ("hamiltonians", "log_probs"):
+            with pytest.raises(ValueError, match="16777216 site tuples"):
+                getattr(table, view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # the 8^8 tuple rows would take 1 GB
 
 
 def test_quadrature_reads_the_cell_each_center_lies_in():
