@@ -33,7 +33,8 @@ from .hamiltonian_gibbs import (
     local_rate,
     sanov_exact,
     sanov_gap_bound,
-    zero_temp_mgf,
+    sanov_rates,
+    zero_temp_mgf_stack,
 )
 from .legendre import GridFunction, conjugate_at, legendre_transform
 from .measures import (
@@ -346,6 +347,8 @@ def _fmt(value: float) -> str:
 
 def _run_verify_theta(params: dict, seed: int,
                       tol: Dict[str, float]) -> ExperimentResult:
+    """One row per lattice n; `theta_rate_error` reads its defect off one
+    1-d (lattice, grid) table, O(n grid) memory in either dimension."""
     del seed  # deterministic sweep, kept for the uniform runner signature
     dim = params["d"]
     rows, defects = [], []
@@ -549,14 +552,14 @@ def _run_gibbs_ldp(params: dict, seed: int,
 # sanov-demo
 
 
-def _compositions(total: int, parts: int):
-    """All ordered splits of total into parts nonnegative integers."""
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev, counts = -1, []
-        for b in bars + (total + parts - 1,):
-            counts.append(b - prev - 1)
-            prev = b
-        yield tuple(counts)
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every ordered split of total into parts nonnegative integers, one
+    row each, from the bar positions of stars and bars."""
+    bars = list(itertools.combinations(range(total + parts - 1), parts - 1))
+    edges = np.empty((len(bars), parts + 1), dtype=np.int64)
+    edges[:, 0], edges[:, -1] = -1, total + parts - 1
+    edges[:, 1:-1] = np.reshape(bars, (len(bars), parts - 1))
+    return np.diff(edges) - 1
 
 
 def _multinomial_prob(counts: Tuple[int, ...], weights: np.ndarray) -> float:
@@ -597,12 +600,10 @@ def _run_sanov_demo(params: dict, seed: int,
     def sweep_row(n_s: int):
         if math.comb(n_s + k - 1, k - 1) > 200_000:
             raise ValueError("too many types; lower k or the sweep sizes")
-        worst = None
-        for counts_s in _compositions(n_s, k):
-            r, e = sanov_exact(k, mu0, n_s, np.array(counts_s) / n_s)
-            if worst is None or r - e > worst[3]:
-                worst = (math.exp(-n_s * r), r, e, r - e)
-        return ("sweep", k, n_s, worst[0], worst[1], worst[2], worst[3],
+        rates, ents = sanov_rates(mu0, _compositions(n_s, k))
+        worst = int(np.argmax(rates - ents))  # the first of equal gaps
+        r, e = float(rates[worst]), float(ents[worst])
+        return ("sweep", k, n_s, math.exp(-n_s * r), r, e, r - e,
                 float(sanov_gap_bound(k, n_s)), "sanov-gap-bound")
 
     rows += [sweep_row(n_s) for n_s in sorted(set(params["sweep"]))]
@@ -656,7 +657,7 @@ def _run_cramer_demo(params: dict, seed: int,
             "the t window must contain 0 as a node; shift t_lo/t_hi by "
             "half a step (defaults do)"
         )
-    log_mgf_values = np.array([log_mgf(atoms, t * points) for t in t_nodes])
+    log_mgf_values = log_mgf(atoms, t_nodes[:, None] * points[None, :])
     p = dataclasses.replace(probe, values=log_mgf_values)
 
     pad = params["pad"]
@@ -720,18 +721,25 @@ def _run_zero_temp_mgf(params: dict, seed: int,
     ns = sorted(set(params["n"]))
     shift = params["shift"]
 
-    rows = []
-    last_p: Dict[str, float] = {}
-    for name, theta in _test_functions(k):
-        for n in ns:
-            p_n, target = zero_temp_mgf(theta, n, 1, mu0, quad)
-            rows.append(("sweep", name, n, p_n, target, abs(p_n - target),
-                         "zero-temp-legendre"))
-            last_p[name] = p_n
+    names, thetas = zip(*_test_functions(k))
     n_max = ns[-1]
-    for name, theta in _test_functions(k):
-        p_shift, _ = zero_temp_mgf(theta.shifted(shift), n_max, 1, mu0, quad)
-        want = last_p[name] + shift
+    # one kernel table per n serves the test functions, and at n_max their
+    # shifted copies too
+    p, target = {}, {}
+    for n in ns:
+        stack = list(thetas)
+        if n == n_max:
+            stack += [theta.shifted(shift) for theta in thetas]
+        p[n], target[n] = zero_temp_mgf_stack(stack, n, 1, mu0, quad)
+    rows = []
+    for j, name in enumerate(names):
+        for n in ns:
+            p_n, t_n = float(p[n][j]), float(target[n][j])
+            rows.append(("sweep", name, n, p_n, t_n, abs(p_n - t_n),
+                         "zero-temp-legendre"))
+    for j, name in enumerate(names):
+        p_shift = float(p[n_max][len(names) + j])
+        want = float(p[n_max][j]) + shift
         rows.append(("shift", name, n_max, p_shift, want,
                      abs(p_shift - want), "zero-temp-shift"))
     table = ResultTable(

@@ -34,13 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .legendre import GridFunction, conjugate_at, interpolate_at
-from .measures import (DiscreteMeasure, EmpiricalConfig, GridMeasure,
-                       _logsumexp, empirical, entropy, grid_points)
+from .measures import (NULL_DENSITY, DiscreteMeasure, EmpiricalConfig,
+                       GridMeasure, _logsumexp, empirical, grid_points)
 from .torus_theta import ThetaParams, TorusLattice, log_theta_grid
 from .transport import cost_matrix, hungarian, w2_circle_atoms, w2_empirical
 
 PERMANENT_MAX = 20
-TUPLE_CHUNK = 1 << 14
+TUPLE_CHUNK = 1 << 18  # f rows x matrices per `_subset_dp` stack: at most 2 MB
 TROPICAL_SUBSET_MAX = 9  # tropical stacks past this N take one assignment each
 W2_GAP_PERMANENTAL_MAX = 9
 W2_GAP_TROPICAL_MAX = 64
@@ -496,17 +496,42 @@ def local_rate(ensemble: GibbsEnsemble, center: DiscreteMeasure,
 # ---------------------------------------------------------------------------
 
 
+def sanov_rates(mu0_weights, counts):
+    """(-(1/n) log P[type class], Ent(mu0, counts/n)) of each row of a
+    (types, k) stack of counts summing to one n, in one ``gammaln`` pass.
+    Uncharged letters add exact zeros, and numpy adds the k <=
+    SANOV_ALPHABET_MAX < 8 terms of a row left to right, so a row equals
+    its one-row call bit for bit."""
+    mu0 = DiscreteMeasure.from_alphabet_weights(mu0_weights).weights
+    counts = np.asarray(counts)
+    n = int(counts[0].sum())
+    if len(mu0) > SANOV_ALPHABET_MAX:
+        raise ValueError(f"alphabet capped at {SANOV_ALPHABET_MAX}")
+    if n > SANOV_N_MAX:
+        raise ValueError(f"sample count capped at {SANOV_N_MAX}")
+    if np.any(counts.sum(axis=1) != n):
+        raise ValueError("type counts must share one sample count")
+    from scipy.special import gammaln
+    charged = counts > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mu0 = np.where(charged, np.log(mu0), 0.0)
+        nu = counts / n
+        ent_terms = np.where(charged, nu * np.log(nu / mu0), 0.0)
+    log_p = gammaln(n + 1) - np.sum(gammaln(counts + 1), axis=1)
+    log_p += np.sum(counts * log_mu0, axis=1)
+    ent = np.sum(ent_terms, axis=1)
+    ent[np.any(charged & (mu0 <= NULL_DENSITY), axis=1)] = math.inf
+    return -log_p / n, ent
+
+
 def sanov_exact(alphabet_size: int, mu0_weights, n: int, nu_weights):
-    """Exact multinomial rate vs relative entropy for a realizable type.
+    """Exact multinomial rate vs relative entropy for a realizable type,
+    the one-row case of `sanov_rates`.
 
     Returns (-(1/n) log P[type class], Ent(mu0, nu)). The two differ by at
     most sanov_gap_bound(alphabet_size, n), the polynomial prefactor of the
     method of types.
     """
-    if alphabet_size > SANOV_ALPHABET_MAX:
-        raise ValueError(f"alphabet capped at {SANOV_ALPHABET_MAX}")
-    if n > SANOV_N_MAX:
-        raise ValueError(f"sample count capped at {SANOV_N_MAX}")
     mu0 = np.asarray(mu0_weights, dtype=float)
     nu = np.asarray(nu_weights, dtype=float)
     if mu0.shape != (alphabet_size,) or nu.shape != (alphabet_size,):
@@ -518,15 +543,8 @@ def sanov_exact(alphabet_size: int, mu0_weights, n: int, nu_weights):
     counts = rounded.astype(int)
     if np.any((counts > 0) & (mu0 <= 0.0)):
         raise ValueError("type charges a letter of mu0-probability zero")
-
-    from scipy.special import gammaln
-    log_p = gammaln(n + 1) - np.sum(gammaln(counts + 1))
-    log_p += float(np.sum(counts[counts > 0] * np.log(mu0[counts > 0])))
-    rate = -log_p / n
-
-    mu0_m = DiscreteMeasure.from_alphabet_weights(mu0)
-    nu_m = DiscreteMeasure.from_alphabet_weights(counts / n)
-    return float(rate), float(entropy(mu0_m, nu_m))
+    rate, ent = sanov_rates(mu0, counts[None])
+    return float(rate[0]), float(ent[0])
 
 
 def sanov_gap_bound(alphabet_size: int, n: int) -> float:
@@ -539,9 +557,10 @@ def sanov_gap_bound(alphabet_size: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def zero_temp_mgf(theta: GridFunction, n: int, d: int, mu0: GridMeasure,
-                  quadrature_resolution: int):
-    """Scaled log-MGF at beta = n against its lattice Legendre target.
+def zero_temp_mgf_stack(thetas, n: int, d: int, mu0: GridMeasure,
+                        quadrature_resolution: int):
+    """Scaled log-MGFs at beta = n against their lattice Legendre targets,
+    for a sequence of test functions sharing one kernel table.
 
     p_n(theta) = (1/n^d) sum_i (1/n) log of (integral of e^{n theta} phi_i mu0),
     the exact product-formula reduction of the permanental ensemble. The
@@ -550,32 +569,47 @@ def zero_temp_mgf(theta: GridFunction, n: int, d: int, mu0: GridMeasure,
         sup_x [theta(x) - d(x, p_i)^2],
 
     evaluated through the classical conjugate of |x|^2 - theta at the
-    shifted arguments 2(p_i + m), m in {-1,0,1}^d. Returns (p_n, target).
+    shifted arguments 2(p_i + m), m in {-1,0,1}^d. The quadrature and the
+    kernel table are built once for all thetas. Returns (p_n, target), one
+    entry per theta.
     """
-    if theta.kind != "torus" or theta.dim != d:
-        raise ValueError("theta must live on the d-torus chart")
+    for theta in thetas:
+        if theta.kind != "torus" or theta.dim != d:
+            raise ValueError("theta must live on the d-torus chart")
     if mu0.dim != d:
         raise ValueError("mu0 must be a grid measure of dimension d")
     lattice = TorusLattice(n=n, d=d)
     params = ThetaParams(n=n)
 
     pts, log_w = _quadrature(mu0, quadrature_resolution)
-    theta_q = interpolate_at(theta, pts)
+    theta_q = np.array([interpolate_at(theta, pts) for theta in thetas])
     log_phi = log_theta_grid(params, lattice.points, pts)
-    log_integrals = _logsumexp(n * theta_q[None, :] + log_phi + log_w[None, :],
-                               axis=1)
-    p_n = float(np.mean(log_integrals) / n)
+    log_integrals = _logsumexp(n * theta_q[:, None, :] + log_phi[None]
+                               + log_w[None, None, :], axis=2)
+    p_n = np.mean(log_integrals, axis=1) / n
 
-    # sup_x [theta - |x - y|^2] = g*(2y) - |y|^2 with g = |x|^2 - theta
-    nodes = theta.nodes()
-    g = GridFunction(dim=d, resolution=theta.resolution,
-                     values=(np.sum(nodes * nodes, axis=1)
-                             - theta.values.reshape(-1)).reshape(theta.values.shape),
-                     kind="torus")
     offsets = grid_points([np.array([-1.0, 0.0, 1.0])] * d)
     shifted = lattice.points[:, None, :] + offsets[None, :, :]
     flat = shifted.reshape(-1, d)
-    conj = conjugate_at(g, 2.0 * flat).reshape(len(lattice.points), -1)
     norms = np.sum(flat * flat, axis=1).reshape(len(lattice.points), -1)
-    target = float(np.mean(np.max(conj - norms, axis=1)))
-    return p_n, target
+    targets = []
+    for theta in thetas:
+        # sup_x [theta - |x - y|^2] = g*(2y) - |y|^2 with g = |x|^2 - theta
+        nodes = theta.nodes()
+        g = GridFunction(dim=d, resolution=theta.resolution,
+                         values=(np.sum(nodes * nodes, axis=1)
+                                 - theta.values.reshape(-1)
+                                 ).reshape(theta.values.shape),
+                         kind="torus")
+        conj = conjugate_at(g, 2.0 * flat).reshape(len(lattice.points), -1)
+        targets.append(float(np.mean(np.max(conj - norms, axis=1))))
+    return p_n, np.array(targets)
+
+
+def zero_temp_mgf(theta: GridFunction, n: int, d: int, mu0: GridMeasure,
+                  quadrature_resolution: int):
+    """(p_n, target) of one test function, the one-theta case of
+    `zero_temp_mgf_stack`."""
+    p_n, target = zero_temp_mgf_stack([theta], n, d, mu0,
+                                      quadrature_resolution)
+    return float(p_n[0]), float(target[0])

@@ -10,7 +10,7 @@ This module provides:
 - ``EmpiricalConfig``: an ordered particle configuration.
 - ``empirical``: the configuration -> uniform-atom measure map.
 - ``entropy``: relative entropy of one measure against a reference.
-- ``log_mgf``: log of the exponential integral of a potential.
+- ``log_mgf``: log of the exponential integral of a potential (or a stack).
 
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
@@ -377,15 +377,18 @@ def entropy(mu0: MeasureLike, nu: MeasureLike) -> float:
 
 
 def _theta_values(mu: MeasureLike, theta) -> np.ndarray:
-    """Potential values aligned with the measure's quadrature points."""
-    if hasattr(theta, "values"):
-        flat = np.asarray(theta.values, dtype=float).reshape(-1)
-    else:
-        flat = np.asarray(theta, dtype=float).reshape(-1)
+    """Potential values aligned with the measure's quadrature points: one
+    (sites,) vector, or a (T, sites) stack when ``theta`` is a 2-d array
+    of rows of that length (and not the measure's own grid shape)."""
+    values = np.asarray(getattr(theta, "values", theta), dtype=float)
     if isinstance(mu, GridMeasure):
-        expected = mu.resolution ** mu.dim
+        expected, shape = mu.resolution ** mu.dim, mu.density.shape
     else:
-        expected = mu.atom_count
+        expected, shape = mu.atom_count, (mu.atom_count,)
+    if values.ndim == 2 and values.shape[1] == expected \
+            and values.shape != shape:
+        return values
+    flat = values.reshape(-1)
     if flat.size != expected:
         raise ValueError(
             f"potential has {flat.size} values, measure has {expected} sites"
@@ -432,21 +435,24 @@ def _logsumexp(a, axis=None, b=None):
     return out[()] if out.ndim == 0 else out
 
 
-def log_mgf(mu: MeasureLike, theta) -> float:
+def log_mgf(mu: MeasureLike, theta):
     """log of the integral of exp(theta) against mu.
 
     ``theta`` may be a per-site value array or any object with a ``values``
     array matching the measure's quadrature (grid cells in row-major order,
-    or atoms in order). Computed in log space, so large potentials are safe.
+    or atoms in order); a (T, sites) stack of potentials gives T values,
+    each row checked and summed as a lone potential would be. Computed in
+    log space, so large potentials are safe.
     """
     values = _theta_values(mu, theta)
     masses = mu.masses() if isinstance(mu, GridMeasure) else np.asarray(mu.weights)
     carrying = masses > 0.0
     if not np.any(carrying):
         raise ValueError("measure has no mass")
-    if not np.all(np.isfinite(values[carrying])):
+    if not np.all(np.isfinite(values[..., carrying])):
         raise ValueError("potential must be finite on the support")
-    return float(_logsumexp(values[carrying], b=masses[carrying]))
+    out = _logsumexp(values[..., carrying], axis=-1, b=masses[carrying])
+    return float(out) if values.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

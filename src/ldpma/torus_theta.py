@@ -7,7 +7,9 @@ multiples of 1/n, row-major order). The kernel attached to p_i is
 
 truncated to shifts in {-R..R}^d. Its normalized log is pinched between the
 squared torus distance and that distance minus (1/n) log((2R+1)^d), which is
-what the rate-error sweep measures.
+what the rate-error sweep measures. The sweep's defect adds one 1-d table
+over the axes, so it reads that table's extremes: O((2R+1) n g) memory per
+sweep in every dimension, never a (centers, grid points) array.
 
 The shift sum factorises over axes, so ``log_theta_grid`` adds d 1-d
 log-sum-exp tables over the distinct coordinates of each axis: O(d (2R+1) n g)
@@ -24,7 +26,7 @@ import numpy as np
 from .measures import _logsumexp, grid_points
 from .transport import cost_matrix
 
-DEFECT_MAX = 1 << 23  # (centers, grid points) entries per defect array
+DEFECT_MAX = 1 << 23  # (shifts, lattice, grid) entries of the 1-d defect table
 
 
 @dataclass(frozen=True)
@@ -104,28 +106,23 @@ def theta_rate_error(params: ThetaParams, lattice: TorusLattice,
     The defect is -(1/n) log phi_i(x) - d(p_i, x)^2. It never exceeds
     rounding above zero (the log never exceeds the squared distance), and
     its magnitude is bounded by (1/n) log((2R+1)^d) plus the truncation
-    tail. The squared distance adds per-axis ``cost_matrix`` tables over
-    the distinct coordinates, as ``log_theta_grid`` adds per-axis log
-    tables, so only (centers, grid points) arrays are built, at most
-    DEFECT_MAX entries.
+    tail. Both terms add over axes, and centers and grid are both full
+    products of one coordinate set per axis, so defect(p_i, x) adds
+    E(p_ia, x_a) over the axes a, E the one 1-d table over (lattice
+    coordinate, grid coordinate). Its extremes are d times those of E,
+    attained where every axis takes E's extreme pair (doubling is exact,
+    so d = 2 matches the direct sum there). Only the (2R+1, n, grid)
+    exponent array behind E is built, at most DEFECT_MAX entries.
     """
-    if lattice.d > 2:
-        raise ValueError("rate sweep supports dimensions 1 and 2")
-    if lattice.size * grid_resolution ** lattice.d > DEFECT_MAX:
+    if ((2 * params.truncation_radius + 1) * lattice.n * grid_resolution
+            > DEFECT_MAX):
         raise ValueError(
             "defect grid too large; lower grid resolution or the lattice n")
-    grid = grid_points([np.arange(grid_resolution) / grid_resolution]
-                       * lattice.d)
-    centers = lattice.points
-    defect = log_theta_grid(params, centers, grid)
-    np.negative(defect, out=defect)
-    defect /= params.n
-    sq = np.zeros_like(defect)
-    for axis in range(lattice.d):
-        cu, ci = np.unique(centers[:, axis], return_inverse=True)
-        gu, gi = np.unique(grid[:, axis], return_inverse=True)
-        table = cost_matrix(cu[:, None], gu[:, None], "sqdist_torus")
-        sq += table[ci[:, None], gi[None, :]]
-    defect -= sq
-    top, bottom = float(defect.max()), float(defect.min())
+    coords = (np.arange(lattice.n) / lattice.n)[:, None]
+    grid = (np.arange(grid_resolution) / grid_resolution)[:, None]
+    table = log_theta_grid(params, coords, grid)
+    np.negative(table, out=table)
+    table /= params.n
+    table -= cost_matrix(coords, grid, "sqdist_torus")
+    top, bottom = lattice.d * float(table.max()), lattice.d * float(table.min())
     return top, max(top, -bottom)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from ldpma import hamiltonian_gibbs, transport
 from ldpma.hamiltonian_gibbs import (
@@ -25,7 +25,9 @@ from ldpma.hamiltonian_gibbs import (
     permanent,
     sanov_exact,
     sanov_gap_bound,
+    sanov_rates,
     zero_temp_mgf,
+    zero_temp_mgf_stack,
 )
 from ldpma.legendre import GridFunction
 from ldpma.measures import (
@@ -436,6 +438,59 @@ def test_sanov_gap_bound_over_types(count):
     prob = multinomial_type_prob(counts, [0.5, 0.5])
     assert math.exp(-n * rate) == pytest.approx(prob, rel=1e-10)
     assert -1e-12 <= rate - ent <= sanov_gap_bound(2, n) + 1e-12
+
+
+def _compositions(n, k):
+    """Every count row of k letters summing to n."""
+    if k == 1:
+        return [(n,)]
+    return [(c,) + rest for c in range(n + 1)
+            for rest in _compositions(n - c, k - 1)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_stacked_sanov_rows_equal_the_one_type_call(k):
+    # every type at n = 7, most of them with zero counts, against the
+    # scalar call and against the per-type sums over charged letters only
+    rng = np.random.default_rng(k)
+    mu0 = rng.uniform(0.1, 1.0, k)
+    mu0 /= mu0.sum()
+    n = 7
+    counts = np.array(_compositions(n, k))
+    rates, ents = sanov_rates(mu0, counts)
+    assert np.sum(counts == 0) > 0
+    for row, rate, ent in zip(counts, rates, ents):
+        assert (rate, ent) == sanov_exact(k, mu0, n, row / n)
+        c = row > 0
+        log_p = gammaln(n + 1) - np.sum(gammaln(row + 1))
+        log_p += float(np.sum(row[c] * np.log(mu0[c])))
+        nu = row[c] / n
+        assert rate == -log_p / n
+        assert ent == np.sum(nu * np.log(nu / mu0[c]))
+
+
+def test_stacked_sanov_refuses_what_the_one_type_call_refuses():
+    with pytest.raises(ValueError, match="one sample count"):
+        sanov_rates([0.5, 0.5], np.array([[1, 2], [2, 2]]))
+    with pytest.raises(ValueError, match="sample count capped"):
+        sanov_rates([0.5, 0.5], np.array([[501, 0]]))
+    with pytest.raises(ValueError, match="alphabet capped"):
+        sanov_rates(np.full(7, 1 / 7), np.eye(7, dtype=int)[:1])
+
+
+def test_shared_kernel_table_equals_per_theta_calls():
+    k = 64
+    xs = np.arange(k) / k
+    mu0 = GridMeasure.from_density_values(1.0 + 0.5 * np.sin(2 * np.pi * xs))
+    thetas = [GridFunction(dim=1, resolution=k, values=v, kind="torus")
+              for v in (np.zeros(k), 0.2 * np.cos(2 * np.pi * xs),
+                        -0.8 * cost_matrix(xs[:, None], [[0.5]],
+                                           "sqdist_torus")[:, 0])]
+    thetas += [theta.shifted(0.37) for theta in thetas]
+    for n in (8, 16, 32):
+        p, target = zero_temp_mgf_stack(thetas, n, 1, mu0, 512)
+        for j, theta in enumerate(thetas):
+            assert (p[j], target[j]) == zero_temp_mgf(theta, n, 1, mu0, 512)
 
 
 def test_zero_temp_shift_identity():

@@ -215,6 +215,31 @@ def test_log_mgf_constant_shift(w, theta, c):
     assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
+def test_stacked_log_mgf_rows_equal_the_per_node_loop():
+    # cramer-demo's defaults: three atoms, 80 t nodes on (-4.05, 3.95)
+    points = np.array([-1.0, 0.0, 2.0])
+    mu = DiscreteMeasure(points=points[:, None], weights=[0.2, 0.5, 0.3],
+                         domain=Domain(kind="box", dim=1,
+                                       bounds=((-2.0, 3.0),)))
+    t_nodes = -4.05 + (np.arange(80) + 0.5) * (8.0 / 80)
+    stacked = log_mgf(mu, t_nodes[:, None] * points[None, :])
+    assert stacked.shape == (80,)
+    loop = [log_mgf(mu, t * points) for t in t_nodes]
+    assert all(isinstance(v, float) for v in loop)
+    assert np.array_equal(stacked, loop)
+    bad = t_nodes[:, None] * points[None, :]
+    bad[41, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        log_mgf(mu, bad)
+
+
+def test_grid_shaped_potential_is_one_potential():
+    mu = GridMeasure.uniform(dim=2, resolution=3)
+    theta = np.arange(9.0).reshape(3, 3)
+    assert log_mgf(mu, theta) == log_mgf(mu, theta.reshape(-1))
+    assert log_mgf(mu, np.stack([theta.reshape(-1)] * 2)).shape == (2,)
+
+
 def test_alphabet_domain_validation():
     with pytest.raises(ValueError):
         alphabet_domain(0)

@@ -1,5 +1,7 @@
 """Lattice geometry and the periodized Gaussian kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from ldpma.torus_theta import (
+    DEFECT_MAX,
     ThetaParams,
     TorusLattice,
     log_theta_grid,
@@ -120,18 +123,63 @@ def test_bracket_width_scales_with_dimension():
         2.0 * params.bracket_width(1), abs=1e-15)
 
 
+def _torus_grid_2d(resolution):
+    axis = np.arange(resolution) / resolution
+    return np.stack([m.reshape(-1) for m in np.meshgrid(axis, axis,
+                                                        indexing="ij")],
+                    axis=-1)
+
+
+def _direct_defect(params, centers, points):
+    return (-log_theta_grid(params, centers, points) / params.n
+            - cost_matrix(centers, points, "sqdist_torus"))
+
+
 def test_defect_sweep_budget_counts_the_arrays_it_builds():
-    # n = 32, d = 2 on a 40-grid: (1024, 1600) defect arrays, under the cap;
-    # the one-pass extremes equal those of the directly built defect
+    # n = 32, d = 2 on a 40-grid: the per-axis extremes equal those of the
+    # directly built (1024, 1600) defect
     params, lattice = ThetaParams(n=32), TorusLattice(n=32, d=2)
     signed, sup = theta_rate_error(params, lattice, 40)
     assert signed <= 1e-12
-    axis = np.arange(40) / 40
-    grid = np.stack([m.reshape(-1) for m in np.meshgrid(axis, axis,
-                                                        indexing="ij")],
-                    axis=-1)
-    defect = (-log_theta_grid(params, lattice.points, grid) / params.n
-              - cost_matrix(lattice.points, grid, "sqdist_torus"))
+    defect = _direct_defect(params, lattice.points, _torus_grid_2d(40))
     assert (signed, sup) == (defect.max(), np.abs(defect).max())
+    # the 160-grid needs no (centers, grid points) array: 1024 x 25600
+    # pairs, past the old cap on that array, are a (5, 32, 160) table
+    signed, sup = theta_rate_error(params, lattice, 160)
+    assert signed <= 1e-12 and sup <= params.bracket_width(2) + 1e-9
+    # the cap counts (2R+1) n g entries of the 1-d table
+    too_fine = DEFECT_MAX // (5 * 32) + 1
     with pytest.raises(ValueError, match="defect grid too large"):
-        theta_rate_error(params, lattice, 160)
+        theta_rate_error(params, lattice, too_fine)
+
+
+def test_defect_extremes_at_the_frontier():
+    # n = 64, d = 2 on a 1024-grid: 4096 x 1048576 (center, point) pairs
+    params, lattice, g = ThetaParams(n=64), TorusLattice(n=64, d=2), 1024
+    tracemalloc.start()
+    try:
+        signed, sup = theta_rate_error(params, lattice, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    assert signed <= 1e-12 and sup <= params.bracket_width(2) + 1e-9
+
+    # no sampled pair lies beyond the returned extremes
+    rng = np.random.default_rng(64)
+    centers = lattice.points[rng.integers(lattice.size, size=200)]
+    points = rng.integers(g, size=(300, 2)) / g
+    defect = _direct_defect(params, centers, points)
+    assert defect.max() <= signed and -defect.min() <= sup
+
+    # the pairs built from the 1-d table's extreme pairs attain them
+    coords = np.arange(64)[:, None] / 64
+    axis = np.arange(g)[:, None] / g
+    table = _direct_defect(params, coords, axis)
+    top = np.unravel_index(np.argmax(table), table.shape)
+    low = np.unravel_index(np.argmin(table), table.shape)
+    at = [_direct_defect(params, coords[[i, i]].reshape(1, 2),
+                         axis[[j, j]].reshape(1, 2))[0, 0]
+          for i, j in (top, low)]
+    assert at[0] == signed
+    assert max(at[0], -at[1]) == sup
