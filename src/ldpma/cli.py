@@ -280,7 +280,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="parameter overrides")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser; given a command, with only that command's subparser."""
     parser = argparse.ArgumentParser(
         prog="ldpma",
         description="desk-scale experiments for large-deviation rate "
@@ -289,6 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     for name, spec in EXPERIMENTS.items():
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=spec.summary)
         flags = []
         if name == "verify-theta":
@@ -300,21 +303,40 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(_param_flags=tuple(flags))
         _add_common(p)
 
-    runp = sub.add_parser("run", help="run an experiment by name")
-    runp.add_argument("experiment")
-    runp.set_defaults(_param_flags=())
-    _add_common(runp)
+    if command in (None, "run"):
+        runp = sub.add_parser("run", help="run an experiment by name")
+        runp.add_argument("experiment")
+        runp.set_defaults(_param_flags=())
+        _add_common(runp)
 
-    rep = sub.add_parser("report",
-                         help="merge run directories into one table")
-    rep.add_argument("dirs", nargs="*", help="run directories")
-    rep.add_argument("--out", help="output CSV path, - for stdout")
+    if command in (None, "report"):
+        rep = sub.add_parser("report",
+                             help="merge run directories into one table")
+        rep.add_argument("dirs", nargs="*", help="run directories")
+        rep.add_argument("--out", help="output CSV path, - for stdout")
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _parse(argv: List[str]) -> Tuple[argparse.ArgumentParser,
+                                     argparse.Namespace]:
+    """Parse argv, building only the subparser its first token names.
+
+    A subparser's text does not depend on its siblings; the top level's
+    usage line lists them all, so where it speaks (no command, an option
+    or unknown name first, arguments left over) the full parser parses.
+    """
+    command = argv[0] if argv else None
+    if command in EXPERIMENTS or command in ("run", "report"):
+        parser = _build_parser(command)
+        args, extra = parser.parse_known_args(argv)
+        if not extra:
+            return parser, args
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    return parser, parser.parse_args(argv)
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser, args = _parse(sys.argv[1:] if argv is None else list(argv))
     if args.command is None:
         parser.print_help()
         return 2

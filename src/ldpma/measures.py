@@ -397,41 +397,45 @@ def _theta_values(mu: MeasureLike, theta) -> np.ndarray:
 
 
 def _logsumexp(a, axis=None, b=None):
-    """log(sum(b * exp(a))) over ``axis`` for float64 input.
+    """log(sum(b * exp(a))) over ``axis`` for float64 input and nonnegative
+    weights ``b`` (a negative weight raises ValueError).
 
     Follows the real-input algorithm of ``scipy.special.logsumexp`` (1.17)
     step by step, so the two agree bit for bit. The maxima are split off
     for precision: with m their total weight and s the weighted sum of
-    exp(a - max) over the rest, the result is log1p(s/m) + log|m| + max,
-    NaN where the sum is negative. An entry of zero weight adds nothing,
-    even where ``a`` is infinite. Where that result is not finite (an
-    all -inf slice, say) the direct log of the sum stands. The reduced
-    axes are dropped; a full reduction returns a numpy scalar.
+    exp(a - max) over the rest, the result is log1p(s/m) + log m + max; with
+    no negative weight neither s + 1 nor m is negative, so scipy's sign
+    handling never fires and is left out. An entry of zero weight adds
+    nothing, even where ``a`` is infinite. Only where that result is not
+    finite (an all -inf slice, say) is the direct log of the sum computed,
+    from the original ``a``, and it stands there. The reduced axes are
+    dropped; a full reduction returns a numpy scalar.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    shifted = a
     if b is not None:
         b = np.asarray(b, dtype=float)
-    axis = tuple(range(a.ndim)) if axis is None else axis
+        if np.any(b < 0.0):
+            raise ValueError("logsumexp weights must be nonnegative")
+        shifted = np.where(b == 0, -np.inf, a)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        weighted = np.exp(a) if b is None else b * np.exp(a)
-        direct = np.log(np.sum(weighted, axis=axis, keepdims=True))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if b is not None:
-            a = np.where(b == 0, -np.inf, a)
-        a_max = np.max(a, axis=axis, keepdims=True)
-        at_max = a == a_max
-        rest = np.where(at_max, -np.inf, a)
+        a_max = np.max(shifted, axis=axis, keepdims=True)
+        at_max = shifted == a_max
+        rest = np.where(at_max, -np.inf, shifted)
         at_max = at_max.astype(float)
         m = np.sum(at_max if b is None else b * at_max, axis=axis,
                    keepdims=True)
         tail = np.exp(rest - a_max) if b is None else b * np.exp(rest - a_max)
         s = np.sum(tail, axis=axis, keepdims=True)
         s = np.where(s == 0, s, s / m)
-        sign = np.sign(s + 1) * np.sign(m)
-        s = np.where(s < -1, -s - 2, s)
-        out = np.log1p(s) + np.log(np.abs(m)) + a_max
-        out[sign < 0] = np.nan
-    out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axis)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            weighted = np.exp(a) if b is None else b * np.exp(a)
+            out = np.where(bad, np.log(np.sum(weighted, axis=axis,
+                                              keepdims=True)), out)
+    out = np.squeeze(out, axis=axis)
     return out[()] if out.ndim == 0 else out
 
 

@@ -15,9 +15,11 @@ exact operator for them exists.
 
 The same scan gives the dual energy J_nu(f), the nu-integral of
 -min_x [d(x,y)^2 + f(x)], and its envelope identity dJ/df_i = -(MA_nu f)_i
-ties the two together; `_transport` returns both at once. The solver and
-its certificates read the tilt, the pushforward, J, the free energy and
-the residual of a potential from one evaluation of that scan.
+ties the two together; `_transport` returns both at once, J from the
+factored cubic difference (b - a)(u^2 + u v + v^2) / 3 on each piece.
+The solver and its certificates read the tilt, the pushforward, J, the
+log-MGF, the free energy and the residual of a potential from one
+evaluation of that scan.
 
 The master equation couples the operator to a Gibbs tilt,
 
@@ -36,7 +38,8 @@ phi_min calibrates the rate function
     G(mu) = beta W2^2(mu, nu) + Ent(mu0, mu) + beta F(phi_min),
 
 which vanishes exactly at mu = MA_nu phi_min and is positive elsewhere;
-its certificates evaluate G on all their probes in one stacked pass.
+its certificates evaluate G at the minimiser and on all their probes in
+one stacked W2 pass, the minimiser as row 0.
 """
 
 from __future__ import annotations
@@ -211,28 +214,41 @@ def _transport(f: GridFunction, nu: GridMeasure):
     """(cell masses of MA_nu f, J_nu(f)) from one scan of the power cells.
 
     The argmin regions are the exact power-diagram intervals of the
-    circle. A cell's nu-mass is a closed-form CDF difference; J integrates
-    the piecewise-quadratic integrand over each interval split at nu's
-    cell edges (cubic antiderivative per piece), so dJ/df_i = -mass_i
-    holds exactly.
+    circle. They tile [0, 1), each cell's high edge the next one's low, so
+    nu's CDF is read once at the k + 1 edges and a cell's nu-mass is the
+    difference across it; a node serving two cells (through the wrap) adds
+    both in order. J integrates the piecewise-quadratic integrand over
+    each interval split at nu's cell edges: on a piece [a, b] served from
+    s, the integral of (y - s)^2 is (b - a)(u^2 + u v + v^2) / 3 with u =
+    b - s and v = a - s (:func:`_square_integrals`), the factored cubic
+    difference, which keeps its digits on pieces as narrow as 1/k^2. So
+    dJ/df_i = -mass_i holds exactly.
     """
-    masses = np.zeros(f.resolution)
     values = f.values
     node_idx, sites, lows, highs = _power_cells_1d(values)
-    np.add.at(masses, node_idx, _cdf_eval(nu, highs) - _cdf_eval(nu, lows))
-    # the cells tile [0, 1): split them all at nu's cell edges at once,
-    # the density being constant on each piece
+    edges = np.concatenate([lows, highs[-1:]])
+    masses = np.bincount(node_idx, weights=np.diff(_cdf_eval(nu, edges)),
+                         minlength=f.resolution)
+    # split all cells at nu's cell edges at once, the density being
+    # constant on each piece
     kn = nu.resolution
-    cuts = np.unique(np.concatenate([lows, highs[-1:],
-                                     np.arange(1, kn) / kn]))
+    cuts = np.unique(np.concatenate([edges, np.arange(1, kn) / kn]))
     a, b = cuts[:-1], cuts[1:]
     owner = np.searchsorted(lows, a, side="right") - 1
     site = sites[owner]
     rho = nu.masses()[np.minimum((0.5 * (a + b) * kn).astype(np.int64),
                                  kn - 1)] * kn
-    integral = ((b - site) ** 3 - (a - site) ** 3) / 3.0
-    return masses, -float(np.sum(rho * integral
+    return masses, -float(np.sum(rho * _square_integrals(a, b, site)
                                  + rho * (b - a) * values[node_idx[owner]]))
+
+
+def _square_integrals(a: np.ndarray, b: np.ndarray,
+                      s: np.ndarray) -> np.ndarray:
+    """Integral of (y - s)^2 over each [a, b]: the cubic difference ((b -
+    s)^3 - (a - s)^3) / 3 in its factored form (b - a)(u^2 + u v + v^2) / 3,
+    u = b - s and v = a - s, which cancels no two nearly equal cubes."""
+    u, v = b - s, a - s
+    return (b - a) * (u * u + u * v + v * v) / 3.0
 
 
 def ma_operator(theta: Union[Potential, GridFunction],
@@ -334,23 +350,28 @@ class _Evaluation(NamedTuple):
     tilt: np.ndarray  # cell masses of the Gibbs tilt
     push: GridMeasure  # MA_nu theta
     j: float  # J_nu(theta)
+    log_mgf: float  # log integral(e^{beta theta} mu0), 0 at beta = 0
     free_energy: float
     residual: float  # TV norm of tilt - push
 
 
 def _evaluate(theta: Union[Potential, GridFunction],
               params: MasterParams) -> _Evaluation:
-    """Tilt, pushforward, J, free energy and residual from one scan."""
+    """Tilt, pushforward, J, log-MGF, free energy and residual from one
+    scan."""
     f = _torus_pair(theta, params.nu)
     tilt = tilt_measure(f, params.beta, params.mu0).masses()
     push_masses, j = _transport(f, params.nu)
     push = _from_masses(push_masses, f.dim, f.resolution)
     flat = f.values.reshape(-1)
     if params.beta == 0.0:
+        log_z = 0.0
         free_energy = float(np.sum(flat * params.mu0.masses())) + j
     else:
-        free_energy = log_mgf(params.mu0, params.beta * flat) / params.beta + j
-    return _Evaluation(tilt=tilt, push=push, j=j, free_energy=free_energy,
+        log_z = log_mgf(params.mu0, params.beta * flat)
+        free_energy = log_z / params.beta + j
+    return _Evaluation(tilt=tilt, push=push, j=j, log_mgf=log_z,
+                       free_energy=free_energy,
                        residual=float(np.sum(np.abs(tilt - push.masses()))))
 
 
@@ -456,9 +477,11 @@ def _cyclic_tridiagonal_solve(lower: np.ndarray, diag: np.ndarray,
     if n <= REDUCED_ROWS:
         rows = np.arange(n)
         dense = np.zeros((n, n))
-        np.add.at(dense, (rows, rows), diag)
-        np.add.at(dense, (rows, (rows - 1) % n), lower)
-        np.add.at(dense, (rows, (rows + 1) % n), upper)
+        # each fill's (row, column) pairs are distinct; at n <= 2 the fills
+        # meet on one entry and add in this order
+        dense[rows, rows] += diag
+        dense[rows, (rows - 1) % n] += lower
+        dense[rows, (rows + 1) % n] += upper
         return np.linalg.solve(dense, rhs)
     even = np.arange(0, n, 2)
     left, right = (even - 1) % n, (even + 1) % n
@@ -714,29 +737,40 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
     minimizer); the entropy duality gap Ent - (beta <phi, mu> - I(beta
     phi)); and a probe sweep showing the rate function is strictly larger
     at perturbed measures. One evaluation of phi_min gives mu_min, the
-    residual, J and the rate function's constant beta F(phi_min), shared
-    by the minimiser and every probe; one W2^2(mu_min, nu) serves both the
-    bracket and the rate at the minimiser. The probes multiply mu_min by
-    e^{N(0, 0.35^2)} per cell, all drawn in one call; their masses,
-    entropies and W2^2 (one stacked piece search) are computed for all
-    probes at once, each equal to :func:`rate_function_g` at that probe,
-    and the lowest must clear the floor of :class:`RateValue`.
+    residual, J, the log-MGF I(beta phi) and the rate function's constant
+    beta F(phi_min), shared by the minimiser and every probe. The probes
+    multiply mu_min by e^{N(0, 0.35^2)} per cell, all drawn in one call,
+    and their masses and entropies are computed for all probes at once.
+    One stacked piece search gives every W2^2: mu_min's masses are row 0,
+    which equals :func:`w2_to_reference` at mu_min bit for bit (a row's
+    value does not depend on its stack) and serves both the bracket and
+    the rate at the minimiser; each probe row's rate equals
+    :func:`rate_function_g` at that probe, and the lowest must clear the
+    floor of :class:`RateValue`.
     """
     if phi_min is None:
         phi_min = solve_master(params)
     ev = _evaluate(phi_min, params)
     mu_min = ev.push
+    min_masses = mu_min.masses()
 
-    w2 = w2_to_reference(mu_min, params.nu)
-    pairing = float(np.sum(phi_min.values.reshape(-1) * mu_min.masses()))
+    k = params.resolution
+    stack = min_masses[None, :]
+    if probes:
+        # the probes' masses on the grid measures' own round trip, so each
+        # row is the measure rate_function_g would read
+        bumps = np.random.default_rng(seed).normal(0.0, 0.35, (probes, k))
+        masses = min_masses * np.exp(bumps)
+        masses = masses / masses.sum(axis=1, keepdims=True)
+        masses = (masses * k) * mu_min.cell_volume()
+        stack = np.concatenate([stack, masses])
+    w2s = _w2_circle_rows(mu_min.centers().reshape(-1), stack, params.nu)
+    w2 = float(w2s[0])
+    pairing = float(np.sum(phi_min.values.reshape(-1) * min_masses))
     bracket_gap = w2 + ev.j + pairing
 
     ent = entropy(params.mu0, mu_min)
-    if params.beta == 0.0:
-        i_term = 0.0
-    else:
-        i_term = log_mgf(params.mu0, params.beta * phi_min.values.reshape(-1))
-    entropy_gap = ent - (params.beta * pairing - i_term)
+    entropy_gap = ent - (params.beta * pairing - ev.log_mgf)
 
     constant = params.beta * ev.free_energy
     rate_min = RateValue(beta_w2=params.beta * w2, ent=ent,
@@ -744,26 +778,17 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
 
     best = math.inf
     if probes:
-        # every probe at once: its masses on the grid measures' own round
-        # trip, its entropy on the cells it charges (those of mu_min) and
-        # its W2 by the stacked piece search, so each row equals
-        # rate_function_g at that probe
-        k = params.resolution
-        bumps = np.random.default_rng(seed).normal(0.0, 0.35, (probes, k))
-        masses = mu_min.masses() * np.exp(bumps)
-        masses = masses / masses.sum(axis=1, keepdims=True)
-        masses = (masses * k) * mu_min.cell_volume()
-        charged = mu_min.masses() > 0.0
+        # each probe's entropy on the cells it charges (those of mu_min),
         # rows in C order, so each row's sum is the one entropy() takes
+        charged = min_masses > 0.0
         ref = params.mu0.masses()[charged]
         charge = np.ascontiguousarray(masses[:, charged])
         ents = np.full(probes, math.inf)
         if np.all(ref > NULL_DENSITY):
             ents = (charge * np.log(charge / ref)).sum(axis=1)
-        w2s = _w2_circle_rows(mu_min.centers().reshape(-1), masses, params.nu)
-        values = params.beta * w2s + ents + constant
+        values = params.beta * w2s[1:] + ents + constant
         low = int(np.argmin(values))  # the floor holds for all if for it
-        best = RateValue(beta_w2=float(params.beta * w2s[low]),
+        best = RateValue(beta_w2=float(params.beta * w2s[1 + low]),
                          ent=float(ents[low]), constant=constant).value
     return ConsistencyReport(beta=params.beta, residual_tv=ev.residual,
                              bracket_gap=bracket_gap, entropy_gap=entropy_gap,

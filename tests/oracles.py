@@ -363,6 +363,27 @@ def power_cells_numpy(values):
             np.array(lows), np.array(highs))
 
 
+def grid_cdf(nu_masses, points):
+    """CDF of a 1-d grid density at points in [0, 1], linear on each cell."""
+    nu_masses = np.asarray(nu_masses, dtype=float)
+    k = len(nu_masses)
+    cum = np.concatenate([[0.0], np.cumsum(nu_masses)])
+    pts = np.clip(points, 0.0, 1.0)
+    cell = np.minimum((pts * k).astype(np.int64), k - 1)
+    return cum[cell] + (pts * k - cell) * nu_masses[cell]
+
+
+def cell_masses_two_cdf(values, nu_masses):
+    """nu-masses of the 1-d torus power cells: the CDF read at every cell's
+    high edge and at its low edge apart, and each difference added into
+    its node one at a time."""
+    node_idx, _, lows, highs = power_cells_numpy(values)
+    masses = np.zeros(len(values))
+    np.add.at(masses, node_idx,
+              grid_cdf(nu_masses, highs) - grid_cdf(nu_masses, lows))
+    return masses
+
+
 def invert_cells_bisect(masses, nu_masses, steps: int = 200):
     """Potential whose 1-d power cells carry the given nu-masses: a fixed
     count of bisection steps on the quantile anchor."""

@@ -1,5 +1,6 @@
 """Command-line runner: spellings, precedence, artifacts, exit codes."""
 
+import argparse
 import itertools
 import json
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import ldpma
+from ldpma import cli
 from ldpma.cli import _git_describe, main
 from ldpma.experiments import EXPERIMENTS, run_experiment
 from ldpma.measures import (DiscreteMeasure, GridMeasure, save_csv,
@@ -422,3 +424,56 @@ def test_git_describe_runs_once_per_process(monkeypatch):
     first = _git_describe()
     assert _git_describe() == first
     assert len(calls) == 1
+
+
+ONE_SUBPARSER_CASES = [
+    [],
+    ["--help"],
+    ["run", "nosuch"],
+    ["verify-theta", "--n", "8", "--d", "1", "--grid", "64"],
+    ["solve-ma", "--beta", "1"],
+    # left-over arguments: the top level errs with its full usage line
+    ["solve-ma", "--beta", "1", "--bogus"],
+    ["run"],
+]
+
+
+def _exit_and_output(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", ONE_SUBPARSER_CASES,
+                         ids=lambda argv: " ".join(argv) or "bare")
+def test_one_subparser_parse_matches_the_full_parser(argv, tmp_path,
+                                                     monkeypatch, capsys):
+    if argv[:1] in (["verify-theta"], ["solve-ma"]):
+        argv = argv + ["--out", str(tmp_path / "run")]
+    fast = _exit_and_output(argv, capsys)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    assert _exit_and_output(argv, capsys) == fast
+
+
+def test_a_run_call_builds_one_subparser(tmp_path, monkeypatch):
+    built = []
+    real = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["run", "verify-theta", "n=8", "d=1", "grid=64",
+                 f"out={tmp_path / 'vt'}"]) == 0
+    assert built == ["run"]
+    built.clear()
+    assert main(["report"]) == 0
+    assert built == ["report"]
+    built.clear()
+    assert main([]) == 2  # no command: the full parser prints its help
+    assert built == [*EXPERIMENTS, "run", "report"]

@@ -36,7 +36,7 @@ GOLDEN = {
     "ot/results.csv":
         "e04eaf5da5ca6f42df4c58ae3ec9f41ca8426637d492dcb5950782021d47d5c8",
     "report.csv":
-        "1667dd7e142fcb2a47534f958d123ffbb86726c2c2106abf61e267abae8f8970",
+        "5f5084c638b4a7060d9f16dca0278177ab06c8e7669ee922ddf935df39ea8174",
     "sanov-demo/results.csv":
         "9b8c1dd573e71de34a2a8fa49aad45d860641d94af0167c1b44aa566d6fb39f0",
     "solve-ma/potential.csv":
@@ -44,9 +44,9 @@ GOLDEN = {
     "solve-ma/pushforward.csv":
         "2c73e8755c4d89a9b14bbee3eafbc9e4d12a3fc848b9ff5273a06387c3a42314",
     "solve-ma/residuals.csv":
-        "f4e8107b6556f0de598567b6a1bb60af18489f10f31df534b3f8a9cc32598b0b",
+        "ec35469a483f95dfcbe9081b303ce088e8433012a5e1c2f611e5298a2ceac100",
     "solve-ma/results.csv":
-        "7f24eba3ded2676eecf449c8fd501eae2cf00552c03f6812ff0121fa14983907",
+        "191de06c8030ff4c29ecb71dc5c90cdfb281b880042107ff6906c13880bf98cf",
     "verify-hamiltonian/results.csv":
         "a244f20928e459d5e23434278ef2ebccb33b3b090840b596570eb3ee1dd5ba50",
     "verify-theta/results.csv":

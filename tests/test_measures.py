@@ -188,6 +188,14 @@ def test_logsumexp_matches_scipy_on_random_tables():
                 assert np.array_equal(got, want, equal_nan=True)
 
 
+def test_logsumexp_refuses_a_negative_weight():
+    with pytest.raises(ValueError, match="nonnegative"):
+        _logsumexp(np.zeros(3), b=np.array([0.5, -0.25, 0.75]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        _logsumexp(np.zeros((2, 2)), axis=1, b=np.array([[1.0, 0.0],
+                                                         [-1e-300, 1.0]]))
+
+
 def test_logsumexp_full_reduction_is_a_numpy_scalar():
     value = _logsumexp(np.zeros(2))
     assert isinstance(value, np.float64) and np.ndim(value) == 0

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from ldpma.monge_ampere import (
     w2_to_reference,
 )
 
-from oracles import (dual_energy_loop, inversion_jacobian,
-                     invert_cells_bisect, newton_direction_dense,
+from oracles import (cell_masses_two_cdf, dual_energy_loop,
+                     inversion_jacobian, invert_cells_bisect,
+                     newton_direction_dense,
                      power_cells_numpy, torus_cell_masses_1d,
                      w2_circle_atoms_brute, w2_circle_ternary,
                      w2_single_atom)
@@ -527,13 +529,17 @@ def test_gprop_consistency_computes_the_constant_once(monkeypatch):
     want_min = rate_function_g(mu_min, params, phi).value
     want_best = min(rate_function_g(p, params, phi).value for p in probes)
 
-    calls = []
+    calls, inside = [], []
     real, real_w2 = monge_ampere._evaluate, monge_ampere.w2_to_reference
-    real_rows = transport._w2_circle_rows
+    real_rows, real_mgf = transport._w2_circle_rows, monge_ampere.log_mgf
 
     def counted(*args, **kwargs):
         calls.append("evaluate")
-        return real(*args, **kwargs)
+        inside.append(True)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            inside.pop()
 
     def counted_w2(*args, **kwargs):
         calls.append("w2")
@@ -543,13 +549,20 @@ def test_gprop_consistency_computes_the_constant_once(monkeypatch):
         calls.append(f"w2 x{len(weights)}")
         return real_rows(x, weights, nu)
 
+    def counted_mgf(*args, **kwargs):
+        if not inside:  # the evaluation's own call is the one expected
+            calls.append("log_mgf")
+        return real_mgf(*args, **kwargs)
+
     monkeypatch.setattr(monge_ampere, "_evaluate", counted)
     monkeypatch.setattr(monge_ampere, "w2_to_reference", counted_w2)
     monkeypatch.setattr(monge_ampere, "_w2_circle_rows", counted_rows)
+    monkeypatch.setattr(monge_ampere, "log_mgf", counted_mgf)
     report = gprop_consistency(params, probes=8, seed=5, phi_min=phi)
-    # one W2 for mu_min (bracket and rate alike), one stacked W2 for the
-    # probes; each probe's rate is still the one rate_function_g gives
-    assert calls == ["evaluate", "w2", "w2 x1", "w2 x8"]
+    # one stacked W2 for mu_min (row 0: bracket and rate alike) and the
+    # probes, and the evaluation's log-MGF for the entropy gap; each
+    # probe's rate is still the one rate_function_g gives
+    assert calls == ["evaluate", "w2 x9"]
     assert report.rate_at_minimizer == want_min
     assert report.min_probe_value == want_best
     assert report.free_energy == f_functional(phi, params)
@@ -568,6 +581,103 @@ def test_dual_energy_matches_the_per_piece_loop(k):
                                     + scale * rng.standard_normal(k))
             want = dual_energy_loop(f.values, nu.masses())
             assert abs(j_functional(f, nu) - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("k", [32, 64, 128, 256])
+def test_transport_masses_equal_the_two_cdf_scan(k):
+    # one CDF read at the k + 1 edges and a bincount give the same bits as
+    # the CDF read at both edges of every cell and np.add.at, also where a
+    # node serves two cells through the wrap
+    rng = np.random.default_rng([k, 3])
+    xs = np.arange(k) / k
+    wavy = GridMeasure.from_density_values(1.0 + 0.3 * np.sin(2 * np.pi * xs))
+    wrapped = 0
+    for nu in (GridMeasure.uniform(dim=1, resolution=k), wavy,
+               fifth_empty(rng, k)):
+        for scale in (0.0, 0.3 / k ** 2, 0.01, 1.0):
+            f = torus_grid_function(scale * np.cos(2 * np.pi * xs + 0.4)
+                                    + scale * rng.standard_normal(k))
+            got = monge_ampere._transport(f, nu)[0]
+            want = cell_masses_two_cdf(f.values, nu.masses())
+            assert np.array_equal(got, want), (nu, scale)
+            node_idx = monge_ampere._power_cells_1d(f.values)[0]
+            wrapped += len(node_idx) > len(np.unique(node_idx))
+    assert wrapped
+
+
+EPS = 2.0 ** -53
+# measured worst relative error of the factored piece integral over these
+# pieces: 2.4 EPS; the cubic difference lost up to 5.3e7 EPS on them
+SQUARE_INTEGRAL_REL_TOL = 4.0 * EPS
+
+
+@pytest.mark.parametrize("k", [8, 16, 64])
+def test_piece_integrals_against_exact_fractions(k):
+    rng = np.random.default_rng(k)
+    xs = np.arange(k) / k
+    a, b, s = [], [], []
+    for scale in (0.01, 0.3 / k ** 2, 1e-3 / k ** 3, 1e-6 / k ** 3):
+        values = (scale * np.cos(2 * np.pi * xs + 0.4)
+                  + scale * rng.standard_normal(k))
+        _, sites, lows, highs = monge_ampere._power_cells_1d(values)
+        for site, lo, hi in zip(sites, lows, highs):
+            edges = ([lo] + [j / k for j in range(1, k) if lo < j / k < hi]
+                     + [hi])
+            a += edges[:-1]
+            b += edges[1:]
+            s += [site] * (len(edges) - 1)
+    a, b, s = np.array(a), np.array(b), np.array(s)
+    narrow = b - a < 1.0 / k ** 2
+    assert narrow.sum() >= 20
+    factored = monge_ampere._square_integrals(a, b, s)
+    cubic = ((b - s) ** 3 - (a - s) ** 3) / 3.0
+    exact = [((Fraction(hi) - Fraction(c)) ** 3
+              - (Fraction(lo) - Fraction(c)) ** 3) / 3
+             for lo, hi, c in zip(a, b, s)]
+    err_factored = np.array([float(abs(Fraction(got) - want) / want)
+                             for got, want in zip(factored, exact)])
+    err_cubic = np.array([float(abs(Fraction(got) - want) / want)
+                          for got, want in zip(cubic, exact)])
+    assert err_factored.max() <= SQUARE_INTEGRAL_REL_TOL
+    assert err_factored.max() <= err_cubic.max()
+    # the narrow pieces are where the cubic difference cancels
+    assert err_cubic[narrow].max() > 1e6 * EPS
+
+
+def test_stacked_w2_row_zero_is_the_one_row_call(monkeypatch):
+    # gprop_consistency's one W2 pass: mu_min's masses as row 0 of the probe
+    # stack give W2^2(mu_min, nu) bit for bit, and so the bracket too
+    real = transport._w2_circle_rows
+    seen = []
+
+    def kept(x, weights, nu):
+        out = real(x, weights, nu)
+        seen.append((weights, out))
+        return out
+
+    monkeypatch.setattr(monge_ampere, "_w2_circle_rows", kept)
+    rng = np.random.default_rng(11)
+    for k in (32, 64, 128, 256):
+        xs = np.arange(k) / k
+        for nu in (GridMeasure.uniform(dim=1, resolution=k),
+                   GridMeasure.from_density_values(
+                       1.0 + 0.3 * np.sin(2 * np.pi * xs)),
+                   fifth_empty(rng, k)):
+            for beta, probes in ((-0.5, 8), (1.0, 0), (2.0, 50)):
+                params = MasterParams(beta=beta, mu0=smooth_mu0(rng, k),
+                                      nu=nu)
+                phi = solve_master(params)
+                report = gprop_consistency(params, probes=probes,
+                                           phi_min=phi)
+                mu_min = ma_operator(phi, nu)
+                weights, w2s = seen.pop()
+                assert weights.shape == (1 + probes, k)
+                assert np.array_equal(weights[0], mu_min.masses())
+                w2 = w2_to_reference(mu_min, nu)
+                assert w2s[0] == w2
+                pairing = float(np.sum(phi.values * mu_min.masses()))
+                assert report.bracket_gap == w2 + j_functional(phi, nu) \
+                    + pairing
 
 
 def nu_cases(k):
