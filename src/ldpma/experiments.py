@@ -19,6 +19,7 @@ random configurations as one stack.
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -563,15 +564,20 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 
 
 def _multinomial_prob(counts: Tuple[int, ...], weights: np.ndarray) -> float:
-    """Exact type probability recounted from factorials, no logs."""
+    """Exact type probability recounted from factorials, no logs.
+
+    The coefficient and the powers stay exact rationals until the one
+    conversion to float: the coefficient alone overflows a float past
+    about 1.8e308 (k = 5, n = 500 already).
+    """
     n = sum(counts)
     coeff = math.factorial(n)
     for c in counts:
         coeff //= math.factorial(c)
-    prob = float(coeff)
+    prob = Fraction(coeff)
     for c, w in zip(counts, weights):
-        prob *= float(w) ** c
-    return prob
+        prob *= Fraction(float(w)) ** c
+    return float(prob)
 
 
 def _run_sanov_demo(params: dict, seed: int,
@@ -707,8 +713,7 @@ def _test_functions(resolution: int) -> Tuple[Tuple[str, GridFunction], ...]:
                                     "sqdist_torus")[:, 0]),
     )
     return tuple(
-        (name, GridFunction(dim=1, resolution=resolution, values=vals,
-                            kind="torus"))
+        (name, GridFunction(dim=1, resolution=resolution, values=vals))
         for name, vals in specs
     )
 
@@ -822,8 +827,8 @@ def _run_solve_ma(params: dict, seed: int,
     constant = mp.beta * free_energy
     push = report.pushforward
 
-    nodes = phi.f.nodes()
-    flat = phi.f.values.reshape(-1)
+    nodes = phi.nodes()
+    flat = phi.values.reshape(-1)
     coord_cols = tuple(f"coord_{a}" for a in range(dim))
     artifacts.append(Artifact(
         name="potential.csv",
@@ -904,8 +909,7 @@ def _run_ot(params: dict, seed: int,
     rows_idx = [int(i) // plan.coupling.shape[1] for i in support]
     cols_idx = [int(i) % plan.coupling.shape[1] for i in support]
     monotone, _ = cyclical_monotonicity_check(
-        costs, rows_idx, cols_idx, max_cycle=4,
-        tol=tol["support-cyclically-monotone"])
+        costs, rows_idx, cols_idx, tol=tol["support-cyclically-monotone"])
 
     row = (name, len(mu.weights), len(nu.weights), objective, mu_gap,
            nu_gap, len(support), int(monotone), "transport-plan-optimal")

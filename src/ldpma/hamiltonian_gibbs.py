@@ -252,12 +252,12 @@ class GibbsEnsemble:
         return grid_points([np.arange(k) / k] * self.d)
 
     def site_log_weights(self) -> np.ndarray:
-        """log of the mu0 site masses, normalized to a probability vector.
-
-        Site j/k lies in mu0 cell (j * resolution) // k of each axis.
-        """
+        """log of the mu0 site masses, normalized to a probability vector."""
         k = self.sites_per_axis
-        cells = (np.arange(k) * self.mu0.resolution) // k
+        # every axis has the same sites, so the diagonal sites (j/k, ...,
+        # j/k) give each axis's cells without the k^d site array
+        diagonal = np.repeat((np.arange(k) / k)[:, None], self.d, axis=1)
+        cells = self.mu0.cell_indices(diagonal)[:, 0]
         dens = self.mu0.density[np.ix_(*[cells] * self.d)].reshape(-1)
         if np.all(dens == 0.0):
             raise ValueError("mu0 vanishes on every site")
@@ -382,9 +382,7 @@ def _quadrature(mu0: GridMeasure, resolution: int):
     """Cell-center nodes of a k-grid and the logs of their mu0 weights,
     normalized to a probability (-inf where mu0 vanishes)."""
     pts = grid_points([(np.arange(resolution) + 0.5) / resolution] * mu0.dim)
-    # center (2j + 1) / 2k lies in mu0 cell ((2j + 1) R) // 2k, R cells per axis
-    cells = ((2 * np.arange(resolution) + 1) * mu0.resolution) // (2 * resolution)
-    dens = mu0.density[np.ix_(*[cells] * mu0.dim)].reshape(-1)
+    dens = mu0.density[tuple(mu0.cell_indices(pts).T)]
     weights = dens / resolution ** mu0.dim
     total = weights.sum()
     if total <= 0.0:
@@ -599,8 +597,7 @@ def zero_temp_mgf_stack(thetas, n: int, d: int, mu0: GridMeasure,
         g = GridFunction(dim=d, resolution=theta.resolution,
                          values=(np.sum(nodes * nodes, axis=1)
                                  - theta.values.reshape(-1)
-                                 ).reshape(theta.values.shape),
-                         kind="torus")
+                                 ).reshape(theta.values.shape))
         conj = conjugate_at(g, 2.0 * flat).reshape(len(lattice.points), -1)
         targets.append(float(np.mean(np.max(conj - norms, axis=1))))
     return p_n, np.array(targets)

@@ -37,7 +37,8 @@ class GridFunction:
     values : np.ndarray
         Shape (resolution,) * dim, every entry finite.
     kind : str
-        ``"box"`` or ``"torus"``; torus nodes are (i + 0.5)/resolution.
+        ``"torus"`` (the default) or ``"box"``; torus nodes are
+        (i + 0.5)/resolution.
     bounds : tuple of (float, float)
         Per-axis intervals for boxes.
     """
@@ -45,7 +46,7 @@ class GridFunction:
     dim: int
     resolution: int
     values: np.ndarray
-    kind: str = "box"
+    kind: str = "torus"
     bounds: tuple = ()
 
     def __post_init__(self):
@@ -116,45 +117,29 @@ def conjugate_at(f: GridFunction, points: np.ndarray) -> np.ndarray:
 
 
 def interpolate_at(f: GridFunction, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of grid values at arbitrary points.
+    """Multilinear interpolation of torus grid values at arbitrary points.
 
-    Exact at grid nodes. Torus grids wrap; box queries clamp to the node
-    hull.
+    Exact at grid nodes; queries wrap around the torus. Box grids are
+    refused.
     """
+    if f.kind != "torus":
+        raise ValueError("interpolate_at needs a torus grid")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != f.dim:
         raise ValueError("query points have the wrong dimension")
     k = f.resolution
-    low_idx = []
-    fracs = []
-    for a in range(f.dim):
-        lo, hi = f.bounds[a]
-        step = f.step(a)
-        first = lo + 0.5 * step
-        coords = points[:, a]
-        if f.kind == "torus":
-            t = (coords - first) / step
-            i0 = np.floor(t).astype(np.int64)
-            frac = t - i0
-            i0 = np.mod(i0, k)
-        else:
-            t = np.clip((coords - first) / step, 0.0, k - 1.0)
-            i0 = np.minimum(np.floor(t).astype(np.int64), k - 2)
-            frac = t - i0
-        low_idx.append(i0)
-        fracs.append(frac)
+    step = f.step(0)  # the same on every torus axis
+    t = (points - 0.5 * step) / step
+    low = np.floor(t).astype(np.int64)
+    frac = t - low
 
     out = np.zeros(len(points))
     for corner in itertools.product((0, 1), repeat=f.dim):
-        idx = []
         weight = np.ones(len(points))
         for a, bit in enumerate(corner):
-            ia = low_idx[a] + bit
-            if f.kind == "torus":
-                ia = np.mod(ia, k)
-            idx.append(ia)
-            weight = weight * (fracs[a] if bit else (1.0 - fracs[a]))
-        out += weight * f.values[tuple(idx)]
+            weight = weight * (frac[:, a] if bit else (1.0 - frac[:, a]))
+        idx = np.mod(low + np.array(corner), k)
+        out += weight * f.values[tuple(idx.T)]
     return out
 
 

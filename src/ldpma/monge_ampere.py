@@ -10,8 +10,11 @@ potential f. The argmin regions are computed exactly: they form a power
 diagram of the grid nodes (lifted by integer shifts for the wrap), each
 cell an interval whose nu-mass has a closed form. That keeps the
 master-equation residual at solver precision instead of at histogram
-granularity. Potentials on higher-dimensional tori are refused until an
-exact operator for them exists.
+granularity. A potential is a torus :class:`GridFunction`; the solver's
+output is its subclass :class:`Potential`, which adds only the iteration
+log, so every function here takes either. Potentials on
+higher-dimensional tori are refused until an exact operator for them
+exists.
 
 The same scan gives the dual energy J_nu(f), the nu-integral of
 -min_x [d(x,y)^2 + f(x)], and its envelope identity dJ/df_i = -(MA_nu f)_i
@@ -19,7 +22,8 @@ ties the two together; `_transport` returns both at once, J from the
 factored cubic difference (b - a)(u^2 + u v + v^2) / 3 on each piece.
 The solver and its certificates read the tilt, the pushforward, J, the
 log-MGF, the free energy and the residual of a potential from one
-evaluation of that scan.
+evaluation of that scan; tilt and pushforward are cell-mass arrays, and a
+grid measure is built only where one leaves this module.
 
 The master equation couples the operator to a Gibbs tilt,
 
@@ -47,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -75,39 +79,29 @@ REDUCED_ROWS = 32
 
 
 @dataclass(frozen=True, eq=False)
-class Potential:
-    """A finite grid potential, conventionally mean-zero under nu.
+class Potential(GridFunction):
+    """A grid function in the mean-zero gauge under nu, torus by default.
 
-    The normalization gauge is enforced by :func:`normalize_potential` and
-    by every solver step; finiteness comes with the :class:`GridFunction`.
-    Solver output carries its iteration log in ``log``.
+    :func:`normalize_potential` and every solver step enforce the gauge;
+    finiteness comes with the :class:`GridFunction`. Solver output carries
+    its iteration log in ``log``.
     """
 
-    f: GridFunction
     log: tuple = ()
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.f.values
 
-
-def _as_grid_function(theta: Union[Potential, GridFunction]) -> GridFunction:
-    return theta.f if isinstance(theta, Potential) else theta
-
-
-def nu_mean(theta: Union[Potential, GridFunction], nu: GridMeasure) -> float:
+def nu_mean(theta: GridFunction, nu: GridMeasure) -> float:
     """Integral of the potential against nu (grids must agree)."""
-    f = _as_grid_function(theta)
-    if f.resolution != nu.resolution or f.dim != nu.dim:
+    if theta.resolution != nu.resolution or theta.dim != nu.dim:
         raise ValueError("potential and nu live on different grids")
-    return float(np.sum(f.values.reshape(-1) * nu.masses()))
+    return float(np.sum(theta.values.reshape(-1) * nu.masses()))
 
 
-def normalize_potential(theta: Union[Potential, GridFunction],
-                        nu: GridMeasure) -> Potential:
+def normalize_potential(theta: GridFunction, nu: GridMeasure) -> Potential:
     """Shift to the mean-zero gauge under nu, verified to 1e-10."""
-    f = _as_grid_function(theta)
-    out = Potential(f=f.shifted(-nu_mean(f, nu)))
+    out = Potential(dim=theta.dim, resolution=theta.resolution,
+                    values=theta.values - nu_mean(theta, nu),
+                    kind=theta.kind, bounds=theta.bounds)
     if abs(nu_mean(out, nu)) > NORMALIZATION_TOL:
         raise RuntimeError("normalization did not land within tolerance")
     return out
@@ -189,11 +183,9 @@ def w2_circle(mu, nu) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _torus_pair(theta: Union[Potential, GridFunction],
-                nu: GridMeasure) -> GridFunction:
-    """The potential's grid function, once it is a circle potential on
-    nu's torus: the one place the operator refuses other dimensions."""
-    f = _as_grid_function(theta)
+def _torus_pair(f: GridFunction, nu: GridMeasure) -> None:
+    """Refuse all but a circle potential on nu's torus: the one place the
+    operator refuses other dimensions."""
     if f.kind != "torus":
         raise ValueError("the potential must live on the torus")
     if f.dim != 1:
@@ -201,7 +193,6 @@ def _torus_pair(theta: Union[Potential, GridFunction],
                          f"only, not in dimension {f.dim}")
     if nu.dim != f.dim:
         raise ValueError("nu must be a measure of matching dimension")
-    return f
 
 
 def _from_masses(masses: np.ndarray, dim: int, k: int) -> GridMeasure:
@@ -251,8 +242,7 @@ def _square_integrals(a: np.ndarray, b: np.ndarray,
     return (b - a) * (u * u + u * v + v * v) / 3.0
 
 
-def ma_operator(theta: Union[Potential, GridFunction],
-                nu: GridMeasure) -> GridMeasure:
+def ma_operator(f: GridFunction, nu: GridMeasure) -> GridMeasure:
     """Pushforward of nu under the transport map of the potential.
 
     The cell masses are the exact nu-masses of the potential's power
@@ -260,7 +250,7 @@ def ma_operator(theta: Union[Potential, GridFunction],
     dimension raises ValueError. The output lives on the potential's grid
     and carries total mass 1.
     """
-    f = _torus_pair(theta, nu)
+    _torus_pair(f, nu)
     return _from_masses(_transport(f, nu)[0], f.dim, f.resolution)
 
 
@@ -269,31 +259,28 @@ def ma_operator(theta: Union[Potential, GridFunction],
 # ---------------------------------------------------------------------------
 
 
-def j_functional(theta: Union[Potential, GridFunction],
-                 nu: GridMeasure) -> float:
+def j_functional(f: GridFunction, nu: GridMeasure) -> float:
     """Dual-side potential energy.
 
     The integral of g_f(y) = -min_x [d(x,y)^2 + f(x)] against nu, from the
     same scan as :func:`ma_operator` (see :func:`_transport`), so that
-    dJ/dtheta_i = -(MA_nu theta)_i. Adding a constant c to the potential
-    lowers the value by exactly c.
+    dJ/df_i = -(MA_nu f)_i. Adding a constant c to the potential lowers the
+    value by exactly c.
     """
-    return _transport(_torus_pair(theta, nu), nu)[1]
+    _torus_pair(f, nu)
+    return _transport(f, nu)[1]
 
 
-def tilt_measure(theta: Union[Potential, GridFunction],
-                 beta: float, mu0: GridMeasure) -> GridMeasure:
-    """The Gibbs tilt e^{beta theta} mu0, normalized, on mu0's grid."""
-    f = _as_grid_function(theta)
-    if f.resolution != mu0.resolution or f.dim != mu0.dim:
-        raise ValueError("potential and mu0 live on different grids")
-    logs = beta * f.values.reshape(-1)
+def _tilt_masses(values: np.ndarray, beta: float,
+                 mu0: GridMeasure) -> np.ndarray:
+    """Cell masses of the Gibbs tilt e^{beta values} mu0, normalized."""
+    logs = beta * values.reshape(-1)
     logs = logs - np.max(logs)
     raw = np.exp(logs) * mu0.masses()
     total = raw.sum()
     if total <= 0.0:
         raise ValueError("tilt has no mass; mu0 vanishes everywhere relevant")
-    return _from_masses(raw / total, mu0.dim, mu0.resolution)
+    return raw / total
 
 
 @dataclass(frozen=True)
@@ -348,21 +335,21 @@ class _Evaluation(NamedTuple):
     """What the solver and its certificates read off one potential."""
 
     tilt: np.ndarray  # cell masses of the Gibbs tilt
-    push: GridMeasure  # MA_nu theta
-    j: float  # J_nu(theta)
-    log_mgf: float  # log integral(e^{beta theta} mu0), 0 at beta = 0
+    push: np.ndarray  # cell masses of MA_nu f
+    j: float  # J_nu(f)
+    log_mgf: float  # log integral(e^{beta f} mu0), 0 at beta = 0
     free_energy: float
     residual: float  # TV norm of tilt - push
 
 
-def _evaluate(theta: Union[Potential, GridFunction],
-              params: MasterParams) -> _Evaluation:
+def _evaluate(f: GridFunction, params: MasterParams) -> _Evaluation:
     """Tilt, pushforward, J, log-MGF, free energy and residual from one
-    scan."""
-    f = _torus_pair(theta, params.nu)
-    tilt = tilt_measure(f, params.beta, params.mu0).masses()
-    push_masses, j = _transport(f, params.nu)
-    push = _from_masses(push_masses, f.dim, f.resolution)
+    scan, as cell masses on mu0's grid (which the potential must share)."""
+    _torus_pair(f, params.nu)
+    if f.resolution != params.mu0.resolution:
+        raise ValueError("potential and mu0 live on different grids")
+    tilt = _tilt_masses(f.values, params.beta, params.mu0)
+    push, j = _transport(f, params.nu)
     flat = f.values.reshape(-1)
     if params.beta == 0.0:
         log_z = 0.0
@@ -372,28 +359,26 @@ def _evaluate(theta: Union[Potential, GridFunction],
         free_energy = log_z / params.beta + j
     return _Evaluation(tilt=tilt, push=push, j=j, log_mgf=log_z,
                        free_energy=free_energy,
-                       residual=float(np.sum(np.abs(tilt - push.masses()))))
+                       residual=float(np.sum(np.abs(tilt - push))))
 
 
-def f_functional(theta: Union[Potential, GridFunction],
-                 params: MasterParams) -> float:
-    """(1/beta) log integral(e^{beta theta} mu0) + J_nu(theta).
+def f_functional(f: GridFunction, params: MasterParams) -> float:
+    """(1/beta) log integral(e^{beta f} mu0) + J_nu(f).
 
     At beta = 0 the first term degenerates to its derivative limit, the
-    plain mu0-average of theta. Invariant under adding constants to theta.
+    plain mu0-average of f. Invariant under adding constants to f.
     """
-    return _evaluate(theta, params).free_energy
+    return _evaluate(f, params).free_energy
 
 
-def f_gradient_residual(theta: Union[Potential, GridFunction],
-                        params: MasterParams) -> float:
-    """Total-variation norm of (Gibbs tilt - MA_nu theta).
+def f_gradient_residual(f: GridFunction, params: MasterParams) -> float:
+    """Total-variation norm of (Gibbs tilt - MA_nu f).
 
     This signed measure is the Gateaux gradient of the free energy; the
     master equation says it vanishes. The norm is the full absolute mass
     of the difference (not halved).
     """
-    return _evaluate(theta, params).residual
+    return _evaluate(f, params).residual
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +532,7 @@ def _newton_direction(masses: np.ndarray, slopes: np.ndarray,
 
 
 def solve_master(params: MasterParams,
-                 initial: Optional[Potential] = None) -> Potential:
+                 initial: Optional[GridFunction] = None) -> Potential:
     """Solve MA_nu f = e^{beta f} mu0 / Z to the requested residual.
 
     Damped Newton on the cell masses m, the potential being the exact
@@ -560,7 +545,8 @@ def solve_master(params: MasterParams,
     halved until the other masses stay positive and either the residual
     or the free energy does not increase. Each trial potential is
     evaluated once, and the accepted trial's evaluation seeds the next
-    iteration. Output is mean-zero under nu and carries the iteration log
+    iteration; the steps pass cell-mass arrays and build no grid measure.
+    Output is mean-zero under nu and carries the iteration log
     as (iteration, residual, free energy, accepted step) tuples, the start
     logged with step 0. A grid of dimension other than 1 raises ValueError
     before the first evaluation. Non-convergence raises
@@ -571,11 +557,9 @@ def solve_master(params: MasterParams,
     """
     k = params.resolution
     if initial is None:
-        f = GridFunction(dim=params.dim, resolution=k,
-                         values=np.zeros((k,) * params.dim), kind="torus")
-        current = normalize_potential(f, params.nu)
-    else:
-        current = normalize_potential(initial.f, params.nu)
+        initial = GridFunction(dim=params.dim, resolution=k,
+                               values=np.zeros((k,) * params.dim))
+    current = normalize_potential(initial, params.nu)
 
     ev = _evaluate(current, params)
     log = [(0, ev.residual, ev.free_energy, 0.0)]
@@ -598,7 +582,7 @@ def solve_master(params: MasterParams,
                 f"(tolerance {params.residual_tol:.1e})",
                 [r for _, r, _, _ in log])
         if masses is None:  # the start is no inversion: blend toward the tilt
-            masses = ev.push.masses()
+            masses = ev.push
             direction, step = ev.tilt - masses, 0.5
         else:
             direction = _newton_direction(masses, slopes, ev.tilt, params.beta)
@@ -612,8 +596,7 @@ def solve_master(params: MasterParams,
             trial_masses = trial_masses / trial_masses.sum()
             values, trial_slopes = _invert_cells_1d(trial_masses, params.nu)
             trial = normalize_potential(
-                GridFunction(dim=1, resolution=k, values=values,
-                             kind="torus"), params.nu)
+                GridFunction(dim=1, resolution=k, values=values), params.nu)
             trial_ev = _evaluate(trial, params)
             if (trial_ev.residual <= ev.residual
                     or trial_ev.free_energy <= ev.free_energy + 1e-15):
@@ -691,7 +674,8 @@ def w2_to_reference(mu, nu: GridMeasure) -> float:
     return w2_circle(mu, nu)
 
 
-def rate_function_g(mu, params: MasterParams, phi_min: Potential) -> RateValue:
+def rate_function_g(mu, params: MasterParams,
+                    phi_min: GridFunction) -> RateValue:
     """beta W2^2(mu, nu) + Ent(mu0, mu) + beta F(phi_min).
 
     The constant is exactly the offset that zeroes the minimum, attained
@@ -729,7 +713,8 @@ class ConsistencyReport:
 
 
 def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
-                      phi_min: Optional[Potential] = None) -> ConsistencyReport:
+                      phi_min: Optional[GridFunction] = None
+                      ) -> ConsistencyReport:
     """Verify the master equation, both duality equalities, and minimality.
 
     Certificates: TV residual of the master equation; the transport
@@ -751,10 +736,10 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
     if phi_min is None:
         phi_min = solve_master(params)
     ev = _evaluate(phi_min, params)
-    mu_min = ev.push
+    k = params.resolution
+    mu_min = _from_masses(ev.push, params.dim, k)
     min_masses = mu_min.masses()
 
-    k = params.resolution
     stack = min_masses[None, :]
     if probes:
         # the probes' masses on the grid measures' own round trip, so each

@@ -13,7 +13,6 @@ Hamiltonians reach ``hungarian`` only for tropical stacks past N = 9.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -25,6 +24,7 @@ MARGINAL_TOL = 1e-10
 PLAN_SIZE_MAX = 2 ** 24
 SEMIDISCRETE_CELL_MAX = 65536
 CIRCLE_CHUNK = 1 << 20  # (atom sets, cut offsets) costs held at once
+MAX_CYCLE = 4  # longest cycle cyclical_monotonicity_check enumerates
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +399,12 @@ def cyclical_monotonicity_check(
     costs: np.ndarray,
     rows: Sequence[int],
     cols: Sequence[int],
-    max_cycle: int = 4,
     tol: float = 1e-12,
 ) -> Tuple[bool, Optional[List[int]]]:
     """Verify that no cyclic reassignment of support pairs lowers the cost.
 
     The support pairs are (rows[p], cols[p]) in a cost matrix. For every
-    subset of up to ``max_cycle`` pairs and every cyclic order, giving
+    subset of up to MAX_CYCLE pairs and every cyclic order, giving
     each pair's row the next pair's column must not lower the summed cost
     by more than tol; on inner-product costs this is the classical
     cyclical monotonicity inequality. Returns (True, None) or (False,
@@ -415,15 +414,8 @@ def cyclical_monotonicity_check(
     n = len(rows)
     if len(cols) != n:
         raise ValueError("rows and cols must pair up")
-    if max_cycle > 6 and n > 10:
-        needed = sum(math.comb(n, s) * math.factorial(s - 1)
-                     for s in range(2, max_cycle + 1))
-        raise ValueError(
-            f"enumeration budget exceeded (needs {needed} cycles); "
-            "lower max_cycle to 6 or pass at most 10 pairs"
-        )
     sub = np.asarray(costs, dtype=float)[np.ix_(rows, cols)]
-    for size in range(2, min(max_cycle, n) + 1):
+    for size in range(2, min(MAX_CYCLE, n) + 1):
         for subset in itertools.combinations(range(n), size):
             base = sum(sub[p, p] for p in subset)
             anchor, rest = subset[0], subset[1:]

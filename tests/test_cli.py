@@ -272,6 +272,16 @@ def test_solve_ma_zero_beta(tmp_path, capsys):
     assert (out / "residuals.csv").exists()
 
 
+def test_sanov_demo_recounts_past_the_float_range(tmp_path, capsys):
+    # within the alphabet and n caps, but the multinomial coefficient of
+    # n = 500 over 5 letters is far past the largest float
+    out = tmp_path / "sd"
+    assert main(["run", "sanov-demo", "k=5", "n=500",
+                 "nu=0.2,0.2,0.2,0.2,0.2", "sweep=10", f"out={out}"]) == 0
+    assert "check demo-prob-multinomial: PASS" in capsys.readouterr().out
+    assert (out / "results.csv").exists()
+
+
 def _failing_rows(text, check):
     """The rows printed under the FAIL line of check."""
     lines = iter(text.splitlines())

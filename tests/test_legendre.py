@@ -86,10 +86,13 @@ def test_constant_shift_moves_conjugate_oppositely():
 
 
 def test_interpolate_at_hits_nodes():
-    f = parabola(resolution=16)
+    f = GridFunction(dim=1, resolution=16,
+                     values=np.cos(2 * np.pi * np.arange(16) / 16))
     xs = f.axis_nodes(0)
     vals = interpolate_at(f, xs[:, None])
     assert np.allclose(vals, f.values, atol=1e-14)
+    with pytest.raises(ValueError, match="torus"):
+        interpolate_at(parabola(resolution=16), xs[:, None])
 
 
 def test_grid_function_validation():
