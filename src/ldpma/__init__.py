@@ -2,7 +2,8 @@
 
 Subpackages cover, bottom up:
 
-* measures          -- discrete and grid measures, empirical map, entropy, log-MGF
+* measures          -- discrete and grid measures, empirical map, and the
+                       relative entropy and log-MGF of mass arrays
 * legendre          -- grid Legendre conjugates and the entropy/log-MGF duality
 * transport         -- assignments, Kantorovich plans, Wasserstein distances
 * torus_theta       -- lattice points and Gaussian-sum kernels on the torus

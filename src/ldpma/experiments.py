@@ -563,12 +563,13 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.diff(edges) - 1
 
 
-def _multinomial_prob(counts: Tuple[int, ...], weights: np.ndarray) -> float:
+def _multinomial_prob(counts: Tuple[int, ...],
+                      weights: np.ndarray) -> Fraction:
     """Exact type probability recounted from factorials, no logs.
 
-    The coefficient and the powers stay exact rationals until the one
-    conversion to float: the coefficient alone overflows a float past
-    about 1.8e308 (k = 5, n = 500 already).
+    The coefficient and the powers stay exact rationals: the coefficient
+    alone overflows a float past about 1.8e308 (k = 5, n = 500 already),
+    and the probability underflows one long before the sample caps.
     """
     n = sum(counts)
     coeff = math.factorial(n)
@@ -577,7 +578,7 @@ def _multinomial_prob(counts: Tuple[int, ...], weights: np.ndarray) -> float:
     prob = Fraction(coeff)
     for c, w in zip(counts, weights):
         prob *= Fraction(float(w)) ** c
-    return float(prob)
+    return prob
 
 
 def _run_sanov_demo(params: dict, seed: int,
@@ -599,6 +600,11 @@ def _run_sanov_demo(params: dict, seed: int,
     prob = math.exp(-n * rate)
     counts = tuple(int(round(n * w)) for w in nu)
     recount = _multinomial_prob(counts, mu0)
+    # -n rate against the recount's exact log, relative to its size, so a
+    # probability far below any absolute tolerance is still compared
+    log_recount = (math.log(recount.numerator)
+                   - math.log(recount.denominator))
+    log_gap = abs(-n * rate - log_recount)
     demo_gap = rate - ent
     rows = [("demo", k, n, prob, rate, ent, demo_gap,
              float(sanov_gap_bound(k, n)), "sanov-exact-binomial")]
@@ -621,9 +627,10 @@ def _run_sanov_demo(params: dict, seed: int,
     slack = tol["type-gap-within-bound"]
     checks = (
         _check("demo-prob-multinomial",
-               f"exp(-n rate) = {_fmt(prob)}, recount = {_fmt(recount)}",
-               [] if abs(prob - recount) <= tol["demo-prob-multinomial"]
-               else [rows[0]]),
+               f"exp(-n rate) = {_fmt(prob)}, recount = "
+               f"{_fmt(float(recount))}, log gap {_fmt(log_gap)}",
+               [] if log_gap <= tol["demo-prob-multinomial"]
+               * max(1.0, abs(log_recount)) else [rows[0]]),
         _check("type-gap-within-bound",
                f"worst gap margin {_fmt(max(r[6] - r[7] for r in rows))}",
                [r for r in rows if not -slack <= r[6] <= r[7] + slack]),
@@ -643,12 +650,6 @@ def _run_cramer_demo(params: dict, seed: int,
     if len(points) != len(weights) or np.any(weights <= 0.0):
         raise ValueError("points and weights must match, weights positive")
     weights = weights / weights.sum()
-    lo, hi = float(points.min()) - 1.0, float(points.max()) + 1.0
-    atoms = DiscreteMeasure(
-        points=points[:, None],
-        weights=weights,
-        domain=Domain(kind="box", dim=1, bounds=((lo, hi),)),
-    )
     mean = float(np.dot(weights, points))
 
     t_lo, t_hi, t_res = params["t_lo"], params["t_hi"], params["t_res"]
@@ -663,7 +664,7 @@ def _run_cramer_demo(params: dict, seed: int,
             "the t window must contain 0 as a node; shift t_lo/t_hi by "
             "half a step (defaults do)"
         )
-    log_mgf_values = log_mgf(atoms, t_nodes[:, None] * points[None, :])
+    log_mgf_values = log_mgf(weights, t_nodes[:, None] * points[None, :])
     p = dataclasses.replace(probe, values=log_mgf_values)
 
     pad = params["pad"]

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .legendre import GridFunction, conjugate_at, interpolate_at
-from .measures import (NULL_DENSITY, DiscreteMeasure, EmpiricalConfig,
-                       GridMeasure, _logsumexp, empirical, grid_points)
+from .measures import (DiscreteMeasure, EmpiricalConfig, GridMeasure,
+                       _logsumexp, empirical, entropy, grid_points)
 from .torus_theta import ThetaParams, TorusLattice, log_theta_grid
 from .transport import cost_matrix, hungarian, w2_circle_atoms, w2_empirical
 
@@ -496,10 +496,11 @@ def local_rate(ensemble: GibbsEnsemble, center: DiscreteMeasure,
 
 def sanov_rates(mu0_weights, counts):
     """(-(1/n) log P[type class], Ent(mu0, counts/n)) of each row of a
-    (types, k) stack of counts summing to one n, in one ``gammaln`` pass.
-    Uncharged letters add exact zeros, and numpy adds the k <=
-    SANOV_ALPHABET_MAX < 8 terms of a row left to right, so a row equals
-    its one-row call bit for bit."""
+    (types, k) stack of counts summing to one n, in one ``gammaln`` pass
+    and one :func:`entropy` call. Uncharged letters add exact zeros to the
+    log-probability, and numpy adds the k <= SANOV_ALPHABET_MAX < 8 terms
+    of a row left to right, so a row equals its one-row call bit for
+    bit."""
     mu0 = DiscreteMeasure.from_alphabet_weights(mu0_weights).weights
     counts = np.asarray(counts)
     n = int(counts[0].sum())
@@ -511,15 +512,11 @@ def sanov_rates(mu0_weights, counts):
         raise ValueError("type counts must share one sample count")
     from scipy.special import gammaln
     charged = counts > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore"):
         log_mu0 = np.where(charged, np.log(mu0), 0.0)
-        nu = counts / n
-        ent_terms = np.where(charged, nu * np.log(nu / mu0), 0.0)
     log_p = gammaln(n + 1) - np.sum(gammaln(counts + 1), axis=1)
     log_p += np.sum(counts * log_mu0, axis=1)
-    ent = np.sum(ent_terms, axis=1)
-    ent[np.any(charged & (mu0 <= NULL_DENSITY), axis=1)] = math.inf
-    return -log_p / n, ent
+    return -log_p / n, entropy(mu0, counts / n)
 
 
 def sanov_exact(alphabet_size: int, mu0_weights, n: int, nu_weights):

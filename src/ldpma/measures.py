@@ -2,15 +2,21 @@
 
 This module provides:
 
-- ``Domain``: where a measure lives (unit torus, box, or finite alphabet).
+- ``Domain``: where a measure lives (unit torus or finite alphabet).
 - ``DiscreteMeasure``: weighted atoms; carries empirical measures and
   Gibbs marginals.
 - ``GridMeasure``: a density on the regular grid of cells that tiles the
   unit torus; carries reference densities and transport-operator images.
 - ``EmpiricalConfig``: an ordered particle configuration.
 - ``empirical``: the configuration -> uniform-atom measure map.
-- ``entropy``: relative entropy of one measure against a reference.
-- ``log_mgf``: log of the exponential integral of a potential (or a stack).
+- ``entropy``: relative entropy of masses against reference masses.
+- ``log_mgf``: log of the exponential integral of a potential against
+  masses.
+
+The two functionals take mass arrays, as every caller already holds them
+(``GridMeasure.masses()``, ``DiscreteMeasure.weights``), and each takes a
+(T, sites) stack as well as one row: a row's value equals its one-row
+call bit for bit, so a certificate may evaluate all its rows at once.
 
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
@@ -21,7 +27,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -45,33 +51,23 @@ class Domain:
     Parameters
     ----------
     kind : str
-        One of ``"torus"`` (unit torus, coordinates in [0,1) per axis),
-        ``"box"`` (axis-aligned product of intervals), or ``"alphabet"``
-        (finite symbol set, atoms are integer indices).
+        ``"torus"`` (unit torus, coordinates in [0,1) per axis) or
+        ``"alphabet"`` (finite symbol set, atoms are integer indices).
     dim : int
         Spatial dimension; 1 for alphabets.
-    bounds : tuple of (float, float), optional
-        Per-axis intervals for ``"box"``; ignored otherwise.
     size : int, optional
         Alphabet cardinality for ``"alphabet"``; ignored otherwise.
     """
 
     kind: str
     dim: int
-    bounds: tuple = ()
     size: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("torus", "box", "alphabet"):
+        if self.kind not in ("torus", "alphabet"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        if self.kind == "box":
-            if len(self.bounds) != self.dim:
-                raise ValueError("box domain needs one (lo, hi) pair per axis")
-            for lo, hi in self.bounds:
-                if not hi > lo:
-                    raise ValueError("box bounds must satisfy lo < hi")
         if self.kind == "alphabet" and self.size < 1:
             raise ValueError("alphabet domain needs size >= 1")
 
@@ -132,11 +128,6 @@ class DiscreteMeasure:
         if self.domain.kind == "torus":
             if np.any(points < 0.0) or np.any(points >= 1.0):
                 raise ValueError("torus atoms must lie in [0,1) per axis")
-        elif self.domain.kind == "box":
-            lows = np.array([b[0] for b in self.domain.bounds])
-            highs = np.array([b[1] for b in self.domain.bounds])
-            if np.any(points < lows) or np.any(points > highs):
-                raise ValueError("box atoms must lie inside the bounds")
         else:
             if np.any(points < 0) or np.any(points >= self.domain.size):
                 raise ValueError("alphabet atoms must be valid symbol indices")
@@ -169,29 +160,23 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalConfig:
-    """An ordered tuple of N particle positions.
+    """An ordered tuple of N particle positions on the unit torus.
 
     Parameters
     ----------
     points : np.ndarray
-        Shape (N, d). Must be nonempty and inside the domain.
-    domain : Domain
-        Spatial domain; defaults to the unit torus of matching dimension.
+        Shape (N, d). Must be nonempty and inside [0,1)^d.
     """
 
     points: np.ndarray
-    domain: Domain = None  # type: ignore[assignment]
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if points.size == 0:
             raise ValueError("empty configuration")
         object.__setattr__(self, "points", points)
-        domain = self.domain or torus_domain(points.shape[1])
-        object.__setattr__(self, "domain", domain)
-        if domain.kind == "torus":
-            if np.any(points < 0.0) or np.any(points >= 1.0):
-                raise ValueError("configuration points must lie in [0,1)^d")
+        if np.any(points < 0.0) or np.any(points >= 1.0):
+            raise ValueError("configuration points must lie in [0,1)^d")
 
     @property
     def size(self) -> int:
@@ -211,7 +196,7 @@ def empirical(config: EmpiricalConfig) -> DiscreteMeasure:
     return DiscreteMeasure(
         points=config.points.copy(),
         weights=np.full(n, 1.0 / n),
-        domain=config.domain,
+        domain=torus_domain(config.dim),
         is_probability=True,
     )
 
@@ -334,66 +319,45 @@ class GridMeasure:
 # ---------------------------------------------------------------------------
 
 
-MeasureLike = Union[DiscreteMeasure, GridMeasure]
+def _site_rows(values, sites: int) -> np.ndarray:
+    """A (T, sites) float view of one per-site vector or a stack of them."""
+    rows = np.atleast_2d(np.asarray(values, dtype=float))
+    if rows.ndim != 2 or rows.shape[1] != sites:
+        raise ValueError(f"values of shape {np.shape(values)} do not match "
+                         f"{sites} sites")
+    return rows
 
 
-def _paired_masses(mu0: MeasureLike, nu: MeasureLike):
-    """Aligned (reference, argument) mass vectors for entropy and friends."""
-    if isinstance(mu0, GridMeasure) and isinstance(nu, GridMeasure):
-        if (mu0.dim, mu0.resolution) != (nu.dim, nu.resolution):
-            raise ValueError("grid measures live on different grids")
-        return mu0.masses(), nu.masses()
-    if isinstance(mu0, DiscreteMeasure) and isinstance(nu, DiscreteMeasure):
-        if mu0.domain != nu.domain:
-            raise ValueError("discrete measures live on different domains")
-        if mu0.domain.kind == "alphabet":
-            if not np.array_equal(mu0.points, nu.points):
-                raise ValueError("alphabet atom lists do not match")
-        else:
-            if mu0.points.shape != nu.points.shape or \
-               not np.array_equal(mu0.points, nu.points):
-                raise ValueError(
-                    "entropy between discrete measures needs matching atoms"
-                )
-        return mu0.weights, nu.weights
-    raise ValueError("entropy arguments must be two measures of the same kind")
+def entropy(ref, masses):
+    """Relative entropy of cell or atom masses against reference masses.
 
-
-def entropy(mu0: MeasureLike, nu: MeasureLike) -> float:
-    """Relative entropy of ``nu`` against the reference ``mu0``.
-
-    Returns sum over cells/atoms of nu * log(nu / mu0) when nu is absolutely
-    continuous against mu0 (reference mass > 1e-15 wherever nu has mass),
-    and +inf otherwise. Nonnegative for probability pairs, zero only at
-    nu == mu0.
+    ``masses`` is one (sites,) vector, giving a float, or a (T, sites)
+    stack, giving T values. A row's value is the sum of m * log(m / ref)
+    over the sites it charges when the reference exceeds 1e-15 at each of
+    them, and +inf otherwise; nonnegative for probability pairs, zero only
+    at masses == ref. Rows are grouped by the sites they charge and each
+    group's terms compressed into a C-ordered block, so a row's sum, and
+    its value, do not depend on its stack.
     """
-    ref, arg = _paired_masses(mu0, nu)
-    carrying = arg > 0.0
-    if np.any(ref[carrying] <= NULL_DENSITY):
-        return math.inf
-    a = arg[carrying]
-    r = ref[carrying]
-    return float(np.sum(a * np.log(a / r)))
-
-
-def _theta_values(mu: MeasureLike, theta) -> np.ndarray:
-    """Potential values aligned with the measure's quadrature points: one
-    (sites,) vector, or a (T, sites) stack when ``theta`` is a 2-d array
-    of rows of that length (and not the measure's own grid shape)."""
-    values = np.asarray(getattr(theta, "values", theta), dtype=float)
-    if isinstance(mu, GridMeasure):
-        expected, shape = mu.resolution ** mu.dim, mu.density.shape
-    else:
-        expected, shape = mu.atom_count, (mu.atom_count,)
-    if values.ndim == 2 and values.shape[1] == expected \
-            and values.shape != shape:
-        return values
-    flat = values.reshape(-1)
-    if flat.size != expected:
-        raise ValueError(
-            f"potential has {flat.size} values, measure has {expected} sites"
-        )
-    return flat
+    ref = np.asarray(ref, dtype=float).reshape(-1)
+    stack = _site_rows(masses, len(ref))
+    out = np.full(len(stack), math.inf)
+    charged = np.ascontiguousarray(stack > 0.0)
+    if (charged == charged[:1]).all():  # one mask: skip the grouping
+        first, groups = [0], [slice(None)]
+    else:  # one bytes key per row: np.unique(axis=0) is far slower
+        keys = charged.view(np.dtype((np.void, len(ref)))).reshape(-1)
+        _, first, group = np.unique(keys, return_index=True,
+                                    return_inverse=True)
+        groups = np.split(np.argsort(group, kind="stable"),
+                          np.cumsum(np.bincount(group))[:-1])
+    for mask, rows in zip(charged[first], groups):
+        r = ref[mask]
+        if np.any(r <= NULL_DENSITY):
+            continue
+        a = np.compress(mask, stack[rows], axis=1)
+        out[rows] = np.sum(a * np.log(a / r), axis=1)
+    return float(out[0]) if np.ndim(masses) < 2 else out
 
 
 def _logsumexp(a, axis=None, b=None):
@@ -439,24 +403,26 @@ def _logsumexp(a, axis=None, b=None):
     return out[()] if out.ndim == 0 else out
 
 
-def log_mgf(mu: MeasureLike, theta):
-    """log of the integral of exp(theta) against mu.
+def log_mgf(masses, theta):
+    """log of the sum of masses * exp(theta) over the sites masses charge.
 
-    ``theta`` may be a per-site value array or any object with a ``values``
-    array matching the measure's quadrature (grid cells in row-major order,
-    or atoms in order); a (T, sites) stack of potentials gives T values,
-    each row checked and summed as a lone potential would be. Computed in
-    log space, so large potentials are safe.
+    ``theta`` is one (sites,) potential, giving a float, or a (T, sites)
+    stack, giving T values, each equal to its one-row call bit for bit.
+    Computed in log space, so large potentials are safe; a potential must
+    be finite on the charged sites.
     """
-    values = _theta_values(mu, theta)
-    masses = mu.masses() if isinstance(mu, GridMeasure) else np.asarray(mu.weights)
+    masses = np.asarray(masses, dtype=float).reshape(-1)
+    values = _site_rows(theta, len(masses))
     carrying = masses > 0.0
     if not np.any(carrying):
         raise ValueError("measure has no mass")
-    if not np.all(np.isfinite(values[..., carrying])):
+    # a C-ordered copy (values[:, carrying] need not be one), so each row
+    # sums in the order it would alone
+    values = np.compress(carrying, values, axis=1)
+    if not np.all(np.isfinite(values)):
         raise ValueError("potential must be finite on the support")
-    out = _logsumexp(values[..., carrying], axis=-1, b=masses[carrying])
-    return float(out) if values.ndim == 1 else out
+    out = _logsumexp(values, axis=1, b=masses[carrying])
+    return float(out[0]) if np.ndim(theta) < 2 else out
 
 
 # ---------------------------------------------------------------------------
@@ -464,24 +430,20 @@ def log_mgf(mu: MeasureLike, theta):
 # ---------------------------------------------------------------------------
 
 
-def save_csv(measure: MeasureLike, path) -> None:
+def save_csv(measure: DiscreteMeasure | GridMeasure, path) -> None:
     """Write a measure as CSV rows ``coord_0, ..., coord_{d-1}, weight``.
 
-    Grid measures write one row per cell (cell center, cell mass); discrete
-    measures one row per atom. Alphabet atoms store the symbol index in
-    coord_0.
+    Grid measures write one row per cell (cell center, cell mass); torus
+    atoms one row per atom. Alphabet measures are refused.
     """
     if isinstance(measure, GridMeasure):
         dim = measure.dim
         coords = measure.centers()
         weights = measure.masses()
     else:
-        if measure.domain.kind == "alphabet":
-            dim = 1
-            coords = measure.points.reshape(-1, 1).astype(float)
-        else:
-            dim = measure.domain.dim
-            coords = measure.points
+        if measure.domain.kind != "torus":
+            raise ValueError("only torus atoms and grids are written")
+        dim, coords = measure.domain.dim, measure.points
         weights = measure.weights
     header = [f"coord_{a}" for a in range(dim)] + ["weight"]
     with open(path, "w", newline="") as handle:

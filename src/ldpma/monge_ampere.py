@@ -56,7 +56,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .legendre import GridFunction
-from .measures import (NULL_DENSITY, DiscreteMeasure, GridMeasure, entropy,
+from .measures import (DiscreteMeasure, GridMeasure, entropy,
                        log_mgf, torus_domain)
 from .transport import (_piece_search, _Quantile, _w2_circle_rows,
                         w2_circle_atoms)
@@ -355,7 +355,7 @@ def _evaluate(f: GridFunction, params: MasterParams) -> _Evaluation:
         log_z = 0.0
         free_energy = float(np.sum(flat * params.mu0.masses())) + j
     else:
-        log_z = log_mgf(params.mu0, params.beta * flat)
+        log_z = log_mgf(params.mu0.masses(), params.beta * flat)
         free_energy = log_z / params.beta + j
     return _Evaluation(tilt=tilt, push=push, j=j, log_mgf=log_z,
                        free_energy=free_energy,
@@ -636,55 +636,38 @@ class RateValue:
     def value(self) -> float:
         return self.beta_w2 + self.ent + self.constant
 
-    @property
-    def components(self) -> tuple:
-        return (self.beta_w2, self.ent, self.constant)
-
     def __float__(self) -> float:
         return float(self.value)
 
 
-def _as_grid_measure(mu, like: GridMeasure) -> GridMeasure:
-    """Cell histogram of a discrete measure on a reference grid."""
-    if isinstance(mu, GridMeasure):
-        return mu
-    flat = np.ravel_multi_index(like.cell_indices(mu.points).T,
-                                (like.resolution,) * like.dim)
-    masses = np.bincount(flat, weights=mu.weights,
-                         minlength=like.resolution ** like.dim)
-    density = masses.reshape(like.density.shape) / like.cell_volume()
-    return GridMeasure(dim=like.dim, resolution=like.resolution,
-                       density=density,
-                       is_probability=mu.total_mass() > 1.0 - 1e-9)
+def w2_to_reference(mu: GridMeasure, nu: GridMeasure) -> float:
+    """W2^2 between a probability grid measure and a circle grid density.
 
-
-def w2_to_reference(mu, nu: GridMeasure) -> float:
-    """W2^2 between a probability measure and a circle grid density.
-
-    Grid arguments are read as atoms at their cell centers: the transport
-    machinery places mass exactly on the node lattice, and the duality
-    bracket is an identity only under that convention (spreading the mass
-    over cells shifts the cost by an O(h^2) quantization term). The
-    distance is the exact circle W2 of :func:`w2_circle`, which refuses a
-    nu of another dimension.
+    mu is read as atoms at its cell centers: the transport machinery
+    places mass exactly on the node lattice, and the duality bracket is an
+    identity only under that convention (spreading the mass over cells
+    shifts the cost by an O(h^2) quantization term). The distance is the
+    exact circle W2 of :func:`w2_circle`, which refuses a nu of another
+    dimension.
     """
-    if isinstance(mu, GridMeasure):
-        mu = DiscreteMeasure(points=mu.centers(), weights=mu.masses(),
-                             domain=torus_domain(mu.dim))
-    return w2_circle(mu, nu)
+    return w2_circle(DiscreteMeasure(points=mu.centers(), weights=mu.masses(),
+                                     domain=torus_domain(mu.dim)), nu)
 
 
-def rate_function_g(mu, params: MasterParams,
+def rate_function_g(mu: GridMeasure, params: MasterParams,
                     phi_min: GridFunction) -> RateValue:
     """beta W2^2(mu, nu) + Ent(mu0, mu) + beta F(phi_min).
 
     The constant is exactly the offset that zeroes the minimum, attained
-    at mu = MA_nu phi_min. Discrete arguments contribute their W2^2
-    directly; their entropy term reads from the cell histogram on mu0's
-    grid. Measures charging a cell where mu0 vanishes get +inf.
+    at mu = MA_nu phi_min. mu is a grid measure on mu0's grid; anything
+    else is refused. Measures charging a cell where mu0 vanishes get +inf.
     """
+    if not isinstance(mu, GridMeasure) or \
+            (mu.dim, mu.resolution) != (params.dim, params.resolution):
+        raise ValueError("the rate function takes a grid measure on mu0's "
+                         "grid")
     w2 = w2_to_reference(mu, params.nu)
-    ent = entropy(params.mu0, _as_grid_measure(mu, params.mu0))
+    ent = entropy(params.mu0.masses(), mu.masses())
     return RateValue(beta_w2=params.beta * w2, ent=ent,
                      constant=params.beta * f_functional(phi_min, params))
 
@@ -729,7 +712,8 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
     One stacked piece search gives every W2^2: mu_min's masses are row 0,
     which equals :func:`w2_to_reference` at mu_min bit for bit (a row's
     value does not depend on its stack) and serves both the bracket and
-    the rate at the minimiser; each probe row's rate equals
+    the rate at the minimiser; one :func:`entropy` call on the same stack
+    gives every entropy. Each probe row's rate equals
     :func:`rate_function_g` at that probe, and the lowest must clear the
     floor of :class:`RateValue`.
     """
@@ -754,7 +738,8 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
     pairing = float(np.sum(phi_min.values.reshape(-1) * min_masses))
     bracket_gap = w2 + ev.j + pairing
 
-    ent = entropy(params.mu0, mu_min)
+    ents = entropy(params.mu0.masses(), stack)
+    ent = float(ents[0])
     entropy_gap = ent - (params.beta * pairing - ev.log_mgf)
 
     constant = params.beta * ev.free_energy
@@ -763,17 +748,9 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
 
     best = math.inf
     if probes:
-        # each probe's entropy on the cells it charges (those of mu_min),
-        # rows in C order, so each row's sum is the one entropy() takes
-        charged = min_masses > 0.0
-        ref = params.mu0.masses()[charged]
-        charge = np.ascontiguousarray(masses[:, charged])
-        ents = np.full(probes, math.inf)
-        if np.all(ref > NULL_DENSITY):
-            ents = (charge * np.log(charge / ref)).sum(axis=1)
-        values = params.beta * w2s[1:] + ents + constant
-        low = int(np.argmin(values))  # the floor holds for all if for it
-        best = RateValue(beta_w2=float(params.beta * w2s[1 + low]),
+        values = params.beta * w2s[1:] + ents[1:] + constant
+        low = 1 + int(np.argmin(values))  # the floor holds for all if for it
+        best = RateValue(beta_w2=float(params.beta * w2s[low]),
                          ent=float(ents[low]), constant=constant).value
     return ConsistencyReport(beta=params.beta, residual_tv=ev.residual,
                              bracket_gap=bracket_gap, entropy_gap=entropy_gap,

@@ -6,13 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ldpma
-from ldpma import cli
+from ldpma import cli, experiments
 from ldpma.cli import _git_describe, main
 from ldpma.experiments import EXPERIMENTS, run_experiment
 from ldpma.measures import (DiscreteMeasure, GridMeasure, save_csv,
@@ -280,6 +281,24 @@ def test_sanov_demo_recounts_past_the_float_range(tmp_path, capsys):
                  "nu=0.2,0.2,0.2,0.2,0.2", "sweep=10", f"out={out}"]) == 0
     assert "check demo-prob-multinomial: PASS" in capsys.readouterr().out
     assert (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["k=6", "n=500", "nu=0.1,0.1,0.2,0.2,0.2,0.2"],  # probability 1.46e-16
+    ["mu0=0.001,0.999", "k=2", "n=500", "nu=0.3,0.7"],  # subnormal
+])
+def test_sanov_demo_compares_tiny_probabilities_in_log_space(
+        tmp_path, capsys, monkeypatch, args):
+    run = ["run", "sanov-demo", *args, "sweep=10"]
+    assert main([*run, f"out={tmp_path / 'a'}"]) == 0
+    assert "check demo-prob-multinomial: PASS" in capsys.readouterr().out
+    # an absolute tolerance of 1e-12 passes a recount off by a factor
+    # 1 + 1e-9 at these sizes; the relative comparison of logs does not
+    exact = experiments._multinomial_prob
+    monkeypatch.setattr(experiments, "_multinomial_prob",
+                        lambda *a: exact(*a) * Fraction(1 + 1e-9))
+    assert main([*run, f"out={tmp_path / 'b'}"]) == 1
+    assert "check demo-prob-multinomial: FAIL" in capsys.readouterr().out
 
 
 def _failing_rows(text, check):

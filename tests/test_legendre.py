@@ -12,7 +12,7 @@ from ldpma.legendre import (
     interpolate_at,
     legendre_transform,
 )
-from ldpma.measures import DiscreteMeasure
+from ldpma.measures import DiscreteMeasure, torus_domain
 
 from oracles import ent_dual_sup_scan, relative_entropy
 
@@ -148,6 +148,17 @@ def test_ent_dual_refuses_alphabets_past_the_candidate_cap():
     mu0 = DiscreteMeasure.from_alphabet_weights(np.full(8, 1.0 / 8.0))
     with pytest.raises(ValueError, match="4782969 candidates"):
         ent_dual_check(mu0, mu0)
+
+
+def test_ent_dual_refuses_two_different_alphabets():
+    mu0 = DiscreteMeasure.from_alphabet_weights([0.5, 0.5])
+    nu = DiscreteMeasure.from_alphabet_weights([0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match="different alphabets"):
+        ent_dual_check(mu0, nu)
+    with pytest.raises(ValueError, match="finite alphabets"):
+        ent_dual_check(mu0, DiscreteMeasure(
+            points=[[0.25], [0.75]], weights=[0.5, 0.5],
+            domain=torus_domain(1)))
 
 
 def test_legendre_transform_is_one_dimensional():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ldpma.measures import (
     DiscreteMeasure,
-    Domain,
     _logsumexp,
     EmpiricalConfig,
     GridMeasure,
@@ -87,6 +86,8 @@ def test_save_load_discrete_roundtrip(tmp_path):
     back = load_discrete_csv(path)
     assert np.array_equal(back.points, mu.points)
     assert np.array_equal(back.weights, mu.weights)
+    with pytest.raises(ValueError, match="torus"):
+        save_csv(DiscreteMeasure.from_alphabet_weights([0.5, 0.5]), path)
 
 
 def test_save_load_grid_roundtrip(tmp_path):
@@ -108,30 +109,65 @@ def test_load_grid_rejects_non_grid_points(tmp_path):
 
 
 def test_entropy_of_itself_is_zero():
-    mu = DiscreteMeasure.from_alphabet_weights([0.2, 0.5, 0.3])
-    assert entropy(mu, mu) == pytest.approx(0.0, abs=1e-14)
+    w = np.array([0.2, 0.5, 0.3])
+    assert entropy(w, w) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_entropy_matches_closed_form():
-    mu0 = DiscreteMeasure.from_alphabet_weights([0.25, 0.25, 0.5])
-    nu = DiscreteMeasure.from_alphabet_weights([0.1, 0.6, 0.3])
-    want = relative_entropy(mu0.weights, nu.weights)
+    mu0 = np.array([0.25, 0.25, 0.5])
+    nu = np.array([0.1, 0.6, 0.3])
+    want = relative_entropy(mu0, nu)
     assert entropy(mu0, nu) == pytest.approx(want, abs=1e-14)
 
 
 def test_entropy_zero_mass_letters_drop_out():
-    mu0 = DiscreteMeasure.from_alphabet_weights([0.5, 0.25, 0.25])
-    nu = DiscreteMeasure.from_alphabet_weights([0.0, 0.5, 0.5])
-    want = relative_entropy(mu0.weights, nu.weights)
+    mu0 = np.array([0.5, 0.25, 0.25])
+    nu = np.array([0.0, 0.5, 0.5])
+    want = relative_entropy(mu0, nu)
     assert entropy(mu0, nu) == pytest.approx(want, abs=1e-14)
 
 
 @given(weights_strategy(4), weights_strategy(4))
 @settings(max_examples=60, deadline=None)
 def test_entropy_nonnegative(mu0_w, nu_w):
-    mu0 = DiscreteMeasure.from_alphabet_weights(mu0_w)
-    nu = DiscreteMeasure.from_alphabet_weights(nu_w)
-    assert entropy(mu0, nu) >= -1e-12
+    assert entropy(mu0_w, nu_w) >= -1e-12
+
+
+def _random_masses(rng, rows, k, uncharged):
+    """rows probability vectors of k sites, each with its own random set
+    of about uncharged * k empty sites."""
+    masses = rng.random((rows, k)) * (rng.random((rows, k)) >= uncharged)
+    masses[:, 0] += 0.1  # no empty row
+    return masses / masses.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("k", [2, 3, 6, 64])
+def test_stacked_entropy_rows_equal_the_one_row_call(k):
+    rng = np.random.default_rng(k)
+    ref = rng.random(k) + 0.05
+    ref /= ref.sum()
+    stack = _random_masses(rng, 40, k, uncharged=0.4)
+    assert len({tuple(row > 0) for row in stack}) > 1  # masks differ
+    # rows sharing one mask, in a Fortran-ordered stack
+    dense = np.asfortranarray(_random_masses(rng, 40, k, uncharged=0.0))
+    assert np.array_equal(entropy(ref, dense),
+                          [entropy(ref, row.copy()) for row in dense])
+    # a row charging a site of zero reference mass has entropy +inf
+    ref[k - 1] = 0.0
+    stack[3, k - 1] = max(stack[3, k - 1], 0.01)
+    stack[7, k - 1] = 0.0
+    stacked = entropy(ref, stack)
+    loop = [entropy(ref, row) for row in stack]
+    assert all(isinstance(v, float) for v in loop)
+    assert np.array_equal(stacked, loop)
+    assert stacked[3] == math.inf and math.isfinite(stacked[7])
+    # a non-contiguous stack: every other row of a Fortran-ordered copy
+    wide = np.asfortranarray(np.concatenate([stack, stack]))[::2]
+    assert not wide.flags.c_contiguous
+    assert np.array_equal(entropy(ref, wide),
+                          [entropy(ref, row.copy()) for row in wide])
+    with pytest.raises(ValueError, match="sites"):
+        entropy(ref, stack[:, :-1])
 
 
 def _ties_and_dead_rows():
@@ -204,11 +240,10 @@ def test_logsumexp_full_reduction_is_a_numpy_scalar():
 
 
 def test_log_mgf_matches_direct_sum():
-    mu = DiscreteMeasure.from_alphabet_weights([0.2, 0.3, 0.5])
+    w = np.array([0.2, 0.3, 0.5])
     theta = np.array([-1.0, 0.5, 2.0])
-    want = math.log(sum(w * math.exp(t)
-                        for w, t in zip(mu.weights, theta)))
-    assert log_mgf(mu, theta) == pytest.approx(want, abs=1e-13)
+    want = math.log(sum(wi * math.exp(t) for wi, t in zip(w, theta)))
+    assert log_mgf(w, theta) == pytest.approx(want, abs=1e-13)
 
 
 @given(weights_strategy(3),
@@ -216,19 +251,16 @@ def test_log_mgf_matches_direct_sum():
        st.floats(min_value=-3, max_value=3))
 @settings(max_examples=60, deadline=None)
 def test_log_mgf_constant_shift(w, theta, c):
-    mu = DiscreteMeasure.from_alphabet_weights(w)
     theta = np.asarray(theta)
-    lhs = log_mgf(mu, theta + c)
-    rhs = log_mgf(mu, theta) + c
+    lhs = log_mgf(w, theta + c)
+    rhs = log_mgf(w, theta) + c
     assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
 def test_stacked_log_mgf_rows_equal_the_per_node_loop():
     # cramer-demo's defaults: three atoms, 80 t nodes on (-4.05, 3.95)
     points = np.array([-1.0, 0.0, 2.0])
-    mu = DiscreteMeasure(points=points[:, None], weights=[0.2, 0.5, 0.3],
-                         domain=Domain(kind="box", dim=1,
-                                       bounds=((-2.0, 3.0),)))
+    mu = np.array([0.2, 0.5, 0.3])
     t_nodes = -4.05 + (np.arange(80) + 0.5) * (8.0 / 80)
     stacked = log_mgf(mu, t_nodes[:, None] * points[None, :])
     assert stacked.shape == (80,)
@@ -242,10 +274,15 @@ def test_stacked_log_mgf_rows_equal_the_per_node_loop():
 
 
 def test_grid_shaped_potential_is_one_potential():
-    mu = GridMeasure.uniform(dim=2, resolution=3)
+    # a grid-shaped potential is flattened by its caller: its rows are never
+    # read as a stack of potentials
+    mu = GridMeasure.uniform(dim=2, resolution=3).masses()
     theta = np.arange(9.0).reshape(3, 3)
-    assert log_mgf(mu, theta) == log_mgf(mu, theta.reshape(-1))
-    assert log_mgf(mu, np.stack([theta.reshape(-1)] * 2)).shape == (2,)
+    flat = theta.reshape(-1)
+    assert log_mgf(mu, flat[None, :])[0] == log_mgf(mu, flat)
+    assert log_mgf(mu, np.stack([flat] * 2)).shape == (2,)
+    with pytest.raises(ValueError, match="sites"):
+        log_mgf(mu, theta)
 
 
 def test_alphabet_domain_validation():

@@ -422,23 +422,6 @@ def test_solver_cells_bit_identical_to_the_scalar_kernels(beta, uniform_nu,
         assert np.abs(push - masses).max() <= 1e-12
 
 
-def test_histogram_puts_edge_atoms_in_their_cell():
-    k = 10
-    like = GridMeasure.uniform(dim=1, resolution=k)
-    weights = np.arange(1.0, k + 1) / np.sum(np.arange(1.0, k + 1))
-    hist = monge_ampere._as_grid_measure(atoms_1d(np.arange(k) / k, weights),
-                                         like)
-    assert np.allclose(hist.masses(), weights, rtol=0, atol=1e-15)
-    like2 = GridMeasure.uniform(dim=2, resolution=5)
-    pts = np.array([[0.2, 0.6], [0.6, 0.2], [0.6, 0.2], [0.0, 0.8]])
-    hist2 = monge_ampere._as_grid_measure(
-        DiscreteMeasure(points=pts, weights=np.full(4, 0.25),
-                        domain=torus_domain(2)), like2)
-    want = np.zeros((5, 5))
-    want[1, 3], want[3, 1], want[0, 4] = 0.25, 0.5, 0.25
-    assert np.allclose(hist2.masses().reshape(5, 5), want, rtol=0, atol=1e-15)
-
-
 def test_master_params_validation():
     mu0 = bump_measure(16)
     with pytest.raises(ValueError):
@@ -502,14 +485,18 @@ def test_rate_function_zero_at_minimizer_positive_elsewhere():
         assert rate_function_g(probe, params, phi).value > 1e-3
 
 
-def test_rate_function_accepts_discrete_argument():
+def test_rate_function_refuses_a_discrete_measure_and_another_grid():
     params = MasterParams(beta=1.0, mu0=bump_measure(64))
     phi = solve_master(params)
-    pts = ((np.arange(16) + 0.3) / 16)[:, None]
-    probe = DiscreteMeasure(points=pts, weights=np.full(16, 1 / 16),
+    pts = ((np.arange(64) + 0.5) / 64)[:, None]
+    atoms = DiscreteMeasure(points=pts, weights=np.full(64, 1 / 64),
                             domain=torus_domain(1))
-    value = rate_function_g(probe, params, phi).value
-    assert value > 0.1  # 16 atoms are far from the smooth minimizer
+    for mu in (atoms, GridMeasure.uniform(dim=1, resolution=32),
+               GridMeasure.uniform(dim=2, resolution=64)):
+        with pytest.raises(ValueError, match="grid measure on mu0's grid"):
+            rate_function_g(mu, params, phi)
+    uniform = GridMeasure.uniform(dim=1, resolution=64)
+    assert rate_function_g(uniform, params, phi).value > 0.0
 
 
 def test_free_energy_constant_invariance():

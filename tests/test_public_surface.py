@@ -12,7 +12,9 @@ only reader was deleted tunes nothing.
 Likewise every parameter with a default, of any function or method in
 ``src/ldpma``, must be passed, by keyword or by position, by some call in
 ``src/``, ``bench/``, ``scripts/`` or the acceptance sweep to a function
-of that name; an option no caller sets is a branch no run takes. Those
+of that name; an option no caller sets is a branch no run takes. A
+defaulted dataclass field is such a parameter of its class: some call to
+the class, or to ``dataclasses.replace``, must pass it by keyword. Those
 that stay for another reason are listed in ALLOWED_DEFAULTS.
 """
 
@@ -119,6 +121,25 @@ def defaulted_parameters(tree: ast.AST):
                 yield fn.name, arg.arg, None
 
 
+def defaulted_fields(tree: ast.AST):
+    """(class, field) per field with a default of a dataclass; a field
+    declared with init=False takes no argument and is skipped."""
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+            continue
+        for stmt in cls.body:
+            if not (isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                    and isinstance(stmt.target, ast.Name)):
+                continue
+            value = stmt.value
+            if isinstance(value, ast.Call) and any(
+                    k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in value.keywords):
+                continue
+            yield cls.name, stmt.target.id
+
+
 def passes(call: ast.Call, parameter: str, position) -> bool:
     """Whether a call sets the parameter: by keyword, by position, or
     possibly through * or ** unpacking."""
@@ -136,18 +157,24 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 callee = node.func
                 name = getattr(callee, "id", getattr(callee, "attr", None))
                 calls.setdefault(name, []).append(node)
-    defaults = [(path.stem, fn, parameter, position)
+    # (module, function or class, parameter, call position, callees that
+    # may set it); a dataclass field may also be set by dataclasses.replace
+    defaults = [(path.stem, fn, parameter, position, (fn,))
                 for path in sorted(SRC.glob("*.py"))
                 for fn, parameter, position in defaulted_parameters(
                     ast.parse(path.read_text("utf-8")))]
+    defaults += [(path.stem, cls, field, None, (cls, "replace"))
+                 for path in sorted(SRC.glob("*.py"))
+                 for cls, field in defaulted_fields(
+                     ast.parse(path.read_text("utf-8")))]
     unset = [f"{module}.{fn}.{parameter}"
-             for module, fn, parameter, position in defaults
+             for module, fn, parameter, position, setters in defaults
              if f"{fn}.{parameter}" not in ALLOWED_DEFAULTS
              and not any(passes(call, parameter, position)
-                         for call in calls.get(fn, []))]
+                         for name in setters for call in calls.get(name, []))]
     assert not unset, (
         f"defaulted parameters that no call in src/, bench/, scripts/ or "
         f"the acceptance sweep passes: {unset}; delete the option or list "
         f"it in ALLOWED_DEFAULTS with a reason")
     assert set(ALLOWED_DEFAULTS) <= {f"{fn}.{parameter}"
-                                     for _, fn, parameter, _ in defaults}
+                                     for _, fn, parameter, _, _ in defaults}
