@@ -58,7 +58,7 @@ class GridFunction:
         expected = (self.resolution,) * self.dim
         if values.shape != expected:
             raise ValueError(f"values shape {values.shape} != {expected}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", values)
         bounds = self.bounds

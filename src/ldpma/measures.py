@@ -24,6 +24,7 @@ threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -246,7 +247,7 @@ class GridMeasure:
         expected = (self.resolution,) * self.dim
         if density.shape != expected:
             raise ValueError(f"density shape {density.shape} != {expected}")
-        if np.any(density < 0):
+        if (density < 0).any():
             raise ValueError("density must be nonnegative")
         object.__setattr__(self, "density", density)
         if self.is_probability:
@@ -292,7 +293,7 @@ class GridMeasure:
         return self.density.reshape(-1) * self.cell_volume()
 
     def total_mass(self) -> float:
-        return float(np.sum(self.masses()))
+        return float(self.masses().sum())
 
     def cell_indices(self, points: np.ndarray) -> np.ndarray:
         """(n, dim) cell multi-indices of n points, wrapped onto the torus.
@@ -353,10 +354,10 @@ def entropy(ref, masses):
                           np.cumsum(np.bincount(group))[:-1])
     for mask, rows in zip(charged[first], groups):
         r = ref[mask]
-        if np.any(r <= NULL_DENSITY):
+        if (r <= NULL_DENSITY).any():
             continue
         a = np.compress(mask, stack[rows], axis=1)
-        out[rows] = np.sum(a * np.log(a / r), axis=1)
+        out[rows] = (a * np.log(a / r)).sum(axis=1)
     return float(out[0]) if np.ndim(masses) < 2 else out
 
 
@@ -372,34 +373,38 @@ def _logsumexp(a, axis=None, b=None):
     handling never fires and is left out. An entry of zero weight adds
     nothing, even where ``a`` is infinite. Only where that result is not
     finite (an all -inf slice, say) is the direct log of the sum computed,
-    from the original ``a``, and it stands there. The reduced axes are
-    dropped; a full reduction returns a numpy scalar.
+    from the original ``a``, and it stands there. One exp pass gives s, its
+    entries at the maxima zeroed in place; errstate is entered only where a
+    maximum or the result is not finite (elsewhere only overflow at the ends
+    of the float range warns, as in scipy). The reduced axes are dropped; a
+    full reduction returns a numpy scalar.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     axis = tuple(range(a.ndim)) if axis is None else axis
     shifted = a
     if b is not None:
         b = np.asarray(b, dtype=float)
-        if np.any(b < 0.0):
+        if (b < 0.0).any():
             raise ValueError("logsumexp weights must be nonnegative")
         shifted = np.where(b == 0, -np.inf, a)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(shifted, axis=axis, keepdims=True)
+    a_max = shifted.max(axis=axis, keepdims=True)
+    with (contextlib.nullcontext() if np.isfinite(a_max).all() else
+          np.errstate(divide="ignore", invalid="ignore", over="ignore")):
         at_max = shifted == a_max
-        rest = np.where(at_max, -np.inf, shifted)
-        at_max = at_max.astype(float)
-        m = np.sum(at_max if b is None else b * at_max, axis=axis,
-                   keepdims=True)
-        tail = np.exp(rest - a_max) if b is None else b * np.exp(rest - a_max)
-        s = np.sum(tail, axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        bad = ~np.isfinite(out)
-        if bad.any():
+        weights = at_max if b is None else b * at_max
+        m = weights.sum(axis=axis, keepdims=True, dtype=float)
+        tail = np.exp(shifted - a_max)
+        tail[at_max] = 0.0
+        if b is not None:
+            tail *= b
+        out = (np.log1p(tail.sum(axis=axis, keepdims=True) / m) + np.log(m)
+               + a_max)
+    if not np.isfinite(out).all():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             weighted = np.exp(a) if b is None else b * np.exp(a)
-            out = np.where(bad, np.log(np.sum(weighted, axis=axis,
-                                              keepdims=True)), out)
-    out = np.squeeze(out, axis=axis)
+            out = np.where(np.isfinite(out), out,
+                           np.log(weighted.sum(axis=axis, keepdims=True)))
+    out = out.squeeze(axis=axis)
     return out[()] if out.ndim == 0 else out
 
 
@@ -414,12 +419,12 @@ def log_mgf(masses, theta):
     masses = np.asarray(masses, dtype=float).reshape(-1)
     values = _site_rows(theta, len(masses))
     carrying = masses > 0.0
-    if not np.any(carrying):
+    if not carrying.any():
         raise ValueError("measure has no mass")
     # a C-ordered copy (values[:, carrying] need not be one), so each row
     # sums in the order it would alone
     values = np.compress(carrying, values, axis=1)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("potential must be finite on the support")
     out = _logsumexp(values, axis=1, b=masses[carrying])
     return float(out[0]) if np.ndim(theta) < 2 else out

@@ -11,8 +11,8 @@ diagram of the grid nodes (lifted by integer shifts for the wrap), each
 cell an interval whose nu-mass has a closed form. That keeps the
 master-equation residual at solver precision instead of at histogram
 granularity. A potential is a torus :class:`GridFunction`; the solver's
-output is its subclass :class:`Potential`, which adds only the iteration
-log, so every function here takes either. Potentials on
+output is its subclass :class:`Potential`, which adds the iteration log
+and its last evaluation, so every function here takes either. Potentials on
 higher-dimensional tori are refused until an exact operator for them
 exists.
 
@@ -22,8 +22,9 @@ ties the two together; `_transport` returns both at once, J from the
 factored cubic difference (b - a)(u^2 + u v + v^2) / 3 on each piece.
 The solver and its certificates read the tilt, the pushforward, J, the
 log-MGF, the free energy and the residual of a potential from one
-evaluation of that scan; tilt and pushforward are cell-mass arrays, and a
-grid measure is built only where one leaves this module.
+evaluation of that scan, one per potential: the certificates read the one
+the solver's last step accepted. Tilt and pushforward are cell-mass
+arrays, and a grid measure is built only where one leaves this module.
 
 The master equation couples the operator to a Gibbs tilt,
 
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -84,10 +85,14 @@ class Potential(GridFunction):
 
     :func:`normalize_potential` and every solver step enforce the gauge;
     finiteness comes with the :class:`GridFunction`. Solver output carries
-    its iteration log in ``log``.
+    its iteration log in ``log`` and, in ``evaluation``, the params, values
+    and evaluation (tilt, pushforward, J, log-MGF, F, residual) of its last
+    step. :func:`gprop_consistency` reads that only for the same params
+    object and equal values (``dataclasses.replace`` copies the field).
     """
 
     log: tuple = ()
+    evaluation: tuple = field(default=(), repr=False)
 
 
 def nu_mean(theta: GridFunction, nu: GridMeasure) -> float:
@@ -128,7 +133,7 @@ def _power_cells_1d(values: np.ndarray):
     h = 1.0 / k
     nodes = (np.arange(k) + 0.5) * h
     positions = np.concatenate([nodes - 1.0, nodes, nodes + 1.0])
-    weights = np.tile(values, 3)
+    weights = np.concatenate([values, values, values])
     kept = np.arange(3 * k)
     while True:
         p, w = positions[kept], weights[kept]
@@ -144,11 +149,10 @@ def _power_cells_1d(values: np.ndarray):
     return kept[live] % k, p[live], lows[live], highs[live]
 
 
-def _cdf_eval(nu: GridMeasure, points: np.ndarray) -> np.ndarray:
-    """CDF of a 1-d grid measure at points in [0,1] (piecewise linear)."""
-    k = nu.resolution
-    masses = nu.masses()
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
+def _cdf_eval(masses: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """CDF of 1-d grid cell masses at points in [0,1] (piecewise linear)."""
+    k = len(masses)
+    cum = np.concatenate([[0.0], masses.cumsum()])
     pts = np.clip(points, 0.0, 1.0)
     cell = np.minimum((pts * k).astype(np.int64), k - 1)
     frac = pts * k - cell
@@ -215,22 +219,22 @@ def _transport(f: GridFunction, nu: GridMeasure):
     difference, which keeps its digits on pieces as narrow as 1/k^2. So
     dJ/df_i = -mass_i holds exactly.
     """
-    values = f.values
+    values, nu_masses = f.values, nu.masses()
     node_idx, sites, lows, highs = _power_cells_1d(values)
     edges = np.concatenate([lows, highs[-1:]])
-    masses = np.bincount(node_idx, weights=np.diff(_cdf_eval(nu, edges)),
+    masses = np.bincount(node_idx, weights=np.diff(_cdf_eval(nu_masses, edges)),
                          minlength=f.resolution)
     # split all cells at nu's cell edges at once, the density being
     # constant on each piece
     kn = nu.resolution
     cuts = np.unique(np.concatenate([edges, np.arange(1, kn) / kn]))
     a, b = cuts[:-1], cuts[1:]
-    owner = np.searchsorted(lows, a, side="right") - 1
+    owner = lows.searchsorted(a, side="right") - 1
     site = sites[owner]
-    rho = nu.masses()[np.minimum((0.5 * (a + b) * kn).astype(np.int64),
+    rho = nu_masses[np.minimum((0.5 * (a + b) * kn).astype(np.int64),
                                  kn - 1)] * kn
-    return masses, -float(np.sum(rho * _square_integrals(a, b, site)
-                                 + rho * (b - a) * values[node_idx[owner]]))
+    return masses, -float((rho * _square_integrals(a, b, site)
+                           + rho * (b - a) * values[node_idx[owner]]).sum())
 
 
 def _square_integrals(a: np.ndarray, b: np.ndarray,
@@ -272,11 +276,14 @@ def j_functional(f: GridFunction, nu: GridMeasure) -> float:
 
 
 def _tilt_masses(values: np.ndarray, beta: float,
-                 mu0: GridMeasure) -> np.ndarray:
-    """Cell masses of the Gibbs tilt e^{beta values} mu0, normalized."""
+                 mu0_masses: np.ndarray) -> np.ndarray:
+    """Cell masses of the Gibbs tilt e^{beta values} mu0, normalized: only
+    the cells mu0 charges are exponentiated, shifted by their maximum, so a
+    peak where mu0 vanishes underflows none of them."""
+    charged = mu0_masses > 0.0
     logs = beta * values.reshape(-1)
-    logs = logs - np.max(logs)
-    raw = np.exp(logs) * mu0.masses()
+    logs -= logs.max(where=charged, initial=-np.inf)
+    raw = np.exp(logs, where=charged, out=np.zeros(len(logs))) * mu0_masses
     total = raw.sum()
     if total <= 0.0:
         raise ValueError("tilt has no mass; mu0 vanishes everywhere relevant")
@@ -348,18 +355,19 @@ def _evaluate(f: GridFunction, params: MasterParams) -> _Evaluation:
     _torus_pair(f, params.nu)
     if f.resolution != params.mu0.resolution:
         raise ValueError("potential and mu0 live on different grids")
-    tilt = _tilt_masses(f.values, params.beta, params.mu0)
+    mu0_masses = params.mu0.masses()
+    tilt = _tilt_masses(f.values, params.beta, mu0_masses)
     push, j = _transport(f, params.nu)
     flat = f.values.reshape(-1)
     if params.beta == 0.0:
         log_z = 0.0
-        free_energy = float(np.sum(flat * params.mu0.masses())) + j
+        free_energy = float((flat * mu0_masses).sum()) + j
     else:
-        log_z = log_mgf(params.mu0.masses(), params.beta * flat)
+        log_z = log_mgf(mu0_masses, params.beta * flat)
         free_energy = log_z / params.beta + j
     return _Evaluation(tilt=tilt, push=push, j=j, log_mgf=log_z,
                        free_energy=free_energy,
-                       residual=float(np.sum(np.abs(tilt - push))))
+                       residual=float(np.abs(tilt - push).sum()))
 
 
 def f_functional(f: GridFunction, params: MasterParams) -> float:
@@ -420,12 +428,12 @@ def _invert_cells_1d(masses: np.ndarray, nu: GridMeasure):
     nonnegative and sum to 1.
     """
     k = len(masses)
-    if np.any(masses < 0.0):
+    if (masses < 0.0).any():
         raise ValueError("cell inversion needs nonnegative masses")
     h = 1.0 / k
     mids = (np.arange(k) + 1.0) * h  # boundary targets: node_i + h/2
-    target_sum = float(np.sum(mids))
-    cum = np.cumsum(masses)
+    target_sum = float(mids.sum())
+    cum = masses.cumsum()
     quantile = _Quantile.of(nu)
     (s,), (on_break,) = _piece_search(
         quantile, cum[None, :],
@@ -439,7 +447,7 @@ def _invert_cells_1d(masses: np.ndarray, nu: GridMeasure):
         # top the first moves down into the gap, from its foot the last up
         b[edges[0] if excess > 0.0 else edges[-1]] -= excess
     increments = 2.0 * h * (b - mids)
-    values = np.concatenate([[0.0], np.cumsum(increments[:-1])])
+    values = np.concatenate([[0.0], increments[:-1].cumsum()])
     values[masses == 0.0] += h * h
     return values, 1.0 / quantile.rho[j]
 
@@ -513,19 +521,19 @@ def _newton_direction(masses: np.ndarray, slopes: np.ndarray,
     k = len(masses)
     # (J + 1 1^T / k) 1 = 2 - beta (diag t - t t^T) DInv 1, read off the
     # inversion's derivative 2h (P_i ds_l + max(P_i - P_l, 0))
-    prefix = np.concatenate([[0.0], np.cumsum(slopes[:-1])])
+    prefix = np.concatenate([[0.0], slopes[:-1].cumsum()])
     total = prefix[-1] + slopes[-1]
-    below = np.concatenate([[0.0], np.cumsum(prefix[:-1])])
-    dinv_ones = (2.0 / k) * (prefix * (np.sum(prefix - total) / total)
+    below = np.concatenate([[0.0], prefix[:-1].cumsum()])
+    dinv_ones = (2.0 / k) * (prefix * ((prefix - total).sum() / total)
                              + np.arange(k) * prefix - below)
     ones_image = 2.0 - beta * tilt * (dinv_ones - tilt @ dinv_ones)
     residual = tilt - masses
-    alpha = np.sum(residual) / (2.0 * k)
+    alpha = residual.sum() / (2.0 * k)
     rest = residual - alpha * ones_image
     if beta == 0.0:
         return rest + alpha
     w = k / (2.0 * slopes)
-    before = np.roll(w, 1)  # w_{i-1}
+    before = np.concatenate([w[-1:], w[:-1]])  # w_{i-1}
     u = _cyclic_tridiagonal_solve(before, -(w + before) - beta * tilt, w,
                                   rest)
     return rest + beta * tilt * u + alpha
@@ -548,7 +556,8 @@ def solve_master(params: MasterParams,
     iteration; the steps pass cell-mass arrays and build no grid measure.
     Output is mean-zero under nu and carries the iteration log
     as (iteration, residual, free energy, accepted step) tuples, the start
-    logged with step 0. A grid of dimension other than 1 raises ValueError
+    logged with step 0, and its last evaluation (a warm start's is not
+    read). A grid of dimension other than 1 raises ValueError
     before the first evaluation. Non-convergence raises
     :class:`SolverError` with the residual trace: after max_iter accepted
     steps, or once STALL_STEPS accepted steps in a row after the first full
@@ -564,6 +573,7 @@ def solve_master(params: MasterParams,
     ev = _evaluate(current, params)
     log = [(0, ev.residual, ev.free_energy, 0.0)]
     hidden = params.mu0.masses() == 0.0  # the tilt never charges these cells
+    nu_masses = params.nu.masses()
     masses = slopes = None  # the masses the current potential inverts
     # accepted steps since a new lowest residual, counted once a full Newton
     # step was accepted: damped steps may trade residual for free energy
@@ -590,13 +600,13 @@ def solve_master(params: MasterParams,
         for _ in range(40):
             trial_masses = masses + step * direction
             trial_masses[hidden] = 0.0
-            if np.any(trial_masses[~hidden] <= 0.0):
+            if (trial_masses[~hidden] <= 0.0).any():
                 step *= 0.5
                 continue
             trial_masses = trial_masses / trial_masses.sum()
             values, trial_slopes = _invert_cells_1d(trial_masses, params.nu)
-            trial = normalize_potential(
-                GridFunction(dim=1, resolution=k, values=values), params.nu)
+            trial = Potential(dim=1, resolution=k, values=values - float(
+                (values * nu_masses).sum()))  # the gauge of nu_mean
             trial_ev = _evaluate(trial, params)
             if (trial_ev.residual <= ev.residual
                     or trial_ev.free_energy <= ev.free_energy + 1e-15):
@@ -612,7 +622,8 @@ def solve_master(params: MasterParams,
         local = local or step == 1.0
         lowest, stalled = ((ev.residual, 0) if ev.residual < lowest
                            else (lowest, stalled + 1 if local else 0))
-    return dataclasses.replace(current, log=tuple(log))
+    return dataclasses.replace(current, log=tuple(log),
+                               evaluation=(params, current.values, ev))
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +717,9 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
     phi)); and a probe sweep showing the rate function is strictly larger
     at perturbed measures. One evaluation of phi_min gives mu_min, the
     residual, J, the log-MGF I(beta phi) and the rate function's constant
-    beta F(phi_min), shared by the minimiser and every probe. The probes
+    beta F(phi_min), shared by the minimiser and every probe: the one
+    solve_master left on phi_min for this params object and these values,
+    else a fresh one. The probes
     multiply mu_min by e^{N(0, 0.35^2)} per cell, all drawn in one call,
     and their masses and entropies are computed for all probes at once.
     One stacked piece search gives every W2^2: mu_min's masses are row 0,
@@ -719,7 +732,10 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
     """
     if phi_min is None:
         phi_min = solve_master(params)
-    ev = _evaluate(phi_min, params)
+    carried = getattr(phi_min, "evaluation", ())
+    ev = (carried[2] if carried and carried[0] is params
+          and np.array_equal(carried[1], phi_min.values)
+          else _evaluate(phi_min, params))
     k = params.resolution
     mu_min = _from_masses(ev.push, params.dim, k)
     min_masses = mu_min.masses()
@@ -735,7 +751,7 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
         stack = np.concatenate([stack, masses])
     w2s = _w2_circle_rows(mu_min.centers().reshape(-1), stack, params.nu)
     w2 = float(w2s[0])
-    pairing = float(np.sum(phi_min.values.reshape(-1) * min_masses))
+    pairing = float((phi_min.values.reshape(-1) * min_masses).sum())
     bracket_gap = w2 + ev.j + pairing
 
     ents = entropy(params.mu0.masses(), stack)

@@ -189,7 +189,7 @@ def w2_empirical(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 def _knots(mass: np.ndarray) -> np.ndarray:
     """Cumulative masses along the last axis from 0, the last pinned to 1."""
     t = np.zeros(mass.shape[:-1] + (mass.shape[-1] + 1,))
-    t[..., 1:] = np.cumsum(mass, axis=-1)
+    t[..., 1:] = mass.cumsum(axis=-1)
     t[..., -1] = 1.0
     return t
 
@@ -248,9 +248,9 @@ class _Quantile(NamedTuple):
         over [alpha[r], 1 + alpha[r]], and the cut costs sum_i mu_i x_i^2 -
         2 x . B[r] + C[r] for atoms x with masses mu."""
         mass, left, right = self.mass, self.left, self.right
-        m1 = np.concatenate([[0.0], np.cumsum(mass * (left + right) / 2)])
-        m2 = np.concatenate([[0.0], np.cumsum(
-            mass * (left * left + left * right + right * right) / 3)])
+        m1 = np.concatenate([[0.0], (mass * (left + right) / 2).cumsum()])
+        m2 = np.concatenate([[0.0], (
+            mass * (left * left + left * right + right * right) / 3).cumsum()])
 
         def inner(u):  # integrals of Q and Q^2 over [0, u], u in [0, 1]
             j, delta, y = self.locate(u)
@@ -314,13 +314,11 @@ def _piece_search(quantile: _Quantile, base: np.ndarray, line) -> tuple:
     row's zero. Returns the zeros and whether each sits on a break.
     """
     rows = len(base)
-    lo, hi = np.full(rows, -1.0), np.full(rows, 1.0)
-    guess, zero = np.zeros(rows), np.zeros(rows)
-    on_break = np.zeros(rows, dtype=bool)
-    live = np.arange(rows)  # the rows still searching
+    zero, on_break = np.zeros(rows), np.zeros(rows, dtype=bool)
+    live = np.arange(rows)  # the rows still searching, and their state
+    g, low, high = np.zeros(rows), np.full(rows, -1.0), np.full(rows, 1.0)
     while live.size:
-        g, low, high = guess[live], lo[live], hi[live]
-        j, delta, u, q = quantile.wrapped(base[live] + g[:, None])
+        j, delta, u, q = quantile.wrapped(base + g[:, None])
         value, slope = line(q, 1.0 / quantile.rho[j])
         at = g - value / slope
         lower = np.maximum(g - delta.min(axis=1), low)
@@ -330,14 +328,18 @@ def _piece_search(quantile: _Quantile, base: np.ndarray, line) -> tuple:
         new_lo, new_hi = np.where(above, upper, low), np.where(above, high, lower)
         stuck = ~found & (((new_lo == low) & (new_hi == high))
                           | (new_lo >= new_hi))
-        zero[live] = np.where(stuck, np.clip(at, low, high), at)
-        on_break[live] = stuck
-        go = ~(found | stuck)
+        done = found | stuck
+        if done.any():  # record the finished rows; drop them or stop
+            zero[live[done]] = np.where(stuck, np.clip(at, low, high), at)[done]
+            on_break[live[done]] = stuck[done]
+            if done.all():
+                break
+            go = ~done
+            live, base, at, low, high, new_lo, new_hi = (
+                a[go] for a in (live, base, at, low, high, new_lo, new_hi))
         halved = new_hi - new_lo <= 0.5 * (high - low)
         jump = halved & (new_lo < at) & (at < new_hi)
-        live = live[go]
-        lo[live], hi[live] = new_lo[go], new_hi[go]
-        guess[live] = np.where(jump, at, 0.5 * (new_lo + new_hi))[go]
+        g, low, high = np.where(jump, at, 0.5 * (new_lo + new_hi)), new_lo, new_hi
     return zero, on_break
 
 

@@ -208,6 +208,23 @@ def test_logsumexp_matches_scipy_bit_for_bit(a, axis, b):
     assert np.array_equal(got, want, equal_nan=True)
 
 
+@pytest.mark.parametrize("a, axis, b", [
+    # two tied maxima, each split off with weight 1 and zeroed in the tail
+    (np.array([1.5, -0.25, 1.5, 0.75]), None, None),
+    (np.array([[1.5, -0.25, 1.5, 0.75], [0.0, 2.0, 2.0, -3.0]]), 1, None),
+    # a zero weight in a weighted row, on the largest entry and elsewhere
+    (np.array([[0.5, 3.0, -1.0, 0.5]]), 1, np.array([[0.25, 0.0, 0.5, 0.25]])),
+    (np.array([2.0, 2.0, 1.0, -0.5]), None, np.array([0.0, 0.5, 0.5, 0.0])),
+])
+def test_logsumexp_ties_and_zero_weights_match_scipy(a, axis, b):
+    from scipy.special import logsumexp
+
+    got = _logsumexp(a, axis=axis, b=b)
+    want = logsumexp(a, axis=axis, b=b)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
 def test_logsumexp_matches_scipy_on_random_tables():
     from scipy.special import logsumexp
 

@@ -1,5 +1,6 @@
 """Transport operator, master-equation solver, and rate function."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from ldpma.legendre import GridFunction
 from ldpma import monge_ampere, transport
-from ldpma.measures import DiscreteMeasure, GridMeasure, torus_domain
+from ldpma.measures import DiscreteMeasure, GridMeasure, log_mgf, torus_domain
 from ldpma.monge_ampere import (
     MasterParams,
     SolverError,
@@ -161,7 +162,8 @@ def test_j_functional_constant_shift():
 
 def test_tilt_measure_zero_beta_is_mu0():
     mu0 = bump_measure(32)
-    tilt = monge_ampere._tilt_masses(np.linspace(0.0, 1.0, 32), 0.0, mu0)
+    tilt = monge_ampere._tilt_masses(np.linspace(0.0, 1.0, 32), 0.0,
+                                     mu0.masses())
     assert np.abs(tilt - mu0.masses()).max() == 0.0
 
 
@@ -237,8 +239,9 @@ def test_solver_and_certificates_scan_each_potential_once(monkeypatch):
     assert calls.count("cells") == calls.count("invert") + 1
     assert "measure" not in calls
     calls.clear()
+    # the certificates read the solver's last evaluation: no scan at all
     gprop_consistency(params, probes=8, phi_min=phi)
-    assert calls == ["cells", "measure"]
+    assert calls == ["measure"]
 
 
 def test_w2_circle_single_atoms():
@@ -563,16 +566,119 @@ def test_gprop_consistency_computes_the_constant_once(monkeypatch):
     monkeypatch.setattr(monge_ampere, "w2_to_reference", counted_w2)
     monkeypatch.setattr(monge_ampere, "_w2_circle_rows", counted_rows)
     monkeypatch.setattr(monge_ampere, "log_mgf", counted_mgf)
-    report = gprop_consistency(params, probes=8, seed=5, phi_min=phi)
     # one stacked W2 for mu_min (row 0: bracket and rate alike) and the
     # probes, and the evaluation's log-MGF for the entropy gap; each
-    # probe's rate is still the one rate_function_g gives
-    assert calls == ["evaluate", "w2 x9"]
-    assert report.rate_at_minimizer == want_min
-    assert report.min_probe_value == want_best
-    assert report.free_energy == f_functional(phi, params)
-    assert np.array_equal(report.pushforward.masses(), mu_min.masses())
-    assert report.passed
+    # probe's rate is still the one rate_function_g gives. The solver's
+    # output carries its last evaluation; a plain grid function does not
+    for potential, want_calls in ((phi, ["w2 x9"]),
+                                  (torus_grid_function(phi.values),
+                                   ["evaluate", "w2 x9"])):
+        calls.clear()
+        report = gprop_consistency(params, probes=8, seed=5,
+                                   phi_min=potential)
+        assert calls == want_calls
+        assert report.rate_at_minimizer == want_min
+        assert report.min_probe_value == want_best
+        assert report.free_energy == f_functional(phi, params)
+        assert np.array_equal(report.pushforward.masses(), mu_min.masses())
+        assert report.passed
+
+
+def same_report(a, b):
+    """Two consistency reports equal bit for bit, pushforward included."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "pushforward":
+            assert np.array_equal(x.masses(), y.masses())
+        else:
+            assert x == y, f.name
+
+
+def test_gprop_consistency_reads_the_carried_evaluation_only_for_its_params(
+        monkeypatch):
+    params = MasterParams(beta=1.0, mu0=bump_measure(32))
+    phi = solve_master(params)
+    assert phi.evaluation[0] is params
+    plain = gprop_consistency(params, probes=8, seed=3,
+                              phi_min=torus_grid_function(phi.values))
+    real = monge_ampere._evaluate
+    evaluated = []
+
+    def counted(f, p):
+        evaluated.append(p)
+        return real(f, p)
+
+    monkeypatch.setattr(monge_ampere, "_evaluate", counted)
+    same_report(gprop_consistency(params, probes=8, seed=3, phi_min=phi),
+                plain)
+    assert evaluated == []
+    # an equal but distinct params, another beta, other values, and values
+    # changed in place each get a fresh evaluation, and the report a plain
+    # grid function of the same values gets
+    xs = np.arange(32) / 32
+    changed = dataclasses.replace(phi)
+    changed.values[0] += 1e-3
+    cases = [(MasterParams(beta=1.0, mu0=params.mu0), phi),
+             (MasterParams(beta=2.0, mu0=params.mu0), phi),
+             (params, dataclasses.replace(
+                 phi, values=phi.values + 1e-3 * np.cos(2 * np.pi * xs))),
+             (params, changed)]
+    for p, f in cases:
+        assert f.evaluation[0] is params
+        evaluated.clear()
+        report = gprop_consistency(p, probes=8, seed=3, phi_min=f)
+        assert evaluated == [p]
+        same_report(report, gprop_consistency(
+            p, probes=8, seed=3, phi_min=torus_grid_function(f.values)))
+    same_report(gprop_consistency(cases[0][0], probes=8, seed=3,
+                                  phi_min=phi), plain)
+
+
+def test_solver_starts_from_a_fresh_evaluation(monkeypatch):
+    params = MasterParams(beta=1.0, mu0=bump_measure(32))
+    phi = solve_master(params)
+    real = monge_ampere._evaluate
+    evaluated = []
+
+    def counted(f, p):
+        evaluated.append((f, p))
+        return real(f, p)
+
+    monkeypatch.setattr(monge_ampere, "_evaluate", counted)
+    # a warm start from the solution: its carried evaluation is not read,
+    # the start is evaluated once, and that already converges
+    again = solve_master(params, initial=phi)
+    assert len(evaluated) == 1 and len(again.log) == 1
+    assert again.evaluation[2] is not phi.evaluation[2]
+    assert np.array_equal(evaluated[0][0].values, again.values)
+    # under another beta the start is evaluated for that beta, and the
+    # output carries the evaluation of its own last step
+    other = MasterParams(beta=2.0, mu0=params.mu0)
+    evaluated.clear()
+    moved = solve_master(other, initial=phi)
+    assert evaluated[0][1] is other and len(evaluated) >= len(moved.log)
+    assert moved.evaluation[0] is other
+    assert all(np.array_equal(carried, fresh) for carried, fresh
+               in zip(moved.evaluation[2], real(moved, other)))
+
+
+def test_tilt_shifts_by_the_maximum_over_the_cells_mu0_charges():
+    # a potential peaking on the one cell mu0 does not charge: shifted by
+    # the maximum over all cells, beta * 1 = 800 underflowed every charged
+    # cell and the tilt had no mass
+    k = 8
+    density = np.ones(k)
+    density[3] = 0.0
+    mu0 = GridMeasure.from_density_values(density)
+    params = MasterParams(beta=800.0, mu0=mu0)
+    f = torus_grid_function(np.eye(k)[3])
+    masses = mu0.masses()
+    tilt = monge_ampere._tilt_masses(f.values, params.beta, masses)
+    assert np.array_equal(tilt, masses / masses.sum())
+    assert f_functional(f, params) == (log_mgf(masses, 800.0 * f.values)
+                                       / 800.0 + j_functional(f, params.nu))
+    assert f_gradient_residual(f, params) == np.sum(
+        np.abs(tilt - ma_operator(f, params.nu).masses()))
 
 
 @pytest.mark.parametrize("k", [32, 64, 128, 256])
