@@ -35,7 +35,8 @@ import numpy as np
 
 from .legendre import GridFunction, conjugate_at, interpolate_at
 from .measures import (DiscreteMeasure, EmpiricalConfig, GridMeasure,
-                       _logsumexp, empirical, entropy, grid_points)
+                       _logsumexp, cell_nodes, empirical, entropy,
+                       grid_points)
 from .torus_theta import ThetaParams, TorusLattice, log_theta_grid
 from .transport import cost_matrix, hungarian, w2_circle_atoms, w2_empirical
 
@@ -381,7 +382,7 @@ def gibbs_exact(ensemble: GibbsEnsemble) -> GibbsTable:
 def _quadrature(mu0: GridMeasure, resolution: int):
     """Cell-center nodes of a k-grid and the logs of their mu0 weights,
     normalized to a probability (-inf where mu0 vanishes)."""
-    pts = grid_points([(np.arange(resolution) + 0.5) / resolution] * mu0.dim)
+    pts = grid_points([cell_nodes(0.0, 1.0, resolution)] * mu0.dim)
     dens = mu0.density[tuple(mu0.cell_indices(pts).T)]
     weights = dens / resolution ** mu0.dim
     total = weights.sum()
@@ -569,7 +570,7 @@ def zero_temp_mgf_stack(thetas, n: int, d: int, mu0: GridMeasure,
     entry per theta.
     """
     for theta in thetas:
-        if theta.kind != "torus" or theta.dim != d:
+        if theta.dim != d:
             raise ValueError("theta must live on the d-torus chart")
     if mu0.dim != d:
         raise ValueError("mu0 must be a grid measure of dimension d")
@@ -591,11 +592,9 @@ def zero_temp_mgf_stack(thetas, n: int, d: int, mu0: GridMeasure,
     for theta in thetas:
         # sup_x [theta - |x - y|^2] = g*(2y) - |y|^2 with g = |x|^2 - theta
         nodes = theta.nodes()
-        g = GridFunction(dim=d, resolution=theta.resolution,
-                         values=(np.sum(nodes * nodes, axis=1)
-                                 - theta.values.reshape(-1)
-                                 ).reshape(theta.values.shape))
-        conj = conjugate_at(g, 2.0 * flat).reshape(len(lattice.points), -1)
+        conj = conjugate_at(nodes, np.sum(nodes * nodes, axis=1)
+                            - theta.values.reshape(-1),
+                            2.0 * flat).reshape(len(lattice.points), -1)
         targets.append(float(np.mean(np.max(conj - norms, axis=1))))
     return p_n, np.array(targets)
 

@@ -2,10 +2,12 @@
 
 Contents:
 
-- ``GridFunction``: finite scalar samples on a regular grid.
-- ``legendre_transform``: conjugate f*(y) = max over nodes of <x,y> - f(x)
-  of a 1-d function, direct scan onto a dual grid.
-- ``conjugate_at``: the same scan evaluated at arbitrary dual points.
+- ``GridFunction``: finite scalar samples at the cell centres of the
+  unit torus.
+- ``conjugate_at``: the discrete conjugate f*(y) = max over nodes x of
+  <x, y> - f(x), one scan of node and value arrays at arbitrary dual
+  points.
+- ``interpolate_at``: multilinear interpolation of a ``GridFunction``.
 - ``ent_dual_check``: relative entropy against the supremum of
   <theta, nu> - log integral exp(theta) d mu0 over a refined theta grid.
 """
@@ -19,14 +21,16 @@ from typing import Tuple
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _logsumexp, entropy, grid_points
+from .measures import (DiscreteMeasure, cell_nodes, entropy, grid_points,
+                       log_mgf)
 
 MAX_DIM = 2
 
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Scalar function sampled at the cell centers of a regular grid.
+    """Scalar function sampled at the cell centres (i + 0.5) / resolution
+    of the unit torus [0, 1)^dim.
 
     Parameters
     ----------
@@ -36,18 +40,11 @@ class GridFunction:
         Nodes per axis, >= 2.
     values : np.ndarray
         Shape (resolution,) * dim, every entry finite.
-    kind : str
-        ``"torus"`` (the default) or ``"box"``; torus nodes are
-        (i + 0.5)/resolution.
-    bounds : tuple of (float, float)
-        Per-axis intervals for boxes.
     """
 
     dim: int
     resolution: int
     values: np.ndarray
-    kind: str = "torus"
-    bounds: tuple = ()
 
     def __post_init__(self):
         if not 1 <= self.dim <= MAX_DIM:
@@ -61,32 +58,10 @@ class GridFunction:
         if not np.isfinite(values).all():
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", values)
-        bounds = self.bounds
-        if self.kind == "torus":
-            bounds = tuple((0.0, 1.0) for _ in range(self.dim))
-        elif self.kind == "box":
-            bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-            if len(bounds) != self.dim:
-                raise ValueError("box grid needs one (lo, hi) pair per axis")
-        else:
-            raise ValueError("kind must be 'box' or 'torus'")
-        object.__setattr__(self, "bounds", bounds)
-
-    # ---- geometry ----
-
-    def axis_nodes(self, axis: int) -> np.ndarray:
-        lo, hi = self.bounds[axis]
-        step = (hi - lo) / self.resolution
-        return lo + (np.arange(self.resolution) + 0.5) * step
 
     def nodes(self) -> np.ndarray:
-        return grid_points([self.axis_nodes(a) for a in range(self.dim)])
-
-    def step(self, axis: int = 0) -> float:
-        lo, hi = self.bounds[axis]
-        return (hi - lo) / self.resolution
-
-    # ---- values ----
+        """All nodes, shape (resolution**dim, dim), row-major order."""
+        return grid_points([cell_nodes(0.0, 1.0, self.resolution)] * self.dim)
 
     def shifted(self, constant: float) -> "GridFunction":
         return dataclasses.replace(self, values=self.values + constant)
@@ -97,16 +72,16 @@ class GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def conjugate_at(f: GridFunction, points: np.ndarray) -> np.ndarray:
-    """max over nodes of <x, y> - f(x), for each query row y.
-
-    The scan is the correctness oracle for :func:`legendre_transform`.
-    """
+def conjugate_at(nodes: np.ndarray, values: np.ndarray,
+                 points: np.ndarray) -> np.ndarray:
+    """max over the (n, d) ``nodes`` x of <x, y> - f(x), for each row y of
+    the (q, d) ``points``, where ``values`` holds the n values f(x) in the
+    order of the nodes."""
+    nodes = np.asarray(nodes, dtype=float)
+    neg_f = -np.asarray(values, dtype=float).reshape(-1)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != f.dim:
+    if points.shape[1] != nodes.shape[1]:
         raise ValueError("query points have the wrong dimension")
-    nodes = f.nodes()
-    neg_f = -f.values.reshape(-1)
     out = np.empty(len(points))
     chunk = max(1, 2 ** 22 // max(len(nodes), 1))
     for start in range(0, len(points), chunk):
@@ -117,18 +92,15 @@ def conjugate_at(f: GridFunction, points: np.ndarray) -> np.ndarray:
 
 
 def interpolate_at(f: GridFunction, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of torus grid values at arbitrary points.
+    """Multilinear interpolation of grid values at arbitrary points.
 
-    Exact at grid nodes; queries wrap around the torus. Box grids are
-    refused.
+    Exact at grid nodes; queries wrap around the torus.
     """
-    if f.kind != "torus":
-        raise ValueError("interpolate_at needs a torus grid")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != f.dim:
         raise ValueError("query points have the wrong dimension")
     k = f.resolution
-    step = f.step(0)  # the same on every torus axis
+    step = 1.0 / k
     t = (points - 0.5 * step) / step
     low = np.floor(t).astype(np.int64)
     frac = t - low
@@ -141,22 +113,6 @@ def interpolate_at(f: GridFunction, points: np.ndarray) -> np.ndarray:
         idx = np.mod(low + np.array(corner), k)
         out += weight * f.values[tuple(idx.T)]
     return out
-
-
-def legendre_transform(f: GridFunction, dual_bounds: tuple,
-                       dual_resolution: int) -> GridFunction:
-    """Discrete conjugate of a 1-d ``f`` on a box grid of dual points.
-
-    f*(y_j) = max over grid nodes x_i of <x_i, y_j> - f(x_i).
-    """
-    if f.dim != 1:
-        raise ValueError("legendre_transform is 1-d; use conjugate_at")
-    dual = GridFunction(dim=1, resolution=dual_resolution,
-                        values=np.zeros(dual_resolution),
-                        kind="box", bounds=dual_bounds)
-    scores = (np.outer(dual.axis_nodes(0), f.axis_nodes(0))
-              - f.values[None, :])
-    return dataclasses.replace(dual, values=np.max(scores, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +150,10 @@ def ent_dual_check(mu0: DiscreteMeasure,
         raise ValueError("reference measure must be strictly positive")
 
     ent = entropy(mu0.weights, nu.weights)
-    log_mu0 = np.log(mu0.weights)
     nu_w = nu.weights
 
     def pairing(thetas: np.ndarray) -> np.ndarray:
-        return thetas @ nu_w - _logsumexp(thetas + log_mu0, axis=1)
+        return thetas @ nu_w - log_mgf(mu0.weights, thetas)
 
     if np.all(nu_w > 0):
         closed = np.log(nu_w / mu0.weights)

@@ -5,6 +5,7 @@ This module provides:
 - ``Domain``: where a measure lives (unit torus or finite alphabet).
 - ``DiscreteMeasure``: weighted atoms; carries empirical measures and
   Gibbs marginals.
+- ``cell_nodes``: the cell centres of a regular grid on an interval.
 - ``GridMeasure``: a density on the regular grid of cells that tiles the
   unit torus; carries reference densities and transport-operator images.
 - ``EmpiricalConfig``: an ordered particle configuration.
@@ -17,6 +18,8 @@ The two functionals take mass arrays, as every caller already holds them
 (``GridMeasure.masses()``, ``DiscreteMeasure.weights``), and each takes a
 (T, sites) stack as well as one row: a row's value equals its one-row
 call bit for bit, so a certificate may evaluate all its rows at once.
+``entropy`` makes one full-width pass over the stack, whichever sites
+each row charges.
 
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
@@ -207,6 +210,11 @@ def empirical(config: EmpiricalConfig) -> DiscreteMeasure:
 # ---------------------------------------------------------------------------
 
 
+def cell_nodes(lo: float, hi: float, k: int) -> np.ndarray:
+    """Centres of the k equal cells of [lo, hi]."""
+    return lo + (np.arange(k) + 0.5) * ((hi - lo) / k)
+
+
 def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     """Every point of the product of per-axis coordinates, row-major.
 
@@ -283,8 +291,7 @@ class GridMeasure:
 
     def centers(self) -> np.ndarray:
         """All cell centers, shape (resolution**dim, dim), row-major order."""
-        axis = (np.arange(self.resolution) + 0.5) * (1.0 / self.resolution)
-        return grid_points([axis] * self.dim)
+        return grid_points([cell_nodes(0.0, 1.0, self.resolution)] * self.dim)
 
     # ---- mass ----
 
@@ -336,28 +343,21 @@ def entropy(ref, masses):
     stack, giving T values. A row's value is the sum of m * log(m / ref)
     over the sites it charges when the reference exceeds 1e-15 at each of
     them, and +inf otherwise; nonnegative for probability pairs, zero only
-    at masses == ref. Rows are grouped by the sites they charge and each
-    group's terms compressed into a C-ordered block, so a row's sum, and
-    its value, do not depend on its stack.
+    at masses == ref. The terms are written into a C-ordered array of the
+    stack's full width, zero at the sites a row does not charge, and each
+    row is summed along its own row, so a row's value does not depend on
+    its stack.
     """
     ref = np.asarray(ref, dtype=float).reshape(-1)
     stack = _site_rows(masses, len(ref))
-    out = np.full(len(stack), math.inf)
-    charged = np.ascontiguousarray(stack > 0.0)
-    if (charged == charged[:1]).all():  # one mask: skip the grouping
-        first, groups = [0], [slice(None)]
-    else:  # one bytes key per row: np.unique(axis=0) is far slower
-        keys = charged.view(np.dtype((np.void, len(ref)))).reshape(-1)
-        _, first, group = np.unique(keys, return_index=True,
-                                    return_inverse=True)
-        groups = np.split(np.argsort(group, kind="stable"),
-                          np.cumsum(np.bincount(group))[:-1])
-    for mask, rows in zip(charged[first], groups):
-        r = ref[mask]
-        if (r <= NULL_DENSITY).any():
-            continue
-        a = np.compress(mask, stack[rows], axis=1)
-        out[rows] = (a * np.log(a / r)).sum(axis=1)
+    charged = stack > 0.0
+    live = charged & (ref > NULL_DENSITY)
+    terms = np.zeros(stack.shape)
+    np.divide(stack, ref, out=terms, where=live)
+    np.log(terms, out=terms, where=live)
+    np.multiply(stack, terms, out=terms, where=live)
+    out = terms.sum(axis=1)
+    out[(charged != live).any(axis=1)] = math.inf
     return float(out[0]) if np.ndim(masses) < 2 else out
 
 

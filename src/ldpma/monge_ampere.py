@@ -57,7 +57,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .legendre import GridFunction
-from .measures import (DiscreteMeasure, GridMeasure, entropy,
+from .measures import (DiscreteMeasure, GridMeasure, cell_nodes, entropy,
                        log_mgf, torus_domain)
 from .transport import (_piece_search, _Quantile, _w2_circle_rows,
                         w2_circle_atoms)
@@ -81,7 +81,7 @@ REDUCED_ROWS = 32
 
 @dataclass(frozen=True, eq=False)
 class Potential(GridFunction):
-    """A grid function in the mean-zero gauge under nu, torus by default.
+    """A torus grid function in the mean-zero gauge under nu.
 
     :func:`normalize_potential` and every solver step enforce the gauge;
     finiteness comes with the :class:`GridFunction`. Solver output carries
@@ -105,8 +105,7 @@ def nu_mean(theta: GridFunction, nu: GridMeasure) -> float:
 def normalize_potential(theta: GridFunction, nu: GridMeasure) -> Potential:
     """Shift to the mean-zero gauge under nu, verified to 1e-10."""
     out = Potential(dim=theta.dim, resolution=theta.resolution,
-                    values=theta.values - nu_mean(theta, nu),
-                    kind=theta.kind, bounds=theta.bounds)
+                    values=theta.values - nu_mean(theta, nu))
     if abs(nu_mean(out, nu)) > NORMALIZATION_TOL:
         raise RuntimeError("normalization did not land within tolerance")
     return out
@@ -130,8 +129,7 @@ def _power_cells_1d(values: np.ndarray):
     the lows strictly increasing.
     """
     k = len(values)
-    h = 1.0 / k
-    nodes = (np.arange(k) + 0.5) * h
+    nodes = cell_nodes(0.0, 1.0, k)
     positions = np.concatenate([nodes - 1.0, nodes, nodes + 1.0])
     weights = np.concatenate([values, values, values])
     kept = np.arange(3 * k)
@@ -190,8 +188,6 @@ def w2_circle(mu, nu) -> float:
 def _torus_pair(f: GridFunction, nu: GridMeasure) -> None:
     """Refuse all but a circle potential on nu's torus: the one place the
     operator refuses other dimensions."""
-    if f.kind != "torus":
-        raise ValueError("the potential must live on the torus")
     if f.dim != 1:
         raise ValueError(f"the transport operator is exact in dimension 1 "
                          f"only, not in dimension {f.dim}")

@@ -228,7 +228,7 @@ class _Quantile(NamedTuple):
 
     def locate(self, u):
         """(charged piece, offset into it, Q) at coordinates u in [0, 1]."""
-        j = np.minimum(np.searchsorted(self.t, u, side="right") - 1,
+        j = np.minimum(self.t.searchsorted(u, side="right") - 1,
                        len(self.mass) - 1)
         delta = u - self.t[j]
         return j, delta, self.left[j] + delta / self.rho[j]

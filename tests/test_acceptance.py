@@ -253,7 +253,7 @@ def test_12_zero_temp_mgf_converges():
     thetas = (np.zeros(k), 0.2 * np.cos(2 * np.pi * xs), -0.8 * half ** 2)
     mu0 = GridMeasure.uniform(dim=1, resolution=k)
     for values in thetas:
-        theta = GridFunction(dim=1, resolution=k, values=values, kind="torus")
+        theta = GridFunction(dim=1, resolution=k, values=values)
         gaps = []
         for n in (8, 16, 32):
             p_n, target = zero_temp_mgf(theta, n, 1, mu0, 512)

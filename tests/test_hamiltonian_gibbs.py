@@ -482,7 +482,7 @@ def test_shared_kernel_table_equals_per_theta_calls():
     k = 64
     xs = np.arange(k) / k
     mu0 = GridMeasure.from_density_values(1.0 + 0.5 * np.sin(2 * np.pi * xs))
-    thetas = [GridFunction(dim=1, resolution=k, values=v, kind="torus")
+    thetas = [GridFunction(dim=1, resolution=k, values=v)
               for v in (np.zeros(k), 0.2 * np.cos(2 * np.pi * xs),
                         -0.8 * cost_matrix(xs[:, None], [[0.5]],
                                            "sqdist_torus")[:, 0])]
@@ -497,7 +497,7 @@ def test_zero_temp_shift_identity():
     k = 32
     xs = np.arange(k) / k
     theta = GridFunction(dim=1, resolution=k,
-                         values=0.1 * np.cos(2 * np.pi * xs), kind="torus")
+                         values=0.1 * np.cos(2 * np.pi * xs))
     mu0 = GridMeasure.uniform(dim=1, resolution=k)
     p, _ = zero_temp_mgf(theta, 8, 1, mu0, 256)
     p_shift, _ = zero_temp_mgf(theta.shifted(0.41), 8, 1, mu0, 256)
@@ -508,7 +508,7 @@ def test_zero_temp_gap_shrinks():
     k = 32
     xs = np.arange(k) / k
     theta = GridFunction(dim=1, resolution=k,
-                         values=0.1 * np.cos(2 * np.pi * xs), kind="torus")
+                         values=0.1 * np.cos(2 * np.pi * xs))
     mu0 = GridMeasure.uniform(dim=1, resolution=k)
     gaps = []
     for n in (8, 16, 32):

@@ -1,5 +1,7 @@
 """Grid Legendre conjugates and the entropy duality on alphabets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,37 +12,34 @@ from ldpma.legendre import (
     conjugate_at,
     ent_dual_check,
     interpolate_at,
-    legendre_transform,
 )
-from ldpma.measures import DiscreteMeasure, torus_domain
+from ldpma.measures import (DiscreteMeasure, GridMeasure, cell_nodes,
+                            torus_domain)
 
 from oracles import ent_dual_sup_scan, relative_entropy
 
 
 def parabola(resolution=64, half_width=2.0):
-    step = 2.0 * half_width / resolution
-    x = -half_width + (np.arange(resolution) + 0.5) * step
-    return GridFunction(dim=1, resolution=resolution, values=0.5 * x ** 2,
-                        kind="box", bounds=((-half_width, half_width),))
+    """Nodes, as one column, and values of x^2 / 2 on a grid of
+    [-half_width, half_width]."""
+    x = cell_nodes(-half_width, half_width, resolution)
+    return x[:, None], 0.5 * x ** 2
 
 
 def test_conjugate_of_half_square_is_half_square():
-    f = parabola(resolution=256)
-    fstar = legendre_transform(f, dual_bounds=((-1.0, 1.0),),
-                               dual_resolution=128)
-    ys = fstar.axis_nodes(0)
+    x, f = parabola(resolution=256)
+    ys = cell_nodes(-1.0, 1.0, 128)
+    fstar = conjugate_at(x, f, ys[:, None])
     want = 0.5 * ys ** 2
     # node-max conjugate of a smooth function carries an O(h^2) defect
-    assert np.max(np.abs(fstar.values - want)) < 5e-4
+    assert np.max(np.abs(fstar - want)) < 5e-4
 
 
 def test_young_inequality_exact_on_nodes():
-    f = parabola(resolution=64)
-    fstar = legendre_transform(f, dual_bounds=((-1.5, 1.5),),
-                               dual_resolution=64)
-    xs = f.axis_nodes(0)
-    ys = fstar.axis_nodes(0)
-    gaps = xs[:, None] * ys[None, :] - f.values[:, None] - fstar.values[None, :]
+    x, f = parabola(resolution=64)
+    ys = cell_nodes(-1.5, 1.5, 64)
+    fstar = conjugate_at(x, f, ys[:, None])
+    gaps = x * ys[None, :] - f[:, None] - fstar[None, :]
     # f(x) + f*(y) >= x y holds exactly by construction of the node max
     assert gaps.max() <= 1e-12
 
@@ -49,68 +48,59 @@ def test_young_inequality_exact_on_nodes():
                 min_size=8, max_size=8))
 @settings(max_examples=50, deadline=None)
 def test_conjugate_is_convex_in_dual_variable(vals):
-    f = GridFunction(dim=1, resolution=8, values=np.asarray(vals),
-                     kind="box", bounds=((0.0, 1.0),))
-    fstar = legendre_transform(f, dual_bounds=((-3.0, 3.0),),
-                               dual_resolution=33)
-    v = fstar.values
+    v = conjugate_at(cell_nodes(0.0, 1.0, 8)[:, None], np.asarray(vals),
+                     cell_nodes(-3.0, 3.0, 33)[:, None])
     assert np.all(v[1:-1] <= (v[:-2] + v[2:]) / 2.0 + 1e-9)
 
 
 def test_biconjugate_below_original_and_tight_for_convex():
-    f = parabola(resolution=96)
+    x, f = parabola(resolution=96)
     # the slopes of f span [-2, 2]; the dual grid pads them by 10%
-    fstar = legendre_transform(f, dual_bounds=((-2.4, 2.4),),
-                               dual_resolution=4 * 96)
-    back = conjugate_at(fstar, f.nodes())
-    assert np.max(back - f.values) <= 1e-12
-    assert np.max(f.values - back) <= 5e-3
+    ys = cell_nodes(-2.4, 2.4, 4 * 96)[:, None]
+    back = conjugate_at(ys, conjugate_at(x, f, ys), x)
+    assert np.max(back - f) <= 1e-12
+    assert np.max(f - back) <= 5e-3
 
 
-def test_conjugate_at_matches_transform_nodes():
-    f = parabola(resolution=48)
-    fstar = legendre_transform(f, dual_bounds=((-1.0, 1.0),),
-                               dual_resolution=16)
-    ys = fstar.axis_nodes(0)
-    direct = conjugate_at(f, ys[:, None])
-    assert np.allclose(direct, fstar.values, atol=1e-14)
+def test_conjugate_at_matches_a_per_point_scan():
+    rng = np.random.default_rng(5)
+    f = GridFunction(dim=2, resolution=6, values=rng.normal(size=(6, 6)))
+    nodes, ys = f.nodes(), rng.normal(size=(10, 2))
+    want = [max(float(x @ y) - v for x, v in zip(nodes, f.values.reshape(-1)))
+            for y in ys]
+    assert np.allclose(conjugate_at(nodes, f.values, ys), want, atol=1e-14)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        conjugate_at(nodes, f.values, ys[:, :1])
 
 
 def test_constant_shift_moves_conjugate_oppositely():
-    f = parabola(resolution=32)
-    fstar = legendre_transform(f, dual_bounds=((-1.0, 1.0),),
-                               dual_resolution=16)
-    gstar = legendre_transform(f.shifted(0.7), dual_bounds=((-1.0, 1.0),),
-                               dual_resolution=16)
-    assert np.allclose(gstar.values, fstar.values - 0.7, atol=1e-14)
+    x, f = parabola(resolution=32)
+    ys = cell_nodes(-1.0, 1.0, 16)[:, None]
+    fstar = conjugate_at(x, f, ys)
+    gstar = conjugate_at(x, f + 0.7, ys)
+    assert np.allclose(gstar, fstar - 0.7, atol=1e-14)
 
 
 def test_interpolate_at_hits_nodes():
     f = GridFunction(dim=1, resolution=16,
                      values=np.cos(2 * np.pi * np.arange(16) / 16))
-    xs = f.axis_nodes(0)
-    vals = interpolate_at(f, xs[:, None])
+    vals = interpolate_at(f, f.nodes())
     assert np.allclose(vals, f.values, atol=1e-14)
-    with pytest.raises(ValueError, match="torus"):
-        interpolate_at(parabola(resolution=16), xs[:, None])
 
 
 def test_grid_function_validation():
     with pytest.raises(ValueError):
-        GridFunction(dim=1, resolution=4, values=np.zeros(5), kind="box",
-                     bounds=((0.0, 1.0),))
-    with pytest.raises(ValueError):
-        GridFunction(dim=1, resolution=4, values=np.zeros(4), kind="box",
-                     bounds=())
+        GridFunction(dim=1, resolution=4, values=np.zeros(5))
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="values must be finite"):
-            GridFunction(dim=1, resolution=4, values=[0.0, bad, 0.0, 0.0],
-                         kind="torus")
+            GridFunction(dim=1, resolution=4, values=[0.0, bad, 0.0, 0.0])
 
 
-def test_torus_function_has_no_dual_default():
-    f = GridFunction(dim=1, resolution=8, values=np.zeros(8), kind="torus")
-    assert f.step(0) == pytest.approx(1.0 / 8.0)
+def test_grid_function_is_a_torus_function():
+    f = GridFunction(dim=2, resolution=8, values=np.zeros((8, 8)))
+    assert [field.name for field in dataclasses.fields(f)] == [
+        "dim", "resolution", "values"]
+    assert np.array_equal(f.nodes(), GridMeasure.uniform(2, 8).centers())
 
 
 def test_ent_dual_closed_form_and_grid_sup():
@@ -159,11 +149,3 @@ def test_ent_dual_refuses_two_different_alphabets():
         ent_dual_check(mu0, DiscreteMeasure(
             points=[[0.25], [0.75]], weights=[0.5, 0.5],
             domain=torus_domain(1)))
-
-
-def test_legendre_transform_is_one_dimensional():
-    f = GridFunction(dim=2, resolution=4, values=np.zeros((4, 4)),
-                     kind="box", bounds=((0.0, 1.0), (0.0, 1.0)))
-    with pytest.raises(ValueError, match="1-d"):
-        legendre_transform(f, dual_bounds=((-1.0, 1.0), (-1.0, 1.0)),
-                           dual_resolution=4)

@@ -37,8 +37,7 @@ from oracles import (cell_masses_two_cdf, dual_energy_loop,
 
 def torus_grid_function(values):
     values = np.asarray(values, dtype=float)
-    return GridFunction(dim=1, resolution=values.size, values=values,
-                        kind="torus")
+    return GridFunction(dim=1, resolution=values.size, values=values)
 
 
 def bump_measure(k, amplitude=0.4):
@@ -90,16 +89,6 @@ def test_ma_operator_density_refines_to_continuum():
     assert errors[2] <= 1e-3
 
 
-def test_operator_refuses_box_potentials():
-    f = GridFunction(dim=1, resolution=8, values=np.zeros(8), kind="box",
-                     bounds=((0.0, 1.0),))
-    nu = GridMeasure.uniform(dim=1, resolution=8)
-    with pytest.raises(ValueError, match="torus"):
-        ma_operator(f, nu)
-    with pytest.raises(ValueError, match="torus"):
-        j_functional(f, nu)
-
-
 def test_transport_map_zero_potential_snaps_to_nodes():
     # the transport map sends each point to the node whose power cell
     # (interval) owns it
@@ -140,8 +129,7 @@ def test_operator_refuses_other_dimensions_before_any_iteration(monkeypatch):
 
     monkeypatch.setattr(monge_ampere, "_power_cells_1d", no_scan)
     k = 6
-    f = GridFunction(dim=2, resolution=k, values=np.zeros((k, k)),
-                     kind="torus")
+    f = GridFunction(dim=2, resolution=k, values=np.zeros((k, k)))
     nu = GridMeasure.uniform(dim=2, resolution=k)
     params = MasterParams(beta=1.0, mu0=nu)
     for call in (lambda: ma_operator(f, nu), lambda: j_functional(f, nu),
@@ -197,8 +185,7 @@ def test_j_envelope_identity_gives_the_pushforward(dim, k):
     h = 1e-7
 
     def j_at(v):
-        return j_functional(GridFunction(dim=dim, resolution=k, values=v,
-                                         kind="torus"), nu)
+        return j_functional(GridFunction(dim=dim, resolution=k, values=v), nu)
 
     grad = np.empty(k ** dim)
     for i in range(k ** dim):
@@ -206,8 +193,8 @@ def test_j_envelope_identity_gives_the_pushforward(dim, k):
         step[i] = h
         step = step.reshape(shape)
         grad[i] = (j_at(values + step) - j_at(values - step)) / (2.0 * h)
-    push = ma_operator(GridFunction(dim=dim, resolution=k, values=values,
-                                    kind="torus"), nu).masses()
+    push = ma_operator(GridFunction(dim=dim, resolution=k, values=values),
+                       nu).masses()
     assert np.all(push > 0.0)
     assert np.max(np.abs(grad + push)) <= 1e-8
 
@@ -337,22 +324,22 @@ def test_w2_circle_takes_few_pieces_on_the_master_path(monkeypatch):
     # the minimiser and the probes of the certificates against uniform nu,
     # where bisecting the cut offset evaluates about 13 pieces per row
     searches = []
-    real_search = np.searchsorted
+    real_locate = transport._Quantile.locate
 
-    def counted_search(a, v, *args, **kwargs):
-        searches.append(np.shape(v)[0] if np.ndim(v) else 0)
-        return real_search(a, v, *args, **kwargs)
+    def counted_locate(quantile, u):
+        searches.append(np.shape(u)[0] if np.ndim(u) else 0)
+        return real_locate(quantile, u)
 
-    monkeypatch.setattr(np, "searchsorted", counted_search)
+    monkeypatch.setattr(transport._Quantile, "locate", counted_locate)
     rows = transport._w2_circle_rows
     pieces = []
 
     def counted(x, weights, nu):
         start = len(searches)
         out = rows(x, weights, nu)
-        # one search per piece over the rows still searching, and two more
-        # for the cost at the optimum; rows only ever leave the search, so
-        # the r-th longest took as many pieces as searches held over r rows
+        # one quantile pass per piece over the rows still searching, and two
+        # more for the cost at the optimum; rows only ever leave the search,
+        # so the r-th longest took as many pieces as passes held over r rows
         live = searches[start:-2]
         pieces.extend(sum(n > r for n in live) for r in range(len(weights)))
         return out
