@@ -467,17 +467,22 @@ def _run_verify_hamiltonian(params: dict, seed: int,
 # gibbs-ldp
 
 
-def _load_torus_grid(spec: str, dim: int, resolution: int) -> GridMeasure:
+def _load_torus_grid(name: str, spec: str, dim: int,
+                     resolution: int) -> GridMeasure:
+    """Grid parameter ``name``: uniform, or a file of dimension dim."""
     if spec == "uniform":
         return GridMeasure.uniform(dim=dim, resolution=resolution)
-    return load_grid_csv(spec)
+    grid = load_grid_csv(spec)
+    if grid.dim != dim:
+        raise ValueError(f"{name} is a {grid.dim}-d grid but d={dim}")
+    return grid
 
 
 def _run_gibbs_ldp(params: dict, seed: int,
                    tol: Dict[str, float]) -> ExperimentResult:
     del seed  # exact ensembles carry no sampling noise
     n, dim, refine = params["n"], params["d"], params["refine"]
-    mu0 = _load_torus_grid(params["mu0"], dim, n * refine)
+    mu0 = _load_torus_grid("mu0", params["mu0"], dim, n * refine)
     betas = sorted(set(params["betas"]))
     radius = params["radius"]
     if not radius > 0.0:
@@ -513,8 +518,8 @@ def _run_gibbs_ldp(params: dict, seed: int,
         scaled = []
         for pn in sorted(set(params["partition_n"])):
             ens = GibbsEnsemble(beta=beta, n=pn, d=dim,
-                                mu0=_load_torus_grid(params["mu0"], dim,
-                                                     pn * refine),
+                                mu0=_load_torus_grid("mu0", params["mu0"],
+                                                     dim, pn * refine),
                                 kind=PERMANENTAL,
                                 site_refinement=refine)
             value = gibbs_exact(ens).log_partition / pn ** dim
@@ -717,7 +722,7 @@ def _run_zero_temp_mgf(params: dict, seed: int,
                        tol: Dict[str, float]) -> ExperimentResult:
     del seed
     k, quad = params["k"], params["quad"]
-    mu0 = _load_torus_grid(params["mu0"], 1, k)
+    mu0 = _load_torus_grid("mu0", params["mu0"], 1, k)
     ns = sorted(set(params["n"]))
     shift = params["shift"]
 
@@ -772,18 +777,10 @@ def _run_zero_temp_mgf(params: dict, seed: int,
 def _run_solve_ma(params: dict, seed: int,
                   tol: Dict[str, float]) -> ExperimentResult:
     del seed
-    dim = params["d"]
-    mu0 = nu = None
-    if params["mu0"] != "uniform":
-        mu0 = load_grid_csv(params["mu0"])
-    if params["nu"] != "uniform":
-        nu = load_grid_csv(params["nu"])
-    for name, grid in (("mu0", mu0), ("nu", nu)):
-        if grid is not None and grid.dim != dim:
-            raise ValueError(f"{name} is a {grid.dim}-d grid but d={dim}")
-    if mu0 is None:
-        mu0 = GridMeasure.uniform(dim=dim, resolution=params["k"])
-    elif params["k"] != mu0.resolution:
+    dim, k = params["d"], params["k"]
+    mu0 = _load_torus_grid("mu0", params["mu0"], dim, k)
+    nu = _load_torus_grid("nu", params["nu"], dim, k)
+    if k != mu0.resolution:
         raise ValueError("k must match the mu0 grid resolution")
     mp = MasterParams(beta=params["beta"], mu0=mu0, nu=nu,
                       max_iter=params["max_iter"],
@@ -791,30 +788,27 @@ def _run_solve_ma(params: dict, seed: int,
 
     columns = ("beta", "resolution", "dim", "iterations", "residual",
                "free_energy", "constant", "bracket_abs", "provenance")
-    artifacts = []
     try:
-        phi = solve_master(mp)
+        phi, error = solve_master(mp), None
     except SolverError as err:
-        trace = tuple(
-            (i, r, math.inf, math.inf)
-            for i, r in enumerate(err.residuals)
-        )
-        artifacts.append(Artifact(
-            name="residuals.csv",
-            columns=("iteration", "residual", "free_energy", "step"),
-            rows=trace,
-        ))
-        residual = err.residuals[-1] if err.residuals else math.inf
-        # the trace starts with the initial potential; count accepted steps
-        row = (mp.beta, mp.resolution, dim, max(len(err.residuals) - 1, 0),
-               residual, math.inf, math.inf, math.inf,
-               "master-equation-fixed-point")
+        phi, error = None, err
+    log = error.log if phi is None else phi.log
+    trace = Artifact(
+        name="residuals.csv",
+        columns=("iteration", "residual", "free_energy", "step"),
+        rows=tuple((int(i), float(r), float(fv), float(s))
+                   for i, r, fv, s in log),
+    )
+    if phi is None:
+        # the log starts with the initial potential; count accepted steps
+        row = (mp.beta, mp.resolution, dim, len(log) - 1, log[-1][1],
+               math.inf, math.inf, math.inf, "master-equation-fixed-point")
         checks = (
-            _check("residual-converged", str(err), [row]),
+            _check("residual-converged", str(error), [row]),
             _check("bracket-identity", "solver did not converge", [row]),
         )
         return ExperimentResult(table=ResultTable(columns, (row,)),
-                                checks=checks, artifacts=tuple(artifacts))
+                                checks=checks, artifacts=(trace,))
 
     report = gprop_consistency(mp, probes=0, phi_min=phi)
     residual, bracket = report.residual_tv, abs(report.bracket_gap)
@@ -825,26 +819,19 @@ def _run_solve_ma(params: dict, seed: int,
     nodes = phi.nodes()
     flat = phi.values.reshape(-1)
     coord_cols = tuple(f"coord_{a}" for a in range(dim))
-    artifacts.append(Artifact(
+    artifacts = (Artifact(
         name="potential.csv",
         columns=coord_cols + ("value",),
         rows=tuple(tuple(float(c) for c in pt) + (float(v),)
                    for pt, v in zip(nodes, flat)),
-    ))
-    artifacts.append(Artifact(
+    ), Artifact(
         name="pushforward.csv",
         columns=coord_cols + ("weight",),
         rows=tuple(tuple(float(c) for c in pt) + (float(m),)
                    for pt, m in zip(push.centers(), push.masses())),
-    ))
-    artifacts.append(Artifact(
-        name="residuals.csv",
-        columns=("iteration", "residual", "free_energy", "step"),
-        rows=tuple((int(i), float(r), float(fv), float(s))
-                   for i, r, fv, s in phi.log),
-    ))
+    ), trace)
 
-    steps = len(phi.log) - 1  # the log starts with the initial potential
+    steps = len(log) - 1  # the log starts with the initial potential
     row = (mp.beta, mp.resolution, dim, steps, residual, free_energy,
            constant, bracket, "master-equation-fixed-point")
     checks = [
@@ -861,7 +848,7 @@ def _run_solve_ma(params: dict, seed: int,
             [] if abs(constant) <= tol["constant-zero-at-zero-beta"]
             else [row]))
     return ExperimentResult(table=ResultTable(columns, (row,)),
-                            checks=tuple(checks), artifacts=tuple(artifacts))
+                            checks=tuple(checks), artifacts=artifacts)
 
 
 # ---------------------------------------------------------------------------

@@ -223,8 +223,6 @@ class GibbsEnsemble:
             raise ValueError("need n >= 1 and d in {1, 2}")
         if self.mu0.dim != self.d:
             raise ValueError("mu0 dimension does not match the ensemble")
-        if not self.mu0.is_probability:
-            raise ValueError("mu0 must be a probability measure")
         if self.site_refinement < 1:
             raise ValueError("site refinement must be >= 1")
 

@@ -21,6 +21,10 @@ call bit for bit, so a certificate may evaluate all its rows at once.
 ``entropy`` makes one full-width pass over the stack, whichever sites
 each row charges.
 
+Both measure types are probability measures by construction: a total mass
+off 1 by more than PROBABILITY_TOL_DISCRETE (atoms) or PROBABILITY_TOL_GRID
+(cells) is refused, and the CSV loaders name the file they refuse.
+
 All values are immutable after construction and safe to share between
 threads; every operation is a pure function of its inputs.
 """
@@ -91,7 +95,7 @@ def alphabet_domain(size: int) -> Domain:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
-    """Finitely many weighted atoms on a domain.
+    """A probability measure of finitely many weighted atoms on a domain.
 
     Parameters
     ----------
@@ -100,16 +104,13 @@ class DiscreteMeasure:
         shape (N,) integer array of symbol indices for alphabets. Coincident
         atoms are legal and are kept distinct.
     weights : np.ndarray
-        Shape (N,) nonnegative weights.
+        Shape (N,) nonnegative weights summing to 1 within 1e-12.
     domain : Domain
-    is_probability : bool
-        When True the weights must sum to 1 within 1e-12.
     """
 
     points: np.ndarray
     weights: np.ndarray
     domain: Domain
-    is_probability: bool = True
 
     def __post_init__(self):
         points = np.asarray(self.points)
@@ -135,12 +136,9 @@ class DiscreteMeasure:
         else:
             if np.any(points < 0) or np.any(points >= self.domain.size):
                 raise ValueError("alphabet atoms must be valid symbol indices")
-        if self.is_probability:
-            total = float(np.sum(weights))
-            if abs(total - 1.0) > PROBABILITY_TOL_DISCRETE:
-                raise ValueError(
-                    f"probability measure has total weight {total!r}"
-                )
+        total = float(np.sum(weights))
+        if not abs(total - 1.0) <= PROBABILITY_TOL_DISCRETE:  # NaN too
+            raise ValueError(f"measure has total mass {total!r}, not 1")
 
     # ---- constructors ----
 
@@ -157,9 +155,6 @@ class DiscreteMeasure:
     @property
     def atom_count(self) -> int:
         return len(self.weights)
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +196,6 @@ def empirical(config: EmpiricalConfig) -> DiscreteMeasure:
         points=config.points.copy(),
         weights=np.full(n, 1.0 / n),
         domain=torus_domain(config.dim),
-        is_probability=True,
     )
 
 
@@ -227,7 +221,8 @@ def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridMeasure:
-    """A density on the regular grid of cells tiling the torus [0,1)^dim.
+    """A probability density on the regular grid of cells tiling the
+    torus [0,1)^dim.
 
     The mass of a cell is density * cell volume; quadrature is the cell
     midpoint rule throughout.
@@ -238,15 +233,13 @@ class GridMeasure:
     resolution : int
         Cells per axis.
     density : np.ndarray
-        Shape (resolution,) * dim, nonnegative.
-    is_probability : bool
-        When True the total mass must be 1 within 1e-10.
+        Shape (resolution,) * dim, nonnegative, of total mass 1 within
+        1e-10.
     """
 
     dim: int
     resolution: int
     density: np.ndarray
-    is_probability: bool = True
 
     def __post_init__(self):
         if self.resolution < 1:
@@ -258,10 +251,9 @@ class GridMeasure:
         if (density < 0).any():
             raise ValueError("density must be nonnegative")
         object.__setattr__(self, "density", density)
-        if self.is_probability:
-            total = self.total_mass()
-            if abs(total - 1.0) > PROBABILITY_TOL_GRID:
-                raise ValueError(f"probability grid measure has mass {total!r}")
+        total = self.total_mass()
+        if not abs(total - 1.0) <= PROBABILITY_TOL_GRID:  # NaN too
+            raise ValueError(f"measure has total mass {total!r}, not 1")
 
     # ---- constructors ----
 
@@ -276,9 +268,8 @@ class GridMeasure:
         values = np.asarray(values, dtype=float)
         dim = values.ndim
         resolution = values.shape[0]
-        measure = GridMeasure(dim=dim, resolution=resolution, density=values,
-                              is_probability=False)
-        total = measure.total_mass()
+        cell_volume = math.prod([1.0 / resolution] * dim)
+        total = float((values.reshape(-1) * cell_volume).sum())
         if total <= 0:
             raise ValueError("cannot normalize a zero measure")
         return GridMeasure(dim=dim, resolution=resolution,
@@ -314,12 +305,9 @@ class GridMeasure:
         edges = np.arange(k + 1) / k
         return (np.searchsorted(edges, points % 1.0, side="right") - 1) % k
 
-    def cell_index(self, point: np.ndarray) -> tuple:
-        """Multi-index of the cell containing a point; the torus wraps."""
-        return tuple(int(i) for i in self.cell_indices(point)[0])
-
     def density_at(self, point: np.ndarray) -> float:
-        return float(self.density[self.cell_index(point)])
+        """Density of the cell containing a point; the torus wraps."""
+        return float(self.density[tuple(self.cell_indices(point)[0])])
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +449,10 @@ def save_csv(measure: DiscreteMeasure | GridMeasure, path) -> None:
 def load_discrete_csv(path) -> DiscreteMeasure:
     """Read torus atoms written by :func:`save_csv` back as a
     DiscreteMeasure."""
-    coords, weights = _read_rows(path)
-    total = float(np.sum(weights))
-    return DiscreteMeasure(points=coords, weights=weights,
-                           domain=torus_domain(coords.shape[1]),
-                           is_probability=abs(total - 1.0) <= PROBABILITY_TOL_DISCRETE)
+    with _naming(path):
+        coords, weights = _read_rows(path)
+        return DiscreteMeasure(points=coords, weights=weights,
+                               domain=torus_domain(coords.shape[1]))
 
 
 def load_grid_csv(path) -> GridMeasure:
@@ -473,19 +460,27 @@ def load_grid_csv(path) -> GridMeasure:
 
     The rows must cover a full regular torus grid in row-major order.
     """
-    coords, weights = _read_rows(path)
-    dim = coords.shape[1]
-    cells = len(weights)
-    resolution = round(cells ** (1.0 / dim))
-    if resolution ** dim != cells:
-        raise ValueError(f"{cells} rows do not form a cubic grid")
-    probe = GridMeasure.uniform(dim, resolution)
-    if not np.allclose(probe.centers(), coords, atol=1e-9):
-        raise ValueError("rows are not the cell centers of a regular grid")
-    density = (weights / probe.cell_volume()).reshape((resolution,) * dim)
-    total = float(np.sum(weights))
-    return GridMeasure(dim=dim, resolution=resolution, density=density,
-                       is_probability=abs(total - 1.0) <= PROBABILITY_TOL_GRID)
+    with _naming(path):
+        coords, weights = _read_rows(path)
+        dim = coords.shape[1]
+        cells = len(weights)
+        resolution = round(cells ** (1.0 / dim))
+        if resolution ** dim != cells:
+            raise ValueError(f"{cells} rows do not form a cubic grid")
+        probe = GridMeasure.uniform(dim, resolution)
+        if not np.allclose(probe.centers(), coords, atol=1e-9):
+            raise ValueError("rows are not the cell centers of a regular grid")
+        density = (weights / probe.cell_volume()).reshape((resolution,) * dim)
+        return GridMeasure(dim=dim, resolution=resolution, density=density)
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix the path to a ValueError raised while reading a file."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _read_rows(path):

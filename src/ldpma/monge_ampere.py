@@ -57,8 +57,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .legendre import GridFunction
-from .measures import (DiscreteMeasure, GridMeasure, cell_nodes, entropy,
-                       log_mgf, torus_domain)
+from .measures import GridMeasure, cell_nodes, entropy, log_mgf
 from .transport import (_piece_search, _Quantile, _w2_circle_rows,
                         w2_circle_atoms)
 
@@ -313,8 +312,6 @@ class MasterParams:
             raise ValueError("residual_tol must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.mu0.is_probability:
-            raise ValueError("mu0 must be a probability measure")
         nu = self.nu
         if nu is None:
             nu = GridMeasure.uniform(dim=self.mu0.dim,
@@ -322,8 +319,6 @@ class MasterParams:
             object.__setattr__(self, "nu", nu)
         if (nu.dim, nu.resolution) != (self.mu0.dim, self.mu0.resolution):
             raise ValueError("mu0 and nu must share one torus grid")
-        if not nu.is_probability:
-            raise ValueError("nu must be a probability measure")
 
     @property
     def dim(self) -> int:
@@ -391,11 +386,13 @@ def f_gradient_residual(f: GridFunction, params: MasterParams) -> float:
 
 
 class SolverError(RuntimeError):
-    """Non-convergence, carrying the residual trace for diagnosis."""
+    """Non-convergence, carrying the solver's log for diagnosis: its
+    (iteration, residual, free energy, step) tuples, and the residuals."""
 
-    def __init__(self, message: str, residuals):
+    def __init__(self, message: str, log):
         super().__init__(message)
-        self.residuals = tuple(residuals)
+        self.log = tuple(log)
+        self.residuals = tuple(r for _, r, _, _ in self.log)
 
 
 def _invert_cells_1d(masses: np.ndarray, nu: GridMeasure):
@@ -555,7 +552,7 @@ def solve_master(params: MasterParams,
     logged with step 0, and its last evaluation (a warm start's is not
     read). A grid of dimension other than 1 raises ValueError
     before the first evaluation. Non-convergence raises
-    :class:`SolverError` with the residual trace: after max_iter accepted
+    :class:`SolverError` with the log so far: after max_iter accepted
     steps, or once STALL_STEPS accepted steps in a row after the first full
     Newton step bring no new lowest residual: the residual then sits at its
     rounding floor above residual_tol (the message names the lowest one).
@@ -580,13 +577,12 @@ def solve_master(params: MasterParams,
             raise SolverError(
                 f"master equation not converged after {params.max_iter} "
                 f"iterations (residual {ev.residual:.3e}, tolerance "
-                f"{params.residual_tol:.1e})", [r for _, r, _, _ in log])
+                f"{params.residual_tol:.1e})", log)
         if stalled >= STALL_STEPS:
             raise SolverError(
                 f"master equation stalled at iteration {it}: {STALL_STEPS} "
                 f"accepted steps brought no residual below {lowest:.3e} "
-                f"(tolerance {params.residual_tol:.1e})",
-                [r for _, r, _, _ in log])
+                f"(tolerance {params.residual_tol:.1e})", log)
         if masses is None:  # the start is no inversion: blend toward the tilt
             masses = ev.push
             direction, step = ev.tilt - masses, 0.5
@@ -610,8 +606,7 @@ def solve_master(params: MasterParams,
             step *= 0.5
         else:
             raise SolverError(f"no admissible step at iteration {it} "
-                              f"(residual {ev.residual:.3e})",
-                              [r for _, r, _, _ in log])
+                              f"(residual {ev.residual:.3e})", log)
         current, ev = trial, trial_ev
         masses, slopes = trial_masses, trial_slopes
         log.append((it + 1, ev.residual, ev.free_energy, step))
@@ -654,11 +649,13 @@ def w2_to_reference(mu: GridMeasure, nu: GridMeasure) -> float:
     places mass exactly on the node lattice, and the duality bracket is an
     identity only under that convention (spreading the mass over cells
     shifts the cost by an O(h^2) quantization term). The distance is the
-    exact circle W2 of :func:`w2_circle`, which refuses a nu of another
-    dimension.
+    exact circle W2 of `_w2_circle_rows`, on the sorted centres; grids of
+    another dimension are refused.
     """
-    return w2_circle(DiscreteMeasure(points=mu.centers(), weights=mu.masses(),
-                                     domain=torus_domain(mu.dim)), nu)
+    if mu.dim != 1 or nu.dim != 1:
+        raise ValueError("w2_to_reference needs two 1-d grid measures")
+    return float(_w2_circle_rows(mu.centers().reshape(-1),
+                                 mu.masses()[None, :], nu)[0])
 
 
 def rate_function_g(mu: GridMeasure, params: MasterParams,

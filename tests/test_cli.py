@@ -242,6 +242,38 @@ def test_solve_ma_refuses_a_grid_file_of_another_dimension(tmp_path, capsys,
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("experiment", ["gibbs-ldp", "zero-temp-mgf"])
+def test_grid_parameters_of_another_dimension_are_refused_at_load(
+        tmp_path, capsys, experiment):
+    x = (np.arange(8) + 0.5) / 8
+    path = tmp_path / "grid2d.csv"
+    save_csv(GridMeasure.from_density_values(
+        1.0 + 0.5 * np.outer(np.cos(2 * np.pi * x), np.cos(2 * np.pi * x))),
+        path)
+    rc = main(["run", experiment, f"mu0={path}", f"out={tmp_path / 'r'}"])
+    assert rc == 2
+    assert "mu0 is a 2-d grid but d=1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_ot_refuses_a_measure_file_off_mass_and_names_it(tmp_path, capsys):
+    # equal masses of 0.9: the coupling LP alone would accept this pair
+    short = DiscreteMeasure(points=np.array([[0.2], [0.7]]),
+                            weights=np.array([0.5, 0.5]),
+                            domain=torus_domain(1))
+    paths = [tmp_path / "mu.csv", tmp_path / "nu.csv"]
+    for path in paths:
+        save_csv(short, path)
+        text = path.read_text().replace(",0.5\n", ",0.45\n")
+        path.write_text(text, encoding="ascii")
+    rc = main(["ot", *map(str, paths), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{paths[0]}: measure has total mass 0.9" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_solve_ma_has_no_scheme_parameter(tmp_path, capsys):
     rc = main(["run", "solve-ma", "scheme=cells", f"out={tmp_path / 'r'}"])
     assert rc == 2
@@ -355,6 +387,12 @@ def test_unconverged_solve_ma_names_its_row_in_both_checks(tmp_path, capsys):
     row = (out / "results.csv").read_text().splitlines()[1]
     assert _failing_rows(text, "residual-converged") == [row]
     assert _failing_rows(text, "bracket-identity") == [row]
+    # the trace is the solver's own log: the start and one blended step
+    trace = (out / "residuals.csv").read_text().splitlines()
+    assert trace[0] == "iteration,residual,free_energy,step"
+    rows = [line.split(",") for line in trace[1:]]
+    assert [(r[0], float(r[3])) for r in rows] == [("0", 0.0), ("1", 0.5)]
+    assert all(np.isfinite(float(r[2])) for r in rows)
 
 
 def test_checks_and_registered_tolerances_name_each_other(tmp_path):

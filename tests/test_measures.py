@@ -31,26 +31,50 @@ def weights_strategy(k):
     ).map(lambda w: np.array(w) / np.sum(w))
 
 
-def test_uniform_grid_is_probability():
+def test_measures_are_probability_measures_by_construction():
     g = GridMeasure.uniform(dim=2, resolution=8)
-    assert g.is_probability
     assert g.masses().sum() == pytest.approx(1.0, abs=1e-14)
     assert g.masses().shape == (64,)
+    for total in (0.9, 1.0 + 1e-9, math.nan):
+        with pytest.raises(ValueError, match="total mass"):
+            GridMeasure(dim=1, resolution=4, density=np.full(4, total))
+    GridMeasure(dim=1, resolution=4, density=np.full(4, 1.0 + 1e-11))
+    for total in (0.9, 1.0 + 1e-11, math.nan):
+        with pytest.raises(ValueError, match="total mass"):
+            DiscreteMeasure(points=np.array([[0.1], [0.6]]),
+                            weights=np.full(2, total / 2),
+                            domain=torus_domain(1))
+    DiscreteMeasure(points=np.array([[0.1], [0.6]]),
+                    weights=np.array([0.5, 0.5 + 1e-13]),
+                    domain=torus_domain(1))
+    with pytest.raises(ValueError, match="total mass"):
+        DiscreteMeasure.from_alphabet_weights([0.5, 0.6])
+
+
+def test_from_density_values_normalises_by_the_total_mass():
+    values = 1.0 + 0.4 * np.cos(2 * np.pi * np.arange(24) / 24)
+    g = GridMeasure.from_density_values(values)
+    assert np.array_equal(g.density, values / float((values * (1 / 24)).sum()))
+    with pytest.raises(ValueError, match="zero measure"):
+        GridMeasure.from_density_values(np.zeros(4))
 
 
 def test_cell_index_puts_left_edges_in_their_cell():
     # flooring j/k / (1/k) lands one cell low on 3,615 of these points
     for k in range(1, 257):
         grid = GridMeasure.uniform(dim=1, resolution=k)
-        for j in range(k):
-            assert grid.cell_index(np.array([j / k])) == (j,), (j, k)
-    assert GridMeasure.uniform(dim=1, resolution=10).cell_index(0.3) == (3,)
+        got = grid.cell_indices(np.arange(k) / k)
+        assert np.array_equal(got[:, 0], np.arange(k)), k
+    ten = GridMeasure.uniform(dim=1, resolution=10)
+    assert ten.cell_indices(0.3).tolist() == [[3]]
 
 
 def test_cell_index_wraps_the_torus():
-    torus = GridMeasure.uniform(dim=2, resolution=10)
-    assert torus.cell_index(np.array([1.3, -0.25])) == (3, 7)
-    assert torus.cell_index(np.array([-1e-18, 1.0])) == (0, 0)
+    torus = GridMeasure.from_density_values(
+        1.0 + np.arange(100.0).reshape(10, 10))
+    got = torus.cell_indices(np.array([[1.3, -0.25], [-1e-18, 1.0]]))
+    assert got.tolist() == [[3, 7], [0, 0]]
+    assert torus.density_at(np.array([1.3, -0.25])) == torus.density[3, 7]
 
 
 def test_grid_centers_match_lattice():
@@ -106,6 +130,17 @@ def test_load_grid_rejects_non_grid_points(tmp_path):
     path.write_text("coord_0,weight\n0.1,0.5\n0.7,0.5\n", encoding="ascii")
     with pytest.raises(ValueError):
         load_grid_csv(path)
+
+
+def test_loaders_refuse_a_file_off_mass_and_name_it(tmp_path):
+    # cell centres of a 4-cell grid, so both loaders reach the mass check
+    path = tmp_path / "short.csv"
+    path.write_text("coord_0,weight\n0.125,0.225\n0.375,0.225\n"
+                    "0.625,0.225\n0.875,0.225\n", encoding="ascii")
+    for load in (load_grid_csv, load_discrete_csv):
+        with pytest.raises(ValueError, match="total mass 0.9") as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 def test_entropy_of_itself_is_zero():

@@ -178,3 +178,29 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         f"it in ALLOWED_DEFAULTS with a reason")
     assert set(ALLOWED_DEFAULTS) <= {f"{fn}.{parameter}"
                                      for _, fn, parameter, _, _ in defaults}
+
+
+def test_no_module_keeps_an_unused_import():
+    """Every name a module-level import binds in ``src/ldpma`` is read in
+    that module or listed in its ``__all__``: a deletion leaves no import
+    behind."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        read |= {elt.value for stmt in tree.body
+                 if isinstance(stmt, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__"
+                         for t in stmt.targets)
+                 for elt in stmt.value.elts}
+        for stmt in tree.body:
+            if (isinstance(stmt, ast.ImportFrom)
+                    and stmt.module == "__future__"):
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.stem}: {alias.name}" for alias in stmt.names
+                           if (alias.asname or alias.name.partition(".")[0])
+                           not in read]
+    assert not unused, f"module-level imports that nothing reads: {unused}"
