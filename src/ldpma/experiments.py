@@ -39,10 +39,9 @@ from .hamiltonian_gibbs import (
 )
 from .legendre import GridFunction, conjugate_at
 from .measures import (
-    DiscreteMeasure,
-    Domain,
     GridMeasure,
     cell_nodes,
+    empirical,
     grid_points,
     load_discrete_csv,
     load_grid_csv,
@@ -426,7 +425,7 @@ def _run_verify_hamiltonian(params: dict, seed: int,
 
     # the uniform reference read as atoms at its cell centres
     reference = GridMeasure.uniform(dim=1, resolution=params["quad"])
-    centres, cell_masses = reference.centers().reshape(-1), reference.masses()
+    centres, cell_masses = reference.centers().reshape(-1), reference.masses
     previous = math.inf
     for n in ns:
         value = float(w2_circle_atoms(TorusLattice(n, 1).points.reshape(1, -1),
@@ -494,11 +493,7 @@ def _run_gibbs_ldp(params: dict, seed: int,
     # in for the continuum (the coarse site-uniform is already 0.153 away
     # from the best configuration and would leave the ball empty).
     cres = params["center_res"]
-    center = DiscreteMeasure(
-        points=grid_points([np.arange(cres) / cres] * dim),
-        weights=np.full(cres ** dim, 1.0 / cres ** dim),
-        domain=Domain(kind="torus", dim=dim),
-    )
+    center = empirical(grid_points([np.arange(cres) / cres] * dim))
     rows = []
     for beta in betas:
         ens = GibbsEnsemble(beta=beta, n=n, d=dim, mu0=mu0,
@@ -828,7 +823,7 @@ def _run_solve_ma(params: dict, seed: int,
         name="pushforward.csv",
         columns=coord_cols + ("weight",),
         rows=tuple(tuple(float(c) for c in pt) + (float(m),)
-                   for pt, m in zip(push.centers(), push.masses())),
+                   for pt, m in zip(push.centers(), push.masses)),
     ), trace)
 
     steps = len(log) - 1  # the log starts with the initial potential
@@ -855,19 +850,6 @@ def _run_solve_ma(params: dict, seed: int,
 # ot
 
 
-def _load_measure_csv(path: str) -> DiscreteMeasure:
-    """Load a measure file as atoms; torus grids are read at their nodes."""
-    try:
-        grid = load_grid_csv(path)
-    except (ValueError, KeyError):
-        return load_discrete_csv(path)
-    return DiscreteMeasure(
-        points=grid.centers(),
-        weights=grid.masses(),
-        domain=Domain(kind="torus", dim=grid.dim),
-    )
-
-
 def _run_ot(params: dict, seed: int,
            tol: Dict[str, float]) -> ExperimentResult:
     del seed
@@ -877,8 +859,8 @@ def _run_ot(params: dict, seed: int,
     if name not in ("sqdist_torus", "sqdist_euclid", "neg_inner"):
         raise ValueError(
             "cost must be one of sqdist_torus, sqdist_euclid, neg_inner")
-    mu = _load_measure_csv(params["mu"])
-    nu = _load_measure_csv(params["nu"])
+    mu = load_discrete_csv(params["mu"])
+    nu = load_discrete_csv(params["nu"])
     costs = cost_matrix(mu.points, nu.points, name)
     plan = kantorovich_lp(mu, nu, costs)
     objective = plan.objective(costs)

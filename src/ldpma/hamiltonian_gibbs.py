@@ -34,9 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .legendre import GridFunction, conjugate_at, interpolate_at
-from .measures import (DiscreteMeasure, EmpiricalConfig, GridMeasure,
-                       _logsumexp, cell_nodes, empirical, entropy,
-                       grid_points)
+from .measures import (DiscreteMeasure, GridMeasure, _logsumexp, cell_nodes,
+                       empirical, entropy, grid_points)
 from .torus_theta import ThetaParams, TorusLattice, log_theta_grid
 from .transport import cost_matrix, hungarian, w2_circle_atoms, w2_empirical
 
@@ -168,9 +167,10 @@ def hamiltonians(kind: HamiltonianKind, lattice: TorusLattice,
 
 
 def hamiltonian(kind: HamiltonianKind, lattice: TorusLattice,
-                params: ThetaParams, config: EmpiricalConfig) -> float:
-    """H_n of one configuration, the T = 1 case of `hamiltonians`."""
-    return float(hamiltonians(kind, lattice, params, config.points[None])[0])
+                params: ThetaParams, points: np.ndarray) -> float:
+    """H_n of one (N, d) configuration, the T = 1 case of `hamiltonians`."""
+    return float(hamiltonians(kind, lattice, params,
+                              np.asarray(points)[None])[0])
 
 
 def hamiltonian_w2_gap(kind: HamiltonianKind, n: int, trials: int,
@@ -257,10 +257,12 @@ class GibbsEnsemble:
         # j/k) give each axis's cells without the k^d site array
         diagonal = np.repeat((np.arange(k) / k)[:, None], self.d, axis=1)
         cells = self.mu0.cell_indices(diagonal)[:, 0]
-        dens = self.mu0.density[np.ix_(*[cells] * self.d)].reshape(-1)
-        if np.all(dens == 0.0):
+        masses = self.mu0.masses.reshape((self.mu0.resolution,) * self.d)
+        masses = masses[np.ix_(*[cells] * self.d)].reshape(-1)
+        if np.all(masses == 0.0):
             raise ValueError("mu0 vanishes on every site")
-        logs = np.log(dens, where=dens > 0.0, out=np.full_like(dens, -np.inf))
+        logs = np.log(masses, where=masses > 0.0,
+                      out=np.full_like(masses, -np.inf))
         return logs - _logsumexp(logs)
 
 
@@ -381,8 +383,8 @@ def _quadrature(mu0: GridMeasure, resolution: int):
     """Cell-center nodes of a k-grid and the logs of their mu0 weights,
     normalized to a probability (-inf where mu0 vanishes)."""
     pts = grid_points([cell_nodes(0.0, 1.0, resolution)] * mu0.dim)
-    dens = mu0.density[tuple(mu0.cell_indices(pts).T)]
-    weights = dens / resolution ** mu0.dim
+    grid = mu0.masses.reshape((mu0.resolution,) * mu0.dim)
+    weights = grid[tuple(mu0.cell_indices(pts).T)]
     total = weights.sum()
     if total <= 0.0:
         raise ValueError("mu0 vanishes on the quadrature grid")
@@ -479,8 +481,7 @@ def local_rate(ensemble: GibbsEnsemble, center: DiscreteMeasure,
                                 for lo in range(0, len(keys), step)])
         inside = (cost @ center.weights)[keys].mean(axis=1) < radius ** 2 - 1e-9
         for c in np.flatnonzero(~inside & (lower <= radius ** 2 + 1e-9)):
-            mu = empirical(EmpiricalConfig(points=table.sites[keys[c]]))
-            w2sq = w2_empirical(mu, center)
+            w2sq = w2_empirical(empirical(table.sites[keys[c]]), center)
             inside[c] = math.sqrt(max(w2sq, 0.0)) < radius
     prob = float(np.cumsum(masses[inside])[-1]) if inside.any() else 0.0
     prob = min(prob, 1.0)

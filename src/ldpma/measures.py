@@ -6,16 +6,17 @@ This module provides:
 - ``DiscreteMeasure``: weighted atoms; carries empirical measures and
   Gibbs marginals.
 - ``cell_nodes``: the cell centres of a regular grid on an interval.
-- ``GridMeasure``: a density on the regular grid of cells that tiles the
-  unit torus; carries reference densities and transport-operator images.
-- ``EmpiricalConfig``: an ordered particle configuration.
-- ``empirical``: the configuration -> uniform-atom measure map.
+- ``GridMeasure``: the cell masses of a measure on the regular grid of
+  cells that tiles the unit torus; carries reference measures and
+  transport-operator images.
+- ``empirical``: the uniform-atom measure of a configuration, an (N, d)
+  array of points.
 - ``entropy``: relative entropy of masses against reference masses.
 - ``log_mgf``: log of the exponential integral of a potential against
   masses.
 
 The two functionals take mass arrays, as every caller already holds them
-(``GridMeasure.masses()``, ``DiscreteMeasure.weights``), and each takes a
+(``GridMeasure.masses``, ``DiscreteMeasure.weights``), and each takes a
 (T, sites) stack as well as one row: a row's value equals its one-row
 call bit for bit, so a certificate may evaluate all its rows at once.
 ``entropy`` makes one full-width pass over the stack, whichever sites
@@ -157,46 +158,17 @@ class DiscreteMeasure:
         return len(self.weights)
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalConfig:
-    """An ordered tuple of N particle positions on the unit torus.
+def empirical(points: np.ndarray) -> DiscreteMeasure:
+    """Uniform-atom measure of an (N, d) configuration: weight 1/N at each
+    point.
 
-    Parameters
-    ----------
-    points : np.ndarray
-        Shape (N, d). Must be nonempty and inside [0,1)^d.
+    Coincident points remain distinct atoms of weight 1/N each; an empty
+    configuration has total mass 0 and is refused.
     """
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if points.size == 0:
-            raise ValueError("empty configuration")
-        object.__setattr__(self, "points", points)
-        if np.any(points < 0.0) or np.any(points >= 1.0):
-            raise ValueError("configuration points must lie in [0,1)^d")
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
-def empirical(config: EmpiricalConfig) -> DiscreteMeasure:
-    """Uniform-atom measure of a configuration: weight 1/N at each point.
-
-    Coincident points remain distinct atoms of weight 1/N each.
-    """
-    n = config.size
-    return DiscreteMeasure(
-        points=config.points.copy(),
-        weights=np.full(n, 1.0 / n),
-        domain=torus_domain(config.dim),
-    )
+    points = np.array(points, dtype=float, ndmin=2)
+    return DiscreteMeasure(points=points,
+                           weights=np.full(len(points), 1.0) / len(points),
+                           domain=torus_domain(points.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -221,37 +193,36 @@ def grid_points(axes: Sequence[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridMeasure:
-    """A probability density on the regular grid of cells tiling the
-    torus [0,1)^dim.
+    """A probability measure on the regular grid of cells tiling the
+    torus [0,1)^dim, held as its cell masses.
 
-    The mass of a cell is density * cell volume; quadrature is the cell
-    midpoint rule throughout.
+    Quadrature is the cell midpoint rule throughout.
 
     Parameters
     ----------
     dim : int
     resolution : int
         Cells per axis.
-    density : np.ndarray
-        Shape (resolution,) * dim, nonnegative, of total mass 1 within
-        1e-10.
+    masses : np.ndarray
+        Shape (resolution**dim,): the cell masses in row-major order (the
+        last axis varies fastest), nonnegative, of total 1 within 1e-10.
     """
 
     dim: int
     resolution: int
-    density: np.ndarray
+    masses: np.ndarray
 
     def __post_init__(self):
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
-        density = np.asarray(self.density, dtype=float)
-        expected = (self.resolution,) * self.dim
-        if density.shape != expected:
-            raise ValueError(f"density shape {density.shape} != {expected}")
-        if (density < 0).any():
-            raise ValueError("density must be nonnegative")
-        object.__setattr__(self, "density", density)
-        total = self.total_mass()
+        masses = np.asarray(self.masses, dtype=float)
+        expected = (self.resolution ** self.dim,)
+        if masses.shape != expected:
+            raise ValueError(f"masses shape {masses.shape} != {expected}")
+        if (masses < 0).any():
+            raise ValueError("masses must be nonnegative")
+        object.__setattr__(self, "masses", masses)
+        total = float(masses.sum())
         if not abs(total - 1.0) <= PROBABILITY_TOL_GRID:  # NaN too
             raise ValueError(f"measure has total mass {total!r}, not 1")
 
@@ -259,39 +230,29 @@ class GridMeasure:
 
     @staticmethod
     def uniform(dim: int, resolution: int) -> "GridMeasure":
+        volume = math.prod([1.0 / resolution] * dim)
         return GridMeasure(dim=dim, resolution=resolution,
-                           density=np.full((resolution,) * dim, 1.0))
+                           masses=np.full(resolution ** dim, volume))
 
     @staticmethod
     def from_density_values(values: np.ndarray) -> "GridMeasure":
-        """Build a probability grid measure from raw nonnegative values."""
+        """Build a probability grid measure from raw nonnegative density
+        values of shape (resolution,) * dim."""
         values = np.asarray(values, dtype=float)
         dim = values.ndim
         resolution = values.shape[0]
-        cell_volume = math.prod([1.0 / resolution] * dim)
-        total = float((values.reshape(-1) * cell_volume).sum())
+        volume = math.prod([1.0 / resolution] * dim)
+        total = float((values.reshape(-1) * volume).sum())
         if total <= 0:
             raise ValueError("cannot normalize a zero measure")
         return GridMeasure(dim=dim, resolution=resolution,
-                           density=values / total)
+                           masses=(values / total).reshape(-1) * volume)
 
     # ---- geometry ----
-
-    def cell_volume(self) -> float:
-        return math.prod([1.0 / self.resolution] * self.dim)
 
     def centers(self) -> np.ndarray:
         """All cell centers, shape (resolution**dim, dim), row-major order."""
         return grid_points([cell_nodes(0.0, 1.0, self.resolution)] * self.dim)
-
-    # ---- mass ----
-
-    def masses(self) -> np.ndarray:
-        """Cell masses in row-major order (density times cell volume)."""
-        return self.density.reshape(-1) * self.cell_volume()
-
-    def total_mass(self) -> float:
-        return float(self.masses().sum())
 
     def cell_indices(self, points: np.ndarray) -> np.ndarray:
         """(n, dim) cell multi-indices of n points, wrapped onto the torus.
@@ -306,8 +267,11 @@ class GridMeasure:
         return (np.searchsorted(edges, points % 1.0, side="right") - 1) % k
 
     def density_at(self, point: np.ndarray) -> float:
-        """Density of the cell containing a point; the torus wraps."""
-        return float(self.density[tuple(self.cell_indices(point)[0])])
+        """Density of the cell containing a point (its mass over the cell
+        volume); the torus wraps."""
+        grid = self.masses.reshape((self.resolution,) * self.dim)
+        return float(grid[tuple(self.cell_indices(point)[0])]
+                     * self.resolution ** self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +396,7 @@ def save_csv(measure: DiscreteMeasure | GridMeasure, path) -> None:
     if isinstance(measure, GridMeasure):
         dim = measure.dim
         coords = measure.centers()
-        weights = measure.masses()
+        weights = measure.masses
     else:
         if measure.domain.kind != "torus":
             raise ValueError("only torus atoms and grids are written")
@@ -458,7 +422,8 @@ def load_discrete_csv(path) -> DiscreteMeasure:
 def load_grid_csv(path) -> GridMeasure:
     """Read cells written by :func:`save_csv` back as a GridMeasure.
 
-    The rows must cover a full regular torus grid in row-major order.
+    The rows must cover a full regular torus grid in row-major order; their
+    weights are the measure's masses as read.
     """
     with _naming(path):
         coords, weights = _read_rows(path)
@@ -467,11 +432,10 @@ def load_grid_csv(path) -> GridMeasure:
         resolution = round(cells ** (1.0 / dim))
         if resolution ** dim != cells:
             raise ValueError(f"{cells} rows do not form a cubic grid")
-        probe = GridMeasure.uniform(dim, resolution)
-        if not np.allclose(probe.centers(), coords, atol=1e-9):
+        centers = grid_points([cell_nodes(0.0, 1.0, resolution)] * dim)
+        if not np.allclose(centers, coords, atol=1e-9):
             raise ValueError("rows are not the cell centers of a regular grid")
-        density = (weights / probe.cell_volume()).reshape((resolution,) * dim)
-        return GridMeasure(dim=dim, resolution=resolution, density=density)
+        return GridMeasure(dim=dim, resolution=resolution, masses=weights)
 
 
 @contextlib.contextmanager

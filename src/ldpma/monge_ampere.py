@@ -24,7 +24,8 @@ The solver and its certificates read the tilt, the pushforward, J, the
 log-MGF, the free energy and the residual of a potential from one
 evaluation of that scan, one per potential: the certificates read the one
 the solver's last step accepted. Tilt and pushforward are cell-mass
-arrays, and a grid measure is built only where one leaves this module.
+arrays, which is what a grid measure holds, and a pushforward is wrapped
+in one only where it leaves this module.
 
 The master equation couples the operator to a Gibbs tilt,
 
@@ -98,7 +99,7 @@ def nu_mean(theta: GridFunction, nu: GridMeasure) -> float:
     """Integral of the potential against nu (grids must agree)."""
     if theta.resolution != nu.resolution or theta.dim != nu.dim:
         raise ValueError("potential and nu live on different grids")
-    return float(np.sum(theta.values.reshape(-1) * nu.masses()))
+    return float(np.sum(theta.values.reshape(-1) * nu.masses))
 
 
 def normalize_potential(theta: GridFunction, nu: GridMeasure) -> Potential:
@@ -194,12 +195,6 @@ def _torus_pair(f: GridFunction, nu: GridMeasure) -> None:
         raise ValueError("nu must be a measure of matching dimension")
 
 
-def _from_masses(masses: np.ndarray, dim: int, k: int) -> GridMeasure:
-    """The probability grid measure with these row-major cell masses."""
-    return GridMeasure(dim=dim, resolution=k,
-                       density=masses.reshape((k,) * dim) * (k ** dim))
-
-
 def _transport(f: GridFunction, nu: GridMeasure):
     """(cell masses of MA_nu f, J_nu(f)) from one scan of the power cells.
 
@@ -214,7 +209,7 @@ def _transport(f: GridFunction, nu: GridMeasure):
     difference, which keeps its digits on pieces as narrow as 1/k^2. So
     dJ/df_i = -mass_i holds exactly.
     """
-    values, nu_masses = f.values, nu.masses()
+    values, nu_masses = f.values, nu.masses
     node_idx, sites, lows, highs = _power_cells_1d(values)
     edges = np.concatenate([lows, highs[-1:]])
     masses = np.bincount(node_idx, weights=np.diff(_cdf_eval(nu_masses, edges)),
@@ -250,7 +245,8 @@ def ma_operator(f: GridFunction, nu: GridMeasure) -> GridMeasure:
     and carries total mass 1.
     """
     _torus_pair(f, nu)
-    return _from_masses(_transport(f, nu)[0], f.dim, f.resolution)
+    return GridMeasure(dim=f.dim, resolution=f.resolution,
+                       masses=_transport(f, nu)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +342,7 @@ def _evaluate(f: GridFunction, params: MasterParams) -> _Evaluation:
     _torus_pair(f, params.nu)
     if f.resolution != params.mu0.resolution:
         raise ValueError("potential and mu0 live on different grids")
-    mu0_masses = params.mu0.masses()
+    mu0_masses = params.mu0.masses
     tilt = _tilt_masses(f.values, params.beta, mu0_masses)
     push, j = _transport(f, params.nu)
     flat = f.values.reshape(-1)
@@ -565,8 +561,8 @@ def solve_master(params: MasterParams,
 
     ev = _evaluate(current, params)
     log = [(0, ev.residual, ev.free_energy, 0.0)]
-    hidden = params.mu0.masses() == 0.0  # the tilt never charges these cells
-    nu_masses = params.nu.masses()
+    hidden = params.mu0.masses == 0.0  # the tilt never charges these cells
+    nu_masses = params.nu.masses
     masses = slopes = None  # the masses the current potential inverts
     # accepted steps since a new lowest residual, counted once a full Newton
     # step was accepted: damped steps may trade residual for free energy
@@ -655,7 +651,7 @@ def w2_to_reference(mu: GridMeasure, nu: GridMeasure) -> float:
     if mu.dim != 1 or nu.dim != 1:
         raise ValueError("w2_to_reference needs two 1-d grid measures")
     return float(_w2_circle_rows(mu.centers().reshape(-1),
-                                 mu.masses()[None, :], nu)[0])
+                                 mu.masses[None, :], nu)[0])
 
 
 def rate_function_g(mu: GridMeasure, params: MasterParams,
@@ -671,7 +667,7 @@ def rate_function_g(mu: GridMeasure, params: MasterParams,
         raise ValueError("the rate function takes a grid measure on mu0's "
                          "grid")
     w2 = w2_to_reference(mu, params.nu)
-    ent = entropy(params.mu0.masses(), mu.masses())
+    ent = entropy(params.mu0.masses, mu.masses)
     return RateValue(beta_w2=params.beta * w2, ent=ent,
                      constant=params.beta * f_functional(phi_min, params))
 
@@ -730,24 +726,20 @@ def gprop_consistency(params: MasterParams, probes: int = 50, seed: int = 0,
           and np.array_equal(carried[1], phi_min.values)
           else _evaluate(phi_min, params))
     k = params.resolution
-    mu_min = _from_masses(ev.push, params.dim, k)
-    min_masses = mu_min.masses()
+    mu_min = GridMeasure(dim=params.dim, resolution=k, masses=ev.push)
 
-    stack = min_masses[None, :]
+    stack = ev.push[None, :]
     if probes:
-        # the probes' masses on the grid measures' own round trip, so each
-        # row is the measure rate_function_g would read
         bumps = np.random.default_rng(seed).normal(0.0, 0.35, (probes, k))
-        masses = min_masses * np.exp(bumps)
+        masses = ev.push * np.exp(bumps)
         masses = masses / masses.sum(axis=1, keepdims=True)
-        masses = (masses * k) * mu_min.cell_volume()
         stack = np.concatenate([stack, masses])
     w2s = _w2_circle_rows(mu_min.centers().reshape(-1), stack, params.nu)
     w2 = float(w2s[0])
-    pairing = float((phi_min.values.reshape(-1) * min_masses).sum())
+    pairing = float((phi_min.values.reshape(-1) * ev.push).sum())
     bracket_gap = w2 + ev.j + pairing
 
-    ents = entropy(params.mu0.masses(), stack)
+    ents = entropy(params.mu0.masses, stack)
     ent = float(ents[0])
     entropy_gap = ent - (params.beta * pairing - ev.log_mgf)
 

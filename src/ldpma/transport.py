@@ -209,7 +209,7 @@ class _Quantile(NamedTuple):
     @classmethod
     def of(cls, nu: GridMeasure) -> "_Quantile":
         k = nu.resolution
-        masses = nu.masses() / nu.total_mass()
+        masses = nu.masses / nu.masses.sum()
         keep = masses > 0.0
         edges = np.arange(k + 1) / k
         mass = masses[keep]
@@ -381,7 +381,7 @@ def w2_semidiscrete(nu: GridMeasure, mu: DiscreteMeasure) -> float:
     cells = nu.resolution ** nu.dim
     if cells > SEMIDISCRETE_CELL_MAX:
         raise ValueError("grid too fine; use a coarser grid")
-    nu_atoms = DiscreteMeasure(points=nu.centers(), weights=nu.masses(),
+    nu_atoms = DiscreteMeasure(points=nu.centers(), weights=nu.masses,
                                domain=torus_domain(nu.dim))
     costs = cost_matrix(nu_atoms.points, mu.points, "sqdist_torus")
     plan = kantorovich_lp(nu_atoms, mu, costs)

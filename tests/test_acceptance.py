@@ -31,7 +31,6 @@ from ldpma.hamiltonian_gibbs import (
 from ldpma.legendre import GridFunction, ent_dual_check
 from ldpma.measures import (
     DiscreteMeasure,
-    EmpiricalConfig,
     GridMeasure,
     empirical,
     torus_domain,
@@ -112,8 +111,7 @@ def test_04_tropical_hamiltonian_tracks_w2():
     fine = GridMeasure.uniform(dim=1, resolution=240)
     distances = []
     for n in (2, 4, 8):
-        lattice_mu = empirical(
-            EmpiricalConfig(points=TorusLattice(n=n, d=1).points))
+        lattice_mu = empirical(TorusLattice(n=n, d=1).points)
         distances.append(w2_semidiscrete(fine, lattice_mu))
     assert distances[0] > distances[1] > distances[2]
     budget(start, 120.0)
@@ -127,7 +125,7 @@ def test_05_permanental_tropical_sandwich():
         params = ThetaParams(n=n)
         width = math.log(math.factorial(n)) / n
         for _ in range(50):
-            config = EmpiricalConfig(points=rng.random((n, 1)))
+            config = rng.random((n, 1))
             h_perm = hamiltonian(PERMANENTAL, lattice, params, config)
             h_trop = hamiltonian(TROPICAL, lattice, params, config)
             assert abs(h_perm - h_trop) <= width + 1e-12
@@ -196,14 +194,14 @@ def test_09_transport_bracket_at_fixed_point():
     j = j_functional(phi, params.nu)
 
     def bracket(mu):
-        pairing = float(np.sum(phi.values * mu.masses()))
+        pairing = float(np.sum(phi.values * mu.masses))
         return w2_to_reference(mu, params.nu) + j + pairing
 
     assert abs(bracket(mu_min)) <= 1e-4
     rng = np.random.default_rng(909)
     for _ in range(50):
         bump = rng.normal(0.0, 0.35, size=k)
-        masses = mu_min.masses() * np.exp(bump)
+        masses = mu_min.masses * np.exp(bump)
         masses /= masses.sum()
         probe = GridMeasure.from_density_values(masses * k)
         assert bracket(probe) > 1e-6  # equality fails by a positive margin

@@ -294,6 +294,17 @@ def test_missing_measure_file_is_usage_error(tmp_path, capsys):
     assert "ghost.csv" in capsys.readouterr().err
 
 
+def test_ot_names_a_file_off_unit_mass(tmp_path, capsys):
+    # a regular 2-cell grid 5e-11 over unit mass: inside the grid
+    # tolerance, outside the atoms' one, and ot reads every file as atoms
+    near = tmp_path / "near.csv"
+    near.write_text("coord_0,weight\n0.25,0.50000000005\n0.75,0.5\n",
+                    encoding="ascii")
+    rc = main(["ot", str(near), str(near), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{near}: measure has total mass" in capsys.readouterr().err
+
+
 def test_solve_ma_zero_beta(tmp_path, capsys):
     out = tmp_path / "sm"
     rc = main(["solve-ma", "--beta", "0.0", "--k", "32", "--out", str(out)])
@@ -396,9 +407,9 @@ def test_unconverged_solve_ma_names_its_row_in_both_checks(tmp_path, capsys):
 
 
 def test_checks_and_registered_tolerances_name_each_other(tmp_path):
-    from test_golden import _load_run_all
+    from test_golden import _load_script
 
-    fixtures = _load_run_all().write_fixtures(tmp_path, 0)
+    fixtures = _load_script("run_all").write_fixtures(tmp_path, 0)
     runs = [(name, fixtures.get(name, {})) for name in EXPERIMENTS]
     runs.append(("solve-ma", {"beta": "0"}))
     emitted = {name: set() for name in EXPERIMENTS}

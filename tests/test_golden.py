@@ -1,9 +1,12 @@
 """Golden digests: every CSV the default runs write, byte for byte.
 
 Runs ``scripts/run_all.py`` at seed 0 (every registered experiment with its
-input fixtures, plus the merged report) and the 2-d theta sweep, then
-compares the sha256 of each CSV with the digest recorded before the kernels
-were batched. A numerical change that moves a byte must re-record its digest
+input fixtures, plus the merged report), the 2-d theta sweep, and solve-ma
+on a k = 48 bump mu0 written by ``scripts/make_bump_mu0.py`` (a cell volume
+that is not a power of two, where a mass that went through a density would
+move in its last bit), then compares the sha256 of each CSV with the
+digest recorded before the kernels were batched (the k = 48 run's, when it
+was added). A numerical change that moves a byte must re-record its digest
 here and say so in CHANGES.md.
 """
 
@@ -55,24 +58,40 @@ GOLDEN = {
         "86c8734f26a87f2c8a8a06ca80bd89e74c89e0558d3cde8f18d4a18f3d2b5e70",
     "verify-theta-2d/results.csv":
         "a54312a460abc7b5cff1692308e84a833e0708ea76ae808c6f4824597508563b",
+    "bump48_mu0.csv":
+        "eac1dfe92a275cedd77ad95ed73f590a920e65ff5eb98dff16160436b01e2810",
+    "solve-ma-k48/potential.csv":
+        "92be5aaa613e5312e6ef4eb0a796b1975535ca7e5ac166ba2b4ca2c7ea8c2805",
+    "solve-ma-k48/pushforward.csv":
+        "a7274abc25f7797a2b40838ba34f336fe3fbee15856ff3fbb471105ed04cc820",
+    "solve-ma-k48/residuals.csv":
+        "fc7bf910eea8b8f3e91efe45d3cf303e9ec7c093f37c8e57b76a7826faa5d46f",
+    "solve-ma-k48/results.csv":
+        "360cbdd4a5aecb630e8608f9b324a4020e55bab2cd6820b307a13f31bff94952",
 }
 
 
-def _load_run_all():
+def _load_script(name):
     spec = importlib.util.spec_from_file_location(
-        "run_all", ROOT / "scripts" / "run_all.py")
+        name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_default_csvs_match_golden_digests(tmp_path, monkeypatch):
-    run_all = _load_run_all()
+    run_all = _load_script("run_all")
     monkeypatch.setattr(sys, "argv",
                         ["run_all.py", "--root", str(tmp_path), "--seed", "0"])
     assert run_all.main() == 0
     assert cli_main(["run", "verify-theta", "n=8,16", "d=2", "grid=64",
                      "seed=0", f"out={tmp_path / 'verify-theta-2d'}"]) == 0
+    bump48 = tmp_path / "bump48_mu0.csv"
+    monkeypatch.setattr(sys, "argv", ["make_bump_mu0.py", "--k", "48",
+                                      "--out", str(bump48)])
+    assert _load_script("make_bump_mu0").main() == 0
+    assert cli_main(["run", "solve-ma", "beta=1.0", f"mu0={bump48}", "k=48",
+                     "seed=0", f"out={tmp_path / 'solve-ma-k48'}"]) == 0
 
     written = {path.relative_to(tmp_path).as_posix():
                hashlib.sha256(path.read_bytes()).hexdigest()

@@ -32,7 +32,6 @@ from ldpma.hamiltonian_gibbs import (
 from ldpma.legendre import GridFunction
 from ldpma.measures import (
     DiscreteMeasure,
-    EmpiricalConfig,
     GridMeasure,
     torus_domain,
 )
@@ -94,7 +93,7 @@ def test_hamiltonian_sandwich_exact(n, seed):
     rng = np.random.default_rng(seed)
     lattice = TorusLattice(n=n, d=1)
     params = ThetaParams(n=n)
-    config = EmpiricalConfig(points=rng.random((n, 1)))
+    config = rng.random((n, 1))
     h_perm = hamiltonian(PERMANENTAL, lattice, params, config)
     h_trop = hamiltonian(TROPICAL, lattice, params, config)
     width = math.log(math.factorial(n)) / n
@@ -189,8 +188,7 @@ def test_hamiltonians_shape_and_translation():
         h = hamiltonians(kind, lattice, params, stack)
         assert h.shape == (3,)
         assert h[1:] == pytest.approx([h[0], h[0]], abs=1e-12)
-        assert h[0] == hamiltonian(kind, lattice, params,
-                                   EmpiricalConfig(points=pts))
+        assert h[0] == hamiltonian(kind, lattice, params, pts)
     with pytest.raises(ValueError, match="lattice needs"):
         hamiltonians(PERMANENTAL, lattice, params, stack[:, :3])
     with pytest.raises(ValueError, match="lattice needs"):

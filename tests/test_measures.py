@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ldpma.measures import (
     DiscreteMeasure,
     _logsumexp,
-    EmpiricalConfig,
     GridMeasure,
     alphabet_domain,
     empirical,
@@ -33,12 +32,12 @@ def weights_strategy(k):
 
 def test_measures_are_probability_measures_by_construction():
     g = GridMeasure.uniform(dim=2, resolution=8)
-    assert g.masses().sum() == pytest.approx(1.0, abs=1e-14)
-    assert g.masses().shape == (64,)
+    assert g.masses.sum() == pytest.approx(1.0, abs=1e-14)
+    assert g.masses.shape == (64,)
     for total in (0.9, 1.0 + 1e-9, math.nan):
         with pytest.raises(ValueError, match="total mass"):
-            GridMeasure(dim=1, resolution=4, density=np.full(4, total))
-    GridMeasure(dim=1, resolution=4, density=np.full(4, 1.0 + 1e-11))
+            GridMeasure(dim=1, resolution=4, masses=np.full(4, total / 4))
+    GridMeasure(dim=1, resolution=4, masses=np.full(4, (1.0 + 1e-11) / 4))
     for total in (0.9, 1.0 + 1e-11, math.nan):
         with pytest.raises(ValueError, match="total mass"):
             DiscreteMeasure(points=np.array([[0.1], [0.6]]),
@@ -54,7 +53,8 @@ def test_measures_are_probability_measures_by_construction():
 def test_from_density_values_normalises_by_the_total_mass():
     values = 1.0 + 0.4 * np.cos(2 * np.pi * np.arange(24) / 24)
     g = GridMeasure.from_density_values(values)
-    assert np.array_equal(g.density, values / float((values * (1 / 24)).sum()))
+    assert np.array_equal(
+        g.masses, values / float((values * (1 / 24)).sum()) * (1 / 24))
     with pytest.raises(ValueError, match="zero measure"):
         GridMeasure.from_density_values(np.zeros(4))
 
@@ -74,7 +74,7 @@ def test_cell_index_wraps_the_torus():
         1.0 + np.arange(100.0).reshape(10, 10))
     got = torus.cell_indices(np.array([[1.3, -0.25], [-1e-18, 1.0]]))
     assert got.tolist() == [[3, 7], [0, 0]]
-    assert torus.density_at(np.array([1.3, -0.25])) == torus.density[3, 7]
+    assert torus.density_at(np.array([1.3, -0.25])) == torus.masses[37] * 100
 
 
 def test_grid_centers_match_lattice():
@@ -83,10 +83,13 @@ def test_grid_centers_match_lattice():
 
 
 def test_empirical_weights():
-    config = EmpiricalConfig(points=np.array([[0.1], [0.4], [0.4]]))
-    mu = empirical(config)
+    mu = empirical(np.array([[0.1], [0.4], [0.4]]))
     assert np.allclose(mu.weights, 1.0 / 3.0)
     assert mu.atom_count == 3
+    with pytest.raises(ValueError, match="total mass 0"):
+        empirical(np.empty((0, 1)))
+    with pytest.raises(ValueError, match=r"\[0,1\)"):
+        empirical(np.array([[0.1], [1.0]]))
 
 
 def test_discrete_rejects_point_outside_domain():
@@ -117,12 +120,12 @@ def test_save_load_discrete_roundtrip(tmp_path):
 def test_save_load_grid_roundtrip(tmp_path):
     vals = 1.0 + 0.3 * np.cos(2 * np.pi * np.arange(16) / 16)
     vals = vals / vals.mean()
-    g = GridMeasure(dim=1, resolution=16, density=vals)
+    g = GridMeasure(dim=1, resolution=16, masses=vals / 16)
     path = tmp_path / "grid.csv"
     save_csv(g, path)
     back = load_grid_csv(path)
     assert back.resolution == 16
-    assert np.array_equal(back.density, g.density)
+    assert np.array_equal(back.masses, g.masses)
 
 
 def test_load_grid_rejects_non_grid_points(tmp_path):
@@ -328,7 +331,7 @@ def test_stacked_log_mgf_rows_equal_the_per_node_loop():
 def test_grid_shaped_potential_is_one_potential():
     # a grid-shaped potential is flattened by its caller: its rows are never
     # read as a stack of potentials
-    mu = GridMeasure.uniform(dim=2, resolution=3).masses()
+    mu = GridMeasure.uniform(dim=2, resolution=3).masses
     theta = np.arange(9.0).reshape(3, 3)
     flat = theta.reshape(-1)
     assert log_mgf(mu, flat[None, :])[0] == log_mgf(mu, flat)
@@ -347,4 +350,4 @@ def test_alphabet_domain_validation():
 def test_grid_measure_rejects_negative_density():
     with pytest.raises(ValueError):
         GridMeasure(dim=1, resolution=4,
-                    density=np.array([1.0, -0.5, 1.0, 2.5]))
+                    masses=np.array([0.25, -0.125, 0.25, 0.625]))

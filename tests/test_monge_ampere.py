@@ -10,7 +10,8 @@ import pytest
 
 from ldpma.legendre import GridFunction
 from ldpma import monge_ampere, transport
-from ldpma.measures import DiscreteMeasure, GridMeasure, log_mgf, torus_domain
+from ldpma.measures import (DiscreteMeasure, GridMeasure, load_grid_csv,
+                            log_mgf, save_csv, torus_domain)
 from ldpma.monge_ampere import (
     MasterParams,
     SolverError,
@@ -56,10 +57,28 @@ def test_normalize_potential_gauge():
     # a potential is read exactly as the plain torus function of its values
     plain = torus_grid_function(pot.values)
     params = MasterParams(beta=1.0, mu0=bump_measure(k), nu=nu)
-    assert np.array_equal(ma_operator(pot, nu).density,
-                          ma_operator(plain, nu).density)
+    assert np.array_equal(ma_operator(pot, nu).masses,
+                          ma_operator(plain, nu).masses)
     assert j_functional(pot, nu) == j_functional(plain, nu)
     assert f_functional(pot, params) == f_functional(plain, params)
+
+
+@pytest.mark.parametrize("k", [48, 100])
+def test_grid_measures_hold_their_masses_bit_for_bit(k, tmp_path):
+    # the cell volumes 1/48 and 1/100 are not powers of two: a mass sent
+    # through a density and back would move in its last bit
+    rng = np.random.default_rng(k)
+    masses = rng.random(k)
+    masses /= masses.sum()
+    assert np.array_equal(GridMeasure(dim=1, resolution=k,
+                                      masses=masses).masses, masses)
+    nu = bump_measure(k)
+    f = torus_grid_function(0.01 * rng.normal(size=k))
+    assert np.array_equal(ma_operator(f, nu).masses,
+                          monge_ampere._transport(f, nu)[0])
+    path = tmp_path / "grid.csv"
+    save_csv(nu, path)
+    assert np.array_equal(load_grid_csv(path).masses, nu.masses)
 
 
 def test_ma_operator_matches_power_cell_formula():
@@ -69,7 +88,7 @@ def test_ma_operator_matches_power_cell_formula():
     xs = np.arange(k) / k
     f = torus_grid_function(0.01 * np.cos(2 * np.pi * xs))
     nu = GridMeasure.uniform(dim=1, resolution=k)
-    got = ma_operator(f, nu).masses()
+    got = ma_operator(f, nu).masses
     want = torus_cell_masses_1d(f.values)
     assert np.abs(got - want).max() <= 1e-14
 
@@ -82,7 +101,7 @@ def test_ma_operator_density_refines_to_continuum():
         xs = np.arange(k) / k
         f = torus_grid_function(amplitude * np.cos(2 * np.pi * xs))
         nu = GridMeasure.uniform(dim=1, resolution=k)
-        density = ma_operator(f, nu).masses() * k
+        density = ma_operator(f, nu).masses * k
         target = 1.0 - 0.5 * amplitude * (2 * np.pi) ** 2 * np.cos(2 * np.pi * xs)
         errors.append(float(np.abs(density - target).max()))
     assert errors[0] > errors[1] > errors[2]
@@ -151,8 +170,8 @@ def test_j_functional_constant_shift():
 def test_tilt_measure_zero_beta_is_mu0():
     mu0 = bump_measure(32)
     tilt = monge_ampere._tilt_masses(np.linspace(0.0, 1.0, 32), 0.0,
-                                     mu0.masses())
-    assert np.abs(tilt - mu0.masses()).max() == 0.0
+                                     mu0.masses)
+    assert np.abs(tilt - mu0.masses).max() == 0.0
 
 
 def test_duality_bracket_vanishes_off_fixed_point():
@@ -170,7 +189,7 @@ def test_duality_bracket_vanishes_off_fixed_point():
         f = torus_grid_function(smooth)
         mu = ma_operator(f, nu)
         bracket = (w2_to_reference(mu, nu) + j_functional(f, nu)
-                   + float(np.sum(f.values * mu.masses())))
+                   + float(np.sum(f.values * mu.masses)))
         assert abs(bracket) <= 1e-9
 
 
@@ -194,14 +213,15 @@ def test_j_envelope_identity_gives_the_pushforward(dim, k):
         step = step.reshape(shape)
         grad[i] = (j_at(values + step) - j_at(values - step)) / (2.0 * h)
     push = ma_operator(GridFunction(dim=dim, resolution=k, values=values),
-                       nu).masses()
+                       nu).masses
     assert np.all(push > 0.0)
     assert np.max(np.abs(grad + push)) <= 1e-8
 
 
 def test_solver_and_certificates_scan_each_potential_once(monkeypatch):
     cells, invert = monge_ampere._power_cells_1d, monge_ampere._invert_cells_1d
-    from_masses = monge_ampere._from_masses
+    built = monge_ampere.GridMeasure.__post_init__
+    params = MasterParams(beta=1.0, mu0=bump_measure(64))
     calls = []
 
     def counted_cells(values):
@@ -212,14 +232,14 @@ def test_solver_and_certificates_scan_each_potential_once(monkeypatch):
         calls.append("invert")
         return invert(masses, measure)
 
-    def counted_from_masses(*args):
+    def counted_post_init(measure):
         calls.append("measure")
-        return from_masses(*args)
+        built(measure)
 
     monkeypatch.setattr(monge_ampere, "_power_cells_1d", counted_cells)
     monkeypatch.setattr(monge_ampere, "_invert_cells_1d", counted_invert)
-    monkeypatch.setattr(monge_ampere, "_from_masses", counted_from_masses)
-    params = MasterParams(beta=1.0, mu0=bump_measure(64))
+    monkeypatch.setattr(monge_ampere.GridMeasure, "__post_init__",
+                        counted_post_init)
     phi = solve_master(params)
     # one scan per trial potential, plus one for the starting potential;
     # the solver passes masses between its steps and builds no measure
@@ -243,7 +263,7 @@ def test_w2_circle_single_atoms():
 def test_w2_circle_grid_vs_own_atoms():
     # transporting each cell onto its center costs h^2/12
     g = GridMeasure.uniform(dim=1, resolution=128)
-    atoms = DiscreteMeasure(points=g.centers(), weights=g.masses(),
+    atoms = DiscreteMeasure(points=g.centers(), weights=g.masses,
                             domain=torus_domain(1))
     assert w2_circle(g, atoms) == pytest.approx((1 / 128) ** 2 / 12, rel=1e-9)
 
@@ -296,7 +316,7 @@ def test_w2_circle_to_a_grid_matches_the_ternary_search(k):
         weights = rng.random(len(points)) + 0.05
         weights /= weights.sum()
         got = w2_circle(atoms_1d(points, weights), nu)
-        want = w2_circle_ternary(points, weights, nu.masses())
+        want = w2_circle_ternary(points, weights, nu.masses)
         assert abs(got - want) <= 1e-14, (got, want)
 
 
@@ -306,7 +326,7 @@ def test_w2_circle_single_atom_is_the_forced_plan():
         nu = seeded_grid(rng, k, zero_share=0.2)
         for x in (0.0, 0.5, rng.random(), 1.0 - 1e-9):
             got = w2_circle(atoms_1d([x], [1.0]), nu)
-            assert got == pytest.approx(w2_single_atom(x, nu.masses()),
+            assert got == pytest.approx(w2_single_atom(x, nu.masses),
                                         abs=1e-15)
 
 
@@ -366,7 +386,7 @@ def test_stacked_w2_rows_match_the_one_row_search_and_the_ternary_oracle():
             stacked = transport._w2_circle_rows(x, weights, nu)
             for row, got in zip(weights, stacked):
                 assert got == w2_circle(atoms_1d(x, row), nu)
-                want = w2_circle_ternary(x, row, nu.masses())
+                want = w2_circle_ternary(x, row, nu.masses)
                 assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
@@ -394,7 +414,7 @@ def test_solver_cells_bit_identical_to_the_scalar_kernels(beta, uniform_nu,
 
     def checked_invert(masses, measure):
         out = invert(masses, measure)
-        want = invert_cells_bisect(masses, measure.masses())
+        want = invert_cells_bisect(masses, measure.masses)
         assert np.abs(out[0] - want).max() <= 1e-15
         inverted.append((masses, out[0]))
         calls.append("invert")
@@ -408,7 +428,7 @@ def test_solver_cells_bit_identical_to_the_scalar_kernels(beta, uniform_nu,
     assert calls.count("cells") == 4 and calls.count("invert") == 3
     monkeypatch.undo()
     for masses, values in inverted:
-        push = ma_operator(torus_grid_function(values), nu).masses()
+        push = ma_operator(torus_grid_function(values), nu).masses
         assert np.abs(push - masses).max() <= 1e-12
 
 
@@ -441,7 +461,7 @@ def test_solver_zero_beta_transports_nu_to_mu0():
     nu = GridMeasure.from_density_values(1.0 + 0.25 * np.sin(2 * np.pi * xs))
     phi = solve_master(MasterParams(beta=0.0, mu0=mu0, nu=nu))
     push = ma_operator(phi, nu)
-    assert np.abs(push.masses() - mu0.masses()).sum() <= 1e-8
+    assert np.abs(push.masses - mu0.masses).sum() <= 1e-8
 
 
 def test_solver_beta_one_bump_converges():
@@ -469,7 +489,7 @@ def test_rate_function_zero_at_minimizer_positive_elsewhere():
     rng = np.random.default_rng(3)
     for _ in range(5):
         bump = rng.normal(0.0, 0.35, size=64)
-        masses = mu_min.masses() * np.exp(bump)
+        masses = mu_min.masses * np.exp(bump)
         masses /= masses.sum()
         probe = GridMeasure.from_density_values(masses * 64)
         assert rate_function_g(probe, params, phi).value > 1e-3
@@ -502,8 +522,6 @@ def test_free_energy_constant_invariance():
     pytest.param(beta, k, id=str(beta) if k == 64 else f"{beta}-k{k}")
     for k in (64, 48, 100) for beta in (-0.5, 0.0, 1.0, 4.0)])
 def test_gprop_consistency_across_betas(beta, k):
-    # k = 48 and 100 are not powers of two: there a mass that round-trips
-    # through a density can move in its last bit
     params = MasterParams(beta=beta, mu0=bump_measure(k))
     report = gprop_consistency(params, probes=12, seed=0)
     assert report.passed, (report.residual_tv, report.bracket_gap,
@@ -518,9 +536,9 @@ def test_gprop_consistency_computes_the_constant_once(monkeypatch):
     rng = np.random.default_rng(5)
     probes = []
     for _ in range(8):
-        masses = mu_min.masses() * np.exp(rng.normal(0.0, 0.35, size=32))
+        masses = mu_min.masses * np.exp(rng.normal(0.0, 0.35, size=32))
         probes.append(GridMeasure(dim=1, resolution=32,
-                                  density=masses / masses.sum() * 32))
+                                  masses=masses / masses.sum()))
     want_min = rate_function_g(mu_min, params, phi).value
     want_best = min(rate_function_g(p, params, phi).value for p in probes)
 
@@ -567,7 +585,7 @@ def test_gprop_consistency_computes_the_constant_once(monkeypatch):
         assert report.rate_at_minimizer == want_min
         assert report.min_probe_value == want_best
         assert report.free_energy == f_functional(phi, params)
-        assert np.array_equal(report.pushforward.masses(), mu_min.masses())
+        assert np.array_equal(report.pushforward.masses, mu_min.masses)
         assert report.passed
 
 
@@ -576,7 +594,7 @@ def same_report(a, b):
     for f in dataclasses.fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name == "pushforward":
-            assert np.array_equal(x.masses(), y.masses())
+            assert np.array_equal(x.masses, y.masses)
         else:
             assert x == y, f.name
 
@@ -659,13 +677,13 @@ def test_tilt_shifts_by_the_maximum_over_the_cells_mu0_charges():
     mu0 = GridMeasure.from_density_values(density)
     params = MasterParams(beta=800.0, mu0=mu0)
     f = torus_grid_function(np.eye(k)[3])
-    masses = mu0.masses()
+    masses = mu0.masses
     tilt = monge_ampere._tilt_masses(f.values, params.beta, masses)
     assert np.array_equal(tilt, masses / masses.sum())
     assert f_functional(f, params) == (log_mgf(masses, 800.0 * f.values)
                                        / 800.0 + j_functional(f, params.nu))
     assert f_gradient_residual(f, params) == np.sum(
-        np.abs(tilt - ma_operator(f, params.nu).masses()))
+        np.abs(tilt - ma_operator(f, params.nu).masses))
 
 
 @pytest.mark.parametrize("k", [32, 64, 128, 256])
@@ -677,7 +695,7 @@ def test_dual_energy_matches_the_per_piece_loop(k):
         for scale in (0.01, 0.3 / k ** 2):
             f = torus_grid_function(scale * np.cos(2 * np.pi * xs + 0.4)
                                     + scale * rng.standard_normal(k))
-            want = dual_energy_loop(f.values, nu.masses())
+            want = dual_energy_loop(f.values, nu.masses)
             assert abs(j_functional(f, nu) - want) <= 1e-14 * abs(want)
 
 
@@ -696,7 +714,7 @@ def test_transport_masses_equal_the_two_cdf_scan(k):
             f = torus_grid_function(scale * np.cos(2 * np.pi * xs + 0.4)
                                     + scale * rng.standard_normal(k))
             got = monge_ampere._transport(f, nu)[0]
-            want = cell_masses_two_cdf(f.values, nu.masses())
+            want = cell_masses_two_cdf(f.values, nu.masses)
             assert np.array_equal(got, want), (nu, scale)
             node_idx = monge_ampere._power_cells_1d(f.values)[0]
             wrapped += len(node_idx) > len(np.unique(node_idx))
@@ -770,10 +788,10 @@ def test_stacked_w2_row_zero_is_the_one_row_call(monkeypatch):
                 mu_min = ma_operator(phi, nu)
                 weights, w2s = seen.pop()
                 assert weights.shape == (1 + probes, k)
-                assert np.array_equal(weights[0], mu_min.masses())
+                assert np.array_equal(weights[0], mu_min.masses)
                 w2 = w2_to_reference(mu_min, nu)
                 assert w2s[0] == w2
-                pairing = float(np.sum(phi.values * mu_min.masses()))
+                pairing = float(np.sum(phi.values * mu_min.masses))
                 assert report.bracket_gap == w2 + j_functional(phi, nu) \
                     + pairing
 
@@ -796,7 +814,7 @@ def test_inversion_jacobian_matches_central_differences(case):
     masses = rng.random(k) + 0.5
     masses /= masses.sum()
     values, slopes = monge_ampere._invert_cells_1d(masses, nu)
-    want = invert_cells_bisect(masses, nu.masses())
+    want = invert_cells_bisect(masses, nu.masses)
     assert np.abs(values - want).max() <= 1e-15
     got = inversion_jacobian(slopes)
     eps = 1e-7
@@ -837,8 +855,8 @@ def test_zero_beta_solution_is_the_cell_inversion_of_mu0():
     for nu in nu_cases(k).values():
         phi = solve_master(MasterParams(beta=0.0, mu0=mu0, nu=nu))
         want = normalize_potential(
-            torus_grid_function(invert_cells_bisect(mu0.masses(),
-                                                    nu.masses())), nu)
+            torus_grid_function(invert_cells_bisect(mu0.masses,
+                                                    nu.masses)), nu)
         assert np.abs(phi.values - want.values).max() <= 1e-12
 
 
@@ -879,7 +897,7 @@ def test_inversion_reproduces_the_masses(case):
         masses = rng.random(k) + 0.5
         masses /= masses.sum()
         values, _ = monge_ampere._invert_cells_1d(masses, nu)
-        push = ma_operator(torus_grid_function(values), nu).masses()
+        push = ma_operator(torus_grid_function(values), nu).masses
         assert np.abs(push - masses).max() <= 1e-12
 
 
@@ -955,7 +973,7 @@ def test_inversion_leaves_zero_mass_cells_strictly_empty(case):
         lowered = values.copy()
         lowered[i] -= 0.5 / k ** 2
         assert i not in monge_ampere._power_cells_1d(lowered)[0]
-    push = ma_operator(torus_grid_function(values), nu).masses()
+    push = ma_operator(torus_grid_function(values), nu).masses
     assert np.all(push[zero] == 0.0)
     assert np.abs(push - masses).max() <= 1e-12
 
@@ -974,7 +992,7 @@ def test_cells_mu0_does_not_charge_are_hidden_nodes(beta):
     phi = solve_master(params)
     assert len(phi.log) - 1 <= 3, phi.log
     report = gprop_consistency(params, probes=12, phi_min=phi)
-    assert np.all(report.pushforward.masses()[empty] == 0.0)
+    assert np.all(report.pushforward.masses[empty] == 0.0)
     assert math.isfinite(report.entropy_gap)
     assert report.passed, (report.residual_tv, report.bracket_gap,
                            report.entropy_gap, report.rate_at_minimizer)

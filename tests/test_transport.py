@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ldpma.measures import (
     DiscreteMeasure,
-    EmpiricalConfig,
     GridMeasure,
     empirical,
     torus_domain,
@@ -68,8 +67,8 @@ def test_kantorovich_on_uniform_atoms_equals_assignment():
     rng = np.random.default_rng(2)
     pts_a = rng.random((6, 1))
     pts_b = rng.random((6, 1))
-    mu = empirical(EmpiricalConfig(points=pts_a))
-    nu = empirical(EmpiricalConfig(points=pts_b))
+    mu = empirical(pts_a)
+    nu = empirical(pts_b)
     costs = cost_matrix(pts_a, pts_b, "sqdist_torus")
     plan = kantorovich_lp(mu, nu, costs)
     _, best = assignment_brute(costs)
@@ -174,7 +173,7 @@ def test_w2_semidiscrete_uniform_vs_own_atoms():
     # the plan is the zero-cost diagonal
     k = 32
     g = GridMeasure.uniform(dim=1, resolution=k)
-    mu = DiscreteMeasure(points=g.centers(), weights=g.masses(),
+    mu = DiscreteMeasure(points=g.centers(), weights=g.masses,
                          domain=torus_domain(1))
     assert w2_semidiscrete(g, mu) == 0.0
 
